@@ -21,12 +21,15 @@ from __future__ import annotations
 
 import csv
 import io as _stdio
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, NoReturn
+
+import numpy as np
 
 from .errors import (
     DuplicateSampleError,
@@ -82,25 +85,70 @@ def _parse_timestamp(text: str) -> float:
     return moment.timestamp()
 
 
-def parse_power_csv(stream: IO[str] | Iterable[str]) -> list[PowerTrace]:
-    """Parse power samples into one trace per device, sorted by device_id.
+#: Lines of power CSV that are read, converted and checked at a time.
+_CHUNK_LINES = 2048
 
-    Rows may arrive in any order; each device's samples are sorted by time.
-    Duplicate (device, timestamp) pairs, malformed rows, and negative watt
-    readings are rejected with the offending 1-based line number.
+
+def _take(iterator, count: int) -> tuple[list, Exception | None]:
+    """Up to ``count`` items, and the exception that cut the read short.
+
+    Items read before the failure are kept, so that errors in earlier rows
+    are still reported first.
     """
-    reader = csv.reader(stream)
+    items: list = []
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty power CSV: missing header", line=1) from None
-    if tuple(h.strip() for h in header) != POWER_CSV_HEADER:
-        raise ParseError(
-            f"expected header {','.join(POWER_CSV_HEADER)!r}, got {','.join(header)!r}",
-            line=1,
-        )
-    by_device: dict[str, list[tuple[float, float, int]]] = {}
-    for line, row in enumerate(reader, start=2):
+        items.extend(itertools.islice(iterator, count))
+    except Exception as exc:
+        return items, exc
+    return items, None
+
+
+def _plain_columns(lines: list) -> tuple[list, list, list] | None:
+    """Split lines into device, timestamp and watts columns, if that is safe.
+
+    Plain lines are split with ``str`` methods, which is only what
+    ``csv.reader`` would do when every line holds exactly two commas and one
+    ``\\n`` at its end (the chunk's last line may lack it), no field can
+    exceed the csv field limit, and there is no ``"`` or ``\\r``.  Returns
+    None otherwise.  Device fields after the first keep a leading ``\\n``,
+    which device-id stripping removes.
+    """
+    count = len(lines)
+    if not count:
+        return [], [], []
+    try:
+        # A plain chunk has no "\r", so "\r" can mark where each line ended.
+        text = "\r".join(lines)
+    except TypeError:
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    text += "\r"
+    if (
+        '"' in text
+        or text.count("\r") != count
+        or text.count("\n\r") != count
+        or text.count("\n") != count
+    ):
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    # With a comma before each newline, every line starts a new field and
+    # each newline is the first character of its field.
+    fields = text.replace("\n\r", ",\n").split(",")
+    if len(fields) != 3 * count + 1 or "".join(fields[3::3]).count("\n") != count:
+        return None
+    del fields[-1]
+    return fields[0::3], fields[1::3], fields[2::3]
+
+
+def _raise_first_bad_row(rows: Iterable, first_line: int) -> NoReturn:
+    """Raise the error of the first bad row, checking rows one at a time.
+
+    Only called on a chunk whose column checks failed; it never returns.
+    """
+    for line, row in enumerate(rows, start=first_line):
         if not row:
             continue
         if len(row) != 3:
@@ -123,24 +171,134 @@ def parse_power_csv(stream: IO[str] | Iterable[str]) -> list[PowerTrace]:
             )
         if not math.isfinite(timestamp):
             raise ParseError(f"non-finite timestamp {row[1]!r}", line=line)
-        by_device.setdefault(device_id, []).append((timestamp, watts, line))
-    traces = []
-    for device_id in sorted(by_device):
-        rows = sorted(by_device[device_id], key=lambda r: (r[0], r[2]))
-        for (t0, _, l0), (t1, _, l1) in zip(rows, rows[1:]):
-            if t0 == t1:
-                raise DuplicateSampleError(
-                    f"device {device_id!r}: duplicate timestamp {t0!r}",
-                    line=max(l0, l1),
-                )
-        traces.append(
-            PowerTrace(
-                device_id,
-                [r[0] for r in rows],
-                [r[1] for r in rows],
+    raise AssertionError("a chunk failed its column checks but no row is bad")
+
+
+class _Samples:
+    """Power samples collected chunk by chunk as numpy columns."""
+
+    def __init__(self):
+        self.ids: dict[str, int] = {}  # stripped device id -> code
+        self.codes_by_field: dict[str, int] = {}  # raw device field -> code
+        self.chunks: list[tuple[np.ndarray, ...]] = []
+
+    def add(self, columns: tuple, lines: np.ndarray) -> bool:
+        """Convert and check one chunk's columns; False if any row is bad."""
+        count = len(lines)
+        if not count:
+            return True
+        devices, stamps, watts = columns
+        codes_by_field = self.codes_by_field
+        for field in set(devices).difference(codes_by_field):
+            device_id = field.strip()
+            if not device_id:
+                return False
+            codes_by_field[field] = self.ids.setdefault(device_id, len(self.ids))
+        codes = np.fromiter(map(codes_by_field.__getitem__, devices), np.intp, count)
+        try:
+            times = np.fromiter(map(float, stamps), np.float64, count)
+        except ValueError:
+            # RFC 3339 stamps: parse each distinct string of the chunk once.
+            try:
+                epoch = {text: _parse_timestamp(text) for text in set(stamps)}
+            except (ValueError, OverflowError):
+                return False
+            times = np.fromiter(map(epoch.__getitem__, stamps), np.float64, count)
+        try:
+            power = np.fromiter(map(float, watts), np.float64, count)
+        except ValueError:
+            return False
+        if not (np.isfinite(power).all() and power.min() >= 0 and np.isfinite(times).all()):
+            return False
+        self.chunks.append((codes, times, power, lines))
+        return True
+
+    def traces(self) -> list[PowerTrace]:
+        """One trace per device in device-id order; rejects duplicate samples."""
+        if not self.chunks:
+            return []
+        # Release the per-chunk arrays before sorting needs memory of its own.
+        chunks, self.chunks = self.chunks, []
+        codes, times, watts, lines = (np.concatenate(col) for col in zip(*chunks))
+        del chunks
+        names = sorted(self.ids)
+        rank = np.empty(len(names), dtype=np.intp)
+        rank[[self.ids[name] for name in names]] = np.arange(len(names))
+        devices = rank[codes]
+        order = np.lexsort((lines, times, devices))
+        devices, times, watts = devices[order], times[order], watts[order]
+        same_device = devices[1:] == devices[:-1]
+        duplicate = np.flatnonzero(same_device & (times[1:] == times[:-1]))
+        if duplicate.size:
+            i = int(duplicate[0])
+            raise DuplicateSampleError(
+                f"device {names[devices[i]]!r}: duplicate timestamp {float(times[i])!r}",
+                line=int(max(lines[order[i]], lines[order[i + 1]])),
             )
+        bounds = np.flatnonzero(~same_device) + 1
+        return [
+            PowerTrace(name, t, w)
+            for name, t, w in zip(names, np.split(times, bounds), np.split(watts, bounds))
+        ]
+
+
+def parse_power_csv(stream: IO[str] | Iterable[str]) -> list[PowerTrace]:
+    """Parse power samples into one trace per device, sorted by device_id.
+
+    Rows may arrive in any order; each device's samples are sorted by time.
+    Duplicate (device, timestamp) pairs, malformed rows, and negative watt
+    readings are rejected with the offending 1-based line number (the row's
+    record number when a quoted field spans lines).
+
+    The stream is read ``_CHUNK_LINES`` lines at a time.  Plain chunks are
+    split with string methods; from the first chunk that is not plain on,
+    ``csv.reader`` tokenizes the rest.  Each chunk is converted and checked
+    column-wise; a chunk that fails is re-checked row by row to report its
+    first bad row.
+    """
+    lines = iter(stream)
+    try:
+        header = next(csv.reader(lines))
+    except StopIteration:
+        raise ParseError("empty power CSV: missing header", line=1) from None
+    if tuple(h.strip() for h in header) != POWER_CSV_HEADER:
+        raise ParseError(
+            f"expected header {','.join(POWER_CSV_HEADER)!r}, got {','.join(header)!r}",
+            line=1,
         )
-    return traces
+    samples = _Samples()
+    line = 2
+    while True:
+        chunk, failure = _take(lines, _CHUNK_LINES)
+        columns = _plain_columns(chunk)
+        if columns is None:
+            break
+        if not samples.add(columns, np.arange(line, line + len(chunk))):
+            _raise_first_bad_row(zip(*columns), line)
+        line += len(chunk)
+        if failure is not None:
+            raise failure
+        if len(chunk) < _CHUNK_LINES:
+            return samples.traces()
+    reader = csv.reader(chunk if failure is not None else itertools.chain(chunk, lines))
+    while True:
+        rows, csv_failure = _take(reader, _CHUNK_LINES)
+        # Blank rows are skipped, but they count as lines.
+        numbers = [number for number, row in enumerate(rows, start=line) if row]
+        full = [row for row in rows if row]
+        if not (
+            all(len(row) == 3 for row in full)
+            and samples.add(tuple(zip(*full)), np.array(numbers, dtype=np.intp))
+        ):
+            _raise_first_bad_row(rows, line)
+        line += len(rows)
+        if csv_failure is not None:
+            raise csv_failure
+        if len(rows) < _CHUNK_LINES:
+            break
+    if failure is not None:
+        raise failure
+    return samples.traces()
 
 
 def write_power_csv(samples: Iterable[tuple[str, float, float]]) -> bytes:
@@ -156,6 +314,8 @@ def _run_from_obj(obj: dict, line: int) -> ApplicationRun:
     for key in ("run_id", "category", "start", "end", "work", "devices"):
         if key not in obj:
             raise SchemaError(f"missing key {key!r}", line=line)
+    if not isinstance(obj["run_id"], str):
+        raise SchemaError(f"run_id must be a string, got {obj['run_id']!r}", line=line)
     try:
         category = ApplicationCategory(obj["category"])
     except ValueError:
@@ -177,6 +337,8 @@ def _run_from_obj(obj: dict, line: int) -> ApplicationRun:
     devices = obj["devices"]
     if not isinstance(devices, list) or not all(isinstance(d, str) for d in devices):
         raise SchemaError("devices must be a list of device ids", line=line)
+    if isinstance(obj["start"], bool) or isinstance(obj["end"], bool):
+        raise SchemaError("bad start/end timestamp", line=line)
     try:
         start = obj["start"] if isinstance(obj["start"], (int, float)) else _parse_timestamp(obj["start"])
         end = obj["end"] if isinstance(obj["end"], (int, float)) else _parse_timestamp(obj["end"])

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import axpue.io
 from axpue import (
     ApplicationCategory,
     DeviceCategory,
@@ -103,6 +104,70 @@ class TestParsePowerCsv:
         assert list(traces[1].times) == [0.5]
 
 
+def trace_values(traces):
+    return [(t.device_id, list(t.times), list(t.watts)) for t in traces]
+
+
+class TestPowerCsvChunks:
+    """The parser reads ``_CHUNK_LINES`` lines at a time; here, two."""
+
+    @pytest.fixture(autouse=True)
+    def two_line_chunks(self, monkeypatch):
+        monkeypatch.setattr(axpue.io, "_CHUNK_LINES", 2)
+
+    def test_duplicate_across_chunks_reports_later_line(self):
+        with pytest.raises(DuplicateSampleError) as excinfo:
+            parse_csv(HEADER + "s1,0,100\ns1,60,100\ns2,0,5\ns1,60,101\n")
+        assert excinfo.value.line == 5
+        assert str(excinfo.value) == "device 's1': duplicate timestamp 60.0"
+
+    def test_bad_first_row_of_second_chunk_carries_its_line(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_csv(HEADER + "s1,0,100\ns1,60,100\ns1,120,1a\ns1,180,100\n")
+        assert excinfo.value.line == 4
+        assert str(excinfo.value) == "bad watts value '1a'"
+
+    def test_quoted_device_id_mid_file(self):
+        traces = parse_csv(HEADER + 's1,0,100\ns1,60,100\n"a,b",0,7\ns1,120,100\n')
+        assert trace_values(traces) == [
+            ("a,b", [0.0], [7.0]),
+            ("s1", [0.0, 60.0, 120.0], [100.0, 100.0, 100.0]),
+        ]
+
+    def test_quoted_field_spanning_lines_counts_as_one_row(self):
+        with pytest.raises(InvalidPowerError) as excinfo:
+            parse_csv(HEADER + 's1,0,100\n"a\nb",0,7\ns1,60,-1\n')
+        assert excinfo.value.line == 4
+
+    def test_crlf_file_parses_like_lf(self):
+        rows = ["s1,0,100", "s2,0,50", "s1,60,110", "s2,60,55", "s1,120,120"]
+        lf = HEADER + "".join(r + "\n" for r in rows)
+        crlf = lf.replace("\n", "\r\n")
+        from_file = parse_power_csv(io.StringIO(crlf, newline=""))
+        assert trace_values(from_file) == trace_values(parse_csv(lf))
+
+    def test_padded_device_ids_merge(self):
+        traces = parse_csv(HEADER + " a,0,1\na,60,2\na ,120,3\n")
+        assert trace_values(traces) == [("a", [0.0, 60.0, 120.0], [1.0, 2.0, 3.0])]
+
+    def test_lines_without_newlines_parse_like_a_file(self):
+        rows = ["s1,0,100", "s1,60,1", "s2,0,5", "s2,60,6", "s1,120,3"]
+        text = HEADER + "".join(r + "\n" for r in rows)
+        bare = parse_power_csv(["device_id,timestamp,watts"] + rows)
+        assert trace_values(bare) == trace_values(parse_csv(text))
+
+    def test_last_line_without_newline(self):
+        traces = parse_csv(HEADER + "s1,0,100\ns1,60,100\ns1,120,5")
+        assert trace_values(traces) == [("s1", [0.0, 60.0, 120.0], [100.0, 100.0, 5.0])]
+
+    def test_rfc3339_and_epoch_mixed_across_chunks(self):
+        traces = parse_csv(
+            HEADER
+            + "s1,0,1\ns1,1970-01-01T00:01:00Z,2\ns1,1970-01-01T00:02:00Z,3\ns1,180,4\n"
+        )
+        assert trace_values(traces) == [("s1", [0.0, 60.0, 120.0, 180.0], [1.0, 2.0, 3.0, 4.0])]
+
+
 def run_line(**overrides) -> str:
     obj = {
         "run_id": "grep-1",
@@ -155,6 +220,20 @@ class TestParseRunsJsonl:
             parse_runs_jsonl(
                 io.StringIO(run_line(work={"type": "bytes_processed", "value": 1.5}))
             )
+
+    def test_non_string_run_id_rejected(self):
+        stream = io.StringIO(run_line() + run_line(run_id=5))
+        with pytest.raises(SchemaError) as excinfo:
+            parse_runs_jsonl(stream)
+        assert excinfo.value.line == 2
+
+    @pytest.mark.parametrize("key", ["start", "end"])
+    def test_boolean_timestamp_rejected(self, key):
+        overrides = {"start": True} if key == "start" else {"start": 0.0, "end": True}
+        stream = io.StringIO(run_line() + run_line(**overrides))
+        with pytest.raises(SchemaError) as excinfo:
+            parse_runs_jsonl(stream)
+        assert excinfo.value.line == 2
 
     def test_write_parse_round_trip(self):
         runs = parse_runs_jsonl(io.StringIO(run_line()))

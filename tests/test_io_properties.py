@@ -1,0 +1,259 @@
+"""Property tests: the chunked power-CSV parser against a row-at-a-time one.
+
+``reference_parse_power_csv`` is the row loop the chunked parser replaced.
+It is kept here only as the reference the parser is compared against: on
+every generated input both must return the same traces, or raise the same
+error type with the same message and line.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import math
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import axpue.io
+from axpue import PowerTrace, parse_power_csv, write_power_csv
+from axpue.errors import DuplicateSampleError, InvalidPowerError, ParseError
+from axpue.io import POWER_CSV_HEADER, _parse_timestamp
+
+
+def reference_parse_power_csv(stream):
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty power CSV: missing header", line=1) from None
+    if tuple(h.strip() for h in header) != POWER_CSV_HEADER:
+        raise ParseError(
+            f"expected header {','.join(POWER_CSV_HEADER)!r}, got {','.join(header)!r}",
+            line=1,
+        )
+    by_device: dict[str, list[tuple[float, float, int]]] = {}
+    for line, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ParseError(f"expected 3 fields, got {len(row)}", line=line)
+        device_id = row[0].strip()
+        if not device_id:
+            raise ParseError("empty device_id", line=line)
+        try:
+            timestamp = _parse_timestamp(row[1])
+        except (ValueError, OverflowError):
+            raise ParseError(f"bad timestamp {row[1]!r}", line=line) from None
+        try:
+            watts = float(row[2])
+        except ValueError:
+            raise ParseError(f"bad watts value {row[2]!r}", line=line) from None
+        if not math.isfinite(watts) or watts < 0:
+            raise InvalidPowerError(
+                f"device {device_id!r}: watts must be finite and >= 0, got {watts!r}",
+                line=line,
+            )
+        if not math.isfinite(timestamp):
+            raise ParseError(f"non-finite timestamp {row[1]!r}", line=line)
+        by_device.setdefault(device_id, []).append((timestamp, watts, line))
+    traces = []
+    for device_id in sorted(by_device):
+        rows = sorted(by_device[device_id], key=lambda r: (r[0], r[2]))
+        for (t0, _, l0), (t1, _, l1) in zip(rows, rows[1:]):
+            if t0 == t1:
+                raise DuplicateSampleError(
+                    f"device {device_id!r}: duplicate timestamp {t0!r}",
+                    line=max(l0, l1),
+                )
+        traces.append(PowerTrace(device_id, [r[0] for r in rows], [r[1] for r in rows]))
+    return traces
+
+
+def outcome(parse, make_stream):
+    """The traces a parser returns, or the (type, message, line) it raises."""
+    try:
+        traces = parse(make_stream())
+    except Exception as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "line", None))
+    return ("ok", [(t.device_id, t.times.tolist(), t.watts.tolist()) for t in traces])
+
+
+def mostly(valid, odd):
+    """Valid values six times as often as odd ones, so rows get past each other."""
+    return st.one_of(*[valid] * 6, odd)
+
+
+DEVICES = mostly(
+    st.sampled_from(["s1", "s2", " s1", "s1 ", "é"]),
+    st.sampled_from(["a,b", "", " ", "\t", 'q"x', "s1\x00"]),
+)
+STAMPS = mostly(
+    st.one_of(
+        st.integers(-5, 200).map(str),
+        st.sampled_from(
+            [
+                "60.0", "-0", "1e3", "1_0", " 5 ", "1970-01-01T00:00:00Z",
+                "1970-01-01T00:01:00+00:00", "1970-01-01T00:00:00.25",
+                "1970-01-01T00:01:00z", "2026-01-01T00:00:00.5Z",
+            ]
+        ),
+    ),
+    st.sampled_from(
+        [
+            "", "abc", "nan", "inf", "-inf", "1e999",
+            "0001-01-01T00:00:00+01:00", "1970-13-01T00:00:00Z",
+        ]
+    ),
+)
+WATTS = mostly(
+    st.one_of(
+        st.sampled_from(["100", "0", "-0", " 7 ", "1_0", "0.5"]),
+        st.floats(min_value=0, max_value=1e6).map(repr),
+    ),
+    st.sampled_from(["-5", "nan", "inf", "1e309", "1a", ""]),
+)
+
+
+def quoted(field: str) -> str:
+    return '"' + field.replace('"', '""') + '"'
+
+
+@st.composite
+def csv_texts(draw):
+    header = draw(
+        st.sampled_from(
+            ["device_id,timestamp,watts"] * 4
+            + [" device_id , timestamp,watts", '"device_id",timestamp,watts', "device,t,w"]
+        )
+    )
+    lines = [header]
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(
+            st.sampled_from(["row"] * 10 + ["blank", "space", "short", "long", "quoted", "pair"])
+        )
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(" ")
+        elif kind in ("short", "pair"):
+            lines.append(f"{draw(DEVICES)},{draw(STAMPS)}")
+        if kind in ("long", "pair"):
+            # After a short row, a long one keeps the commas per row right on average.
+            lines.append(f"{draw(DEVICES)},{draw(STAMPS)},{draw(WATTS)},x")
+        if kind in ("row", "quoted"):
+            fields = [draw(DEVICES), draw(STAMPS), draw(WATTS)]
+            if kind == "quoted":
+                fields = [quoted(f) if draw(st.booleans()) else f for f in fields]
+                if draw(st.booleans()):
+                    fields[0] = quoted(draw(DEVICES) + "\nz")  # a field spanning two lines
+            lines.append(",".join(fields))
+    ending = draw(st.sampled_from(["\n"] * 5 + ["\r\n"] * 2 + ["\r"]))
+    text = ending.join(lines)
+    if draw(st.booleans()):
+        text += ending
+    cuts = sorted(draw(st.lists(st.integers(0, len(text)), max_size=8)))
+    return text, cuts
+
+
+def streams(text, cuts):
+    """The same input as text files, lists of lines, and re-cut pieces."""
+    pieces = [text[i:j] for i, j in zip([0] + cuts, cuts + [len(text)])]
+    return {
+        "file": lambda: io.StringIO(text, newline=""),
+        "lf-file": lambda: io.StringIO(text),
+        "lines": lambda: text.splitlines(keepends=True),
+        "bare lines": lambda: text.splitlines(),
+        "pieces": lambda: iter(pieces),
+    }
+
+
+HEADER = "device_id,timestamp,watts\n"
+
+
+@settings(max_examples=500, deadline=None)
+@given(text_and_cuts=csv_texts(), chunk=st.integers(1, 4))
+# A quoted field without a comma in it, in a later chunk.
+@example(text_and_cuts=(HEADER + 's1,0,1\ns1,60,1\n"s2",0,"1"\n', []), chunk=2)
+# Rows of 2 and 4 fields in one chunk: 6 fields, as two good rows have.
+@example(text_and_cuts=(HEADER + "s1,0\ns2,5,1,x\n", []), chunk=2)
+# A piece ending in a comma before a piece starting with a newline.
+@example(text_and_cuts=(HEADER + "s1,0,1,\ns2,0,1\n", [len(HEADER), len(HEADER) + 7]), chunk=2)
+# A piece holding a newline inside a row.
+@example(text_and_cuts=(HEADER + "s1,5\n,1\n", [len(HEADER)]), chunk=1)
+def test_chunked_parser_matches_row_loop(text_and_cuts, chunk):
+    with mock.patch.object(axpue.io, "_CHUNK_LINES", chunk):
+        for kind, make_stream in streams(*text_and_cuts).items():
+            expected = outcome(reference_parse_power_csv, make_stream)
+            assert outcome(parse_power_csv, make_stream) == expected, kind
+
+
+def failing_lines(lines, exc):
+    yield from lines
+    raise exc
+
+
+@settings(max_examples=100, deadline=None)
+@given(text_and_cuts=csv_texts(), chunk=st.integers(1, 4), cut=st.integers(0, 18))
+def test_stream_failure_is_reported_after_earlier_rows(text_and_cuts, chunk, cut):
+    lines = text_and_cuts[0].splitlines(keepends=True)[:cut]
+    with mock.patch.object(axpue.io, "_CHUNK_LINES", chunk):
+        def make_stream():
+            return failing_lines(lines, UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad"))
+
+        expected = outcome(reference_parse_power_csv, make_stream)
+        assert outcome(parse_power_csv, make_stream) == expected
+
+
+def test_bytes_lines_raise_like_csv():
+    lines = [b"device_id,timestamp,watts\n", b"s1,0,1\n"]
+    expected = outcome(reference_parse_power_csv, lambda: iter(lines))
+    assert outcome(parse_power_csv, lambda: iter(lines)) == expected
+    lines = ["device_id,timestamp,watts\n", b"s1,0,1\n"]
+    expected = outcome(reference_parse_power_csv, lambda: iter(lines))
+    assert outcome(parse_power_csv, lambda: iter(lines)) == expected
+
+
+def test_field_over_csv_limit_raises_like_csv():
+    text = "device_id,timestamp,watts\ns1,0,1\n" + "s" * 40 + ",0,1\n"
+    with mock.patch.object(axpue.io, "_CHUNK_LINES", 2):
+        old = csv.field_size_limit(20)
+        try:
+            expected = outcome(reference_parse_power_csv, lambda: io.StringIO(text))
+            assert expected[0] == "error"
+            assert outcome(parse_power_csv, lambda: io.StringIO(text)) == expected
+        finally:
+            csv.field_size_limit(old)
+
+
+DEVICE_IDS = st.text(
+    alphabet=st.characters(blacklist_characters=',"\r\n', blacklist_categories=("C", "Z")),
+    min_size=1,
+    max_size=6,
+)
+SAMPLES = st.lists(
+    st.tuples(
+        DEVICE_IDS,
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=0, allow_infinity=False),
+    ),
+    max_size=30,
+    unique_by=lambda s: (s[0], s[1] + 0.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=SAMPLES, chunk=st.integers(1, 5))
+def test_write_then_parse_round_trips(samples, chunk):
+    text = write_power_csv(samples).decode("utf-8")
+    with mock.patch.object(axpue.io, "_CHUNK_LINES", chunk):
+        traces = parse_power_csv(io.StringIO(text, newline=""))
+    expected = {}
+    for device_id, timestamp, watts in sorted(samples, key=lambda s: (s[0], s[1])):
+        times, powers = expected.setdefault(device_id, ([], []))
+        times.append(timestamp)
+        powers.append(watts)
+    assert [(t.device_id, t.times.tolist(), t.watts.tolist()) for t in traces] == [
+        (device_id, times, powers) for device_id, (times, powers) in sorted(expected.items())
+    ]
