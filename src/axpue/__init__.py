@@ -25,7 +25,6 @@ from .integrate import (
     PowerTrace,
     average_power,
     category_energy,
-    check_coverage,
     integrate_power,
 )
 from .io import (
@@ -56,7 +55,6 @@ from .model import (
     RunMetrics,
     WorkKind,
     WorkMeasure,
-    validate_inventory,
 )
 from .performance import compute_performance
 from .simulate import (
@@ -108,7 +106,6 @@ __all__ = [
     "build_report",
     "builtin_scenario",
     "category_energy",
-    "check_coverage",
     "compute_aopue",
     "compute_appue",
     "compute_performance",
@@ -127,7 +124,6 @@ __all__ = [
     "simulate",
     "sort_comparison_scenarios",
     "stretch_duration",
-    "validate_inventory",
     "verify_identity",
     "write_inventory_json",
     "write_power_csv",

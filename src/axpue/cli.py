@@ -58,15 +58,9 @@ def _emit(data: bytes, out: str | None) -> None:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     window = _parse_window(args.window) if args.window else None
-    bundle = load_bundle(
-        args.power, args.runs, args.inventory, window=window, max_gap=args.max_gap
-    )
+    bundle = load_bundle(args.power, args.runs, args.inventory)
     report = analyze(
-        bundle.traces,
-        bundle.inventory,
-        bundle.runs,
-        window=bundle.window,
-        max_gap=args.max_gap,
+        bundle.traces, bundle.inventory, bundle.runs, window=window, max_gap=args.max_gap
     )
     _emit(write_report(report, fmt=args.format), args.out)
     return EXIT_OK
@@ -79,10 +73,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     else:
         scenario = scenario_from_manifest(Path(args.scenario).read_bytes())
-    if args.seed is not None:
-        from dataclasses import replace
-
-        scenario = replace(scenario, seed=args.seed)
     paths = simulate(scenario).write_to(args.out)
     print(
         f"wrote {', '.join(str(p) for p in paths.values())}",
@@ -193,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         "or a scenario manifest path",
     )
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--seed", type=int, help="override the scenario seed")
     sim.add_argument(
         "--data-gb", type=float, help="data size override for sort1/sort2"
     )

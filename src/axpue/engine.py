@@ -234,15 +234,34 @@ def _check_run_devices(runs: Sequence[ApplicationRun], inventory: Inventory) -> 
                 raise ValidationError(
                     f"run {run.run_id!r} attributes non-IT device {device_id!r}"
                 )
-    for i, a in enumerate(runs):
-        for b in runs[i + 1 :]:
-            if a.start < b.end and b.start < a.end:
+    _check_shared_devices(runs)
+
+
+def _check_shared_devices(runs: Sequence[ApplicationRun]) -> None:
+    """Reject two runs that overlap in time and share a device.
+
+    One sweep over the runs sorted by (start, input index) keeps, per device,
+    the earlier run that ends last; a run starting before that end overlaps
+    it.  With several conflicts the one reported is the first met by the
+    sweep: the conflicting run that starts earliest (ties: input order), on
+    its smallest conflicting device id, against the earlier run on that
+    device that ends last (ties: the first in sweep order).  The two runs are
+    named in input order, with every device they share.
+    """
+    latest: dict[str, tuple[float, int]] = {}  # device -> (end, index)
+    for j in sorted(range(len(runs)), key=lambda i: (runs[i].start, i)):
+        run = runs[j]
+        for device_id in sorted(run.attributed_devices):
+            end, i = latest.get(device_id, (-math.inf, -1))
+            if end > run.start:
+                a, b = runs[min(i, j)], runs[max(i, j)]
                 shared = a.attributed_devices & b.attributed_devices
-                if shared:
-                    raise SharedDeviceConflictError(
-                        f"runs {a.run_id!r} and {b.run_id!r} overlap in time and "
-                        f"share device(s) {sorted(shared)!r}"
-                    )
+                raise SharedDeviceConflictError(
+                    f"runs {a.run_id!r} and {b.run_id!r} overlap in time and "
+                    f"share device(s) {sorted(shared)!r}"
+                )
+            if run.end > end:
+                latest[device_id] = (run.end, j)
 
 
 def analyze(
@@ -257,7 +276,8 @@ def analyze(
     The report window defaults to the tightest interval covering all runs;
     with no runs an explicit window is required.  Per-run IT energy is the
     summed integral over the run's attributed devices within the run's own
-    window.  Overlapping runs must not share devices.
+    window.  Overlapping runs must not share devices, and every run must lie
+    inside the report window.
     """
     _check_run_devices(runs, inventory)
     if window is None:
@@ -265,6 +285,12 @@ def analyze(
             raise InvalidWindowError("no runs given; an explicit window is required")
         window = (min(r.start for r in runs), max(r.end for r in runs))
     start, end = window
+    for run in runs:
+        if run.start < start or run.end > end:
+            raise InvalidWindowError(
+                f"run {run.run_id!r} [{run.start}, {run.end}] lies outside "
+                f"the report window [{start}, {end}]"
+            )
     energy_window = category_energy(traces, inventory, start, end, max_gap)
     trace_by_device = {t.device_id: t for t in traces}
     run_inputs = []

@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     CoverageGapError,
     DuplicateDeviceError,
@@ -93,6 +92,24 @@ def _check_window(start: float, end: float) -> None:
         raise InvalidWindowError(f"window end ({end}) must be > start ({start})")
 
 
+def _coverage_gap(
+    times: np.ndarray, start: float, end: float, max_gap: float
+) -> tuple[float, float] | None:
+    """First stretch wider than ``max_gap`` that the window needs, if any."""
+    if times[0] - start > max_gap:
+        return start, float(times[0])
+    if end - times[-1] > max_gap:
+        return float(times[-1]), end
+    if times.size > 1:
+        gaps = np.diff(times)
+        bad = (gaps > max_gap) & (times[:-1] < end) & (times[1:] > start)
+        hits = np.nonzero(bad)[0]
+        if hits.size:
+            i = int(hits[0])
+            return float(times[i]), float(times[i + 1])
+    return None
+
+
 def integrate_power(
     trace: PowerTrace, start: float, end: float, max_gap: float = DEFAULT_MAX_GAP
 ) -> float:
@@ -113,24 +130,24 @@ def integrate_power(
             f"device {trace.device_id!r}: trace holds no samples",
             device_id=trace.device_id,
         )
-    energy, code, lo, hi = _kernels.window_energy(
-        trace.times, trace.watts, float(start), float(end), float(max_gap)
-    )
-    if code == _kernels.COVERAGE_GAP:
+    times, watts = trace.times, trace.watts
+    start, end = float(start), float(end)
+    gap = _coverage_gap(times, start, end, float(max_gap))
+    if gap is not None:
+        lo, hi = gap
         raise CoverageGapError(
             f"device {trace.device_id!r}: no samples across [{lo}, {hi}] "
             f"({hi - lo:.3f} s > max_gap {max_gap} s)",
-            gap=(lo, hi),
+            gap=gap,
             device_id=trace.device_id,
         )
-    return energy
-
-
-def check_coverage(
-    trace: PowerTrace, start: float, end: float, max_gap: float = DEFAULT_MAX_GAP
-) -> None:
-    """Raise the error :func:`integrate_power` would raise, without the result."""
-    integrate_power(trace, start, end, max_gap)
+    p_start = float(np.interp(start, times, watts))
+    p_end = float(np.interp(end, times, watts))
+    i0 = int(np.searchsorted(times, start, side="right"))
+    i1 = int(np.searchsorted(times, end, side="left"))
+    ts = np.concatenate(([start], times[i0:i1], [end]))
+    ps = np.concatenate(([p_start], watts[i0:i1], [p_end]))
+    return 0.5 * float(np.sum((ps[1:] + ps[:-1]) * np.diff(ts)))
 
 
 def average_power(energy: float, start: float, end: float) -> float:

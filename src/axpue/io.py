@@ -37,10 +37,9 @@ from .errors import (
     InvalidWindowError,
     ParseError,
     SchemaError,
-    UnknownDeviceError,
     ValidationError,
 )
-from .integrate import DEFAULT_MAX_GAP, PowerTrace, check_coverage
+from .integrate import PowerTrace
 from .model import (
     ApplicationCategory,
     ApplicationRun,
@@ -54,7 +53,6 @@ from .model import (
     RunMetrics,
     WorkKind,
     WorkMeasure,
-    validate_inventory,
 )
 
 POWER_CSV_HEADER = ("device_id", "timestamp", "watts")
@@ -340,8 +338,8 @@ def _run_from_obj(obj: dict, line: int) -> ApplicationRun:
     if isinstance(obj["start"], bool) or isinstance(obj["end"], bool):
         raise SchemaError("bad start/end timestamp", line=line)
     try:
-        start = obj["start"] if isinstance(obj["start"], (int, float)) else _parse_timestamp(obj["start"])
-        end = obj["end"] if isinstance(obj["end"], (int, float)) else _parse_timestamp(obj["end"])
+        start = float(obj["start"]) if isinstance(obj["start"], (int, float)) else _parse_timestamp(obj["start"])
+        end = float(obj["end"]) if isinstance(obj["end"], (int, float)) else _parse_timestamp(obj["end"])
     except (ValueError, OverflowError, TypeError):
         raise SchemaError("bad start/end timestamp", line=line) from None
     if end <= start:
@@ -352,8 +350,8 @@ def _run_from_obj(obj: dict, line: int) -> ApplicationRun:
         return ApplicationRun(
             run_id=obj["run_id"],
             category=category,
-            start=float(start),
-            end=float(end),
+            start=start,
+            end=end,
             work=WorkMeasure(kind=kind, amount=value),
             attributed_devices=frozenset(devices),
         )
@@ -411,13 +409,10 @@ def parse_inventory_json(stream: IO[str] | str) -> list[DeviceRecord]:
             raise SchemaError(
                 f"inventory entry {i}: unknown category {obj['category']!r}"
             ) from None
-        devices.append(
-            DeviceRecord(
-                device_id=obj["device_id"],
-                category=category,
-                label=obj.get("label", ""),
-            )
-        )
+        label = obj.get("label", "")
+        if not isinstance(label, str):
+            raise SchemaError(f"inventory entry {i}: label must be a string, got {label!r}")
+        devices.append(DeviceRecord(device_id=obj["device_id"], category=category, label=label))
     return devices
 
 
@@ -520,96 +515,85 @@ def write_report(report: MetricsReport, fmt: str = "json") -> bytes:
     return text.encode("utf-8")
 
 
+def _json(value: object, *types: type) -> object:
+    """``value`` if its JSON type is one of ``types`` (a boolean is no int)."""
+    if type(value) not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"expected {names}, got {value!r}")
+    return value
+
+
 def read_report(data: bytes | str) -> MetricsReport:
     """Parse a JSON report back into a validated :class:`MetricsReport`."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
     try:
-        obj = json.loads(text)
+        obj = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"invalid JSON report: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON report: {exc.msg}") from exc
     if not isinstance(obj, dict) or obj.get("schema") != REPORT_SCHEMA:
         raise SchemaError(f"not a {REPORT_SCHEMA} document")
+    number, optional = (int, float), (int, float, type(None))
     try:
+        energies = _json(obj["window"]["energy_joules_by_category"], dict)
         window = EnergyWindow(
-            start=obj["window"]["start"],
-            end=obj["window"]["end"],
+            start=_json(obj["window"]["start"], *number),
+            end=_json(obj["window"]["end"], *number),
             energy_by_category={
-                DeviceCategory(cat): joules
-                for cat, joules in obj["window"]["energy_joules_by_category"].items()
+                DeviceCategory(cat): _json(joules, *number)
+                for cat, joules in energies.items()
             },
         )
         per_run = tuple(
             RunMetrics(
-                run_id=row["run_id"],
+                run_id=_json(row["run_id"], str),
                 category=ApplicationCategory(row["category"]),
-                it_power_kw=row["it_power_kw"],
-                facility_power_kw=row["facility_power_kw"],
+                it_power_kw=_json(row["it_power_kw"], *number),
+                facility_power_kw=_json(row["facility_power_kw"], *number),
                 performance=PerformanceRate(
-                    value=row["performance"]["value"],
+                    value=_json(row["performance"]["value"], *number),
                     unit=RateUnit(row["performance"]["unit"]),
                 ),
-                appue=row["appue"],
-                aopue=row["aopue"],
-                weight=row["weight"],
+                appue=_json(row["appue"], *number),
+                aopue=_json(row["aopue"], *number),
+                weight=_json(row["weight"], *number),
             )
             for row in obj["per_run"]
         )
         return MetricsReport(
             window=window,
-            pue=obj["pue"],
+            pue=_json(obj["pue"], *number),
             per_run=per_run,
-            weighted_appue=obj["weighted_appue"],
-            aggregated_aopue=obj["aggregated_aopue"],
-            provenance=obj.get("provenance", {}),
+            weighted_appue=_json(obj["weighted_appue"], *optional),
+            aggregated_aopue=_json(obj["aggregated_aopue"], *optional),
+            provenance=_json(obj.get("provenance", {}), dict),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed report document: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class ScenarioBundle:
-    """Parsed and cross-validated inputs of one computation."""
+    """Parsed inputs of one computation; :func:`~axpue.engine.analyze` validates them."""
 
     inventory: Inventory
     traces: tuple[PowerTrace, ...]
     runs: tuple[ApplicationRun, ...]
-    window: tuple[float, float] | None
 
 
 def load_bundle(
-    power_path: str | Path,
-    runs_path: str | Path,
-    inventory_path: str | Path,
-    window: tuple[float, float] | None = None,
-    max_gap: float = DEFAULT_MAX_GAP,
+    power_path: str | Path, runs_path: str | Path, inventory_path: str | Path
 ) -> ScenarioBundle:
-    """Load and cross-validate the three input files of a computation.
+    """Parse the three input files of a computation.
 
-    Checks that all referenced device ids resolve and that every run window
-    lies within its devices' trace coverage under ``max_gap``.
+    Only the files themselves are checked here.  Whether devices resolve
+    against the inventory and whether telemetry covers every window is
+    checked once, by :func:`~axpue.engine.analyze`.
     """
     with open(inventory_path, "r", encoding="utf-8") as f:
-        inventory = validate_inventory(parse_inventory_json(f))
+        inventory = Inventory(parse_inventory_json(f))
     with open(power_path, "r", encoding="utf-8", newline="") as f:
         traces = parse_power_csv(f)
     with open(runs_path, "r", encoding="utf-8") as f:
         runs = parse_runs_jsonl(f)
-    for trace in traces:
-        if trace.device_id not in inventory:
-            raise UnknownDeviceError(f"device {trace.device_id!r} not in inventory")
-    trace_by_device = {t.device_id: t for t in traces}
-    for run in runs:
-        for device_id in sorted(run.attributed_devices):
-            if device_id not in inventory:
-                raise UnknownDeviceError(
-                    f"run {run.run_id!r} attributes unknown device {device_id!r}"
-                )
-            trace = trace_by_device.get(device_id)
-            if trace is not None:
-                check_coverage(trace, run.start, run.end, max_gap)
-    return ScenarioBundle(
-        inventory=inventory,
-        traces=tuple(traces),
-        runs=tuple(runs),
-        window=window,
-    )
+    return ScenarioBundle(inventory=inventory, traces=tuple(traces), runs=tuple(runs))

@@ -273,15 +273,6 @@ class Inventory:
         )
 
 
-def validate_inventory(devices: Iterable[DeviceRecord]) -> Inventory:
-    """Validate a device list into an :class:`Inventory`.
-
-    An empty list is a valid (empty) inventory; metric computations over it
-    fail later with their own errors.
-    """
-    return Inventory(devices)
-
-
 @dataclass(frozen=True)
 class RunMetrics:
     """Per-run row of a metrics report."""

@@ -129,7 +129,6 @@ class SimScenario:
     """Full description of one synthetic telemetry run."""
 
     name: str
-    seed: int
     duration: float
     sample_period: float
     devices: tuple[tuple[DeviceRecord, DevicePowerModel], ...]
@@ -298,7 +297,6 @@ def scenario_to_manifest(scenario: SimScenario) -> bytes:
     obj = {
         "schema": SCENARIO_SCHEMA,
         "name": scenario.name,
-        "seed": scenario.seed,
         "duration": scenario.duration,
         "sample_period": scenario.sample_period,
         "devices": [
@@ -371,7 +369,6 @@ def scenario_from_manifest(data: bytes | str) -> SimScenario:
         )
         return SimScenario(
             name=obj.get("name", "manifest"),
-            seed=int(obj.get("seed", 0)),
             duration=float(obj["duration"]),
             sample_period=float(obj["sample_period"]),
             devices=devices,
@@ -438,7 +435,6 @@ def _reference_scenario(row: dict) -> SimScenario:
     )
     return SimScenario(
         name=row["workload"].lower(),
-        seed=0,
         duration=duration,
         sample_period=_REFERENCE_SAMPLE_PERIOD,
         devices=((record, DevicePowerModel.fixed(it_watts)),),
@@ -520,7 +516,6 @@ def _sort_scenario(
     )
     return SimScenario(
         name=name,
-        seed=0,
         duration=duration,
         sample_period=period,
         devices=tuple(devices),

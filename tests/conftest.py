@@ -15,6 +15,7 @@ from axpue import (
     DevicePowerModel,
     EnergyWindow,
     FacilityOverheadModel,
+    Inventory,
     MetricInputs,
     MetricsReport,
     PowerTrace,
@@ -28,7 +29,6 @@ from axpue import (
     parse_power_csv,
     parse_runs_jsonl,
     simulate,
-    validate_inventory,
 )
 
 # Published reference measurements: IT power (kW), total facility power (kW),
@@ -85,7 +85,7 @@ def run_pipeline(scenario: SimScenario, max_gap: float = 60.0) -> MetricsReport:
     out = simulate(scenario)
     traces = parse_power_csv(io.StringIO(out.power_csv.decode("utf-8")))
     runs = parse_runs_jsonl(io.StringIO(out.runs_jsonl.decode("utf-8")))
-    inventory = validate_inventory(parse_inventory_json(out.inventory_json.decode("utf-8")))
+    inventory = Inventory(parse_inventory_json(out.inventory_json.decode("utf-8")))
     return analyze(traces, inventory, runs, max_gap=max_gap)
 
 
@@ -140,7 +140,6 @@ def random_scenario(rng: np.random.Generator, name: str = "random") -> SimScenar
     )
     return SimScenario(
         name=name,
-        seed=int(rng.integers(0, 2**31)),
         duration=duration,
         sample_period=period,
         devices=tuple(devices),

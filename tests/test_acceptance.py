@@ -14,6 +14,7 @@ import pytest
 
 from axpue import (
     DevicePowerModel,
+    Inventory,
     PowerTrace,
     analyze,
     build_report,
@@ -24,7 +25,6 @@ from axpue import (
     read_report,
     simulate,
     sort_comparison_scenarios,
-    validate_inventory,
     write_report,
 )
 from axpue.cli import main
@@ -136,7 +136,7 @@ def test_criterion_4_pue_range_sanity():
 def test_criterion_5_integration_oracle():
     """Trapezoid vs 1e6-step Riemann within 1e-6; constants within 1e-12."""
     rng = np.random.default_rng(RNG_SEED + 3)
-    inventory = validate_inventory([])
+    inventory = Inventory([])
     for i in range(100):
         trace = random_trace(rng, device_id=f"d{i}")
         start, end = interior_window(rng, trace)
@@ -163,7 +163,7 @@ def _parsed_pipeline(scenario):
     out = simulate(scenario)
     traces = parse_power_csv(io.StringIO(out.power_csv.decode("utf-8")))
     runs = parse_runs_jsonl(io.StringIO(out.runs_jsonl.decode("utf-8")))
-    inventory = validate_inventory(
+    inventory = Inventory(
         parse_inventory_json(out.inventory_json.decode("utf-8"))
     )
     return traces, inventory, runs

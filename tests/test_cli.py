@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 
@@ -89,6 +88,29 @@ class TestComputeCommand:
         assert main(["compute", *args, "--max-gap", "60"]) == 3
         assert "max_gap" in capsys.readouterr().err
 
+    # The inputs of tests/test_io.py::TestLoadBundle's rejection tests.
+    @pytest.mark.parametrize(
+        "power, runs, extra, code",
+        [
+            (HEADER + "ghost,0,100\n", "", ["--window", "0,60"], 2),
+            (HEADER + "s1,0,100\ns1,60,100\ns1,100,100\n", run_line(end=300.0), [], 3),
+            (HEADER + "s1,0,100\ns1,60,100\ns1,100,100\n", run_line(devices=["ghost"]), [], 2),
+        ],
+        ids=["unknown-trace-device", "run-outside-coverage", "unknown-run-device"],
+    )
+    def test_bundle_rejection_exit_codes(self, tmp_path, power, runs, extra, code):
+        args = write_inputs(tmp_path, power, runs)
+        assert main(["compute", *args, "--max-gap", "60", *extra]) == code
+
+    def test_run_outside_window_exits_2(self, tmp_path, capsys):
+        args = write_inputs(
+            tmp_path,
+            HEADER + "s1,0,100\ns1,50,100\ns1,100,100\n",
+            run_line(),
+        )
+        assert main(["compute", *args, "--window", "0,50"]) == 2
+        assert "'job'" in capsys.readouterr().err
+
     def test_window_override(self, tmp_path, capsys):
         args = write_inputs(
             tmp_path,
@@ -142,6 +164,11 @@ class TestSimulateCommand:
         assert (tmp_path / "again" / "power.csv").read_bytes() == (
             tmp_path / "direct" / "power.csv"
         ).read_bytes()
+
+    def test_seed_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "paper:grep", "--out", str(tmp_path), "--seed", "1"])
+        assert info.value.code == 2
 
     def test_data_gb_override_for_sort(self, tmp_path):
         assert main(
@@ -232,33 +259,20 @@ class TestReportCommand:
         assert main(["report", str(bogus)]) == 2
 
 
-class TestNumbaFallbackFlag:
-    def test_disable_flag_selects_numpy_path(self, tmp_path):
+class TestModuleEntryPoint:
+    def test_subprocess_prints_the_in_process_bytes(self, tmp_path, capsys):
         sim_dir = tmp_path / "sim"
         assert main(["simulate", "paper:grep", "--out", str(sim_dir)]) == 0
-        cmd = [
-            sys.executable,
-            "-m",
-            "axpue.cli",
+        args = [
             "compute",
             "--power", str(sim_dir / "power.csv"),
             "--runs", str(sim_dir / "runs.jsonl"),
             "--inventory", str(sim_dir / "inventory.json"),
         ]
-        env = dict(os.environ)
-        env.pop("AXPUE_DISABLE_NUMBA", None)
-        default = subprocess.run(cmd, capture_output=True, env=env, check=True)
-        env["AXPUE_DISABLE_NUMBA"] = "1"
-        flag_check = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from axpue._kernels import NUMBA_ENABLED; print(NUMBA_ENABLED)",
-            ],
-            capture_output=True,
-            env=env,
-            check=True,
+        capsys.readouterr()
+        assert main(args) == 0
+        in_process = capsys.readouterr().out.encode("utf-8")
+        child = subprocess.run(
+            [sys.executable, "-m", "axpue.cli", *args], capture_output=True, check=True
         )
-        assert flag_check.stdout.strip() == b"False"
-        fallback = subprocess.run(cmd, capture_output=True, env=env, check=True)
-        assert fallback.stdout == default.stdout
+        assert child.stdout == in_process

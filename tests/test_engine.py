@@ -13,6 +13,7 @@ from axpue import (
     DeviceCategory,
     DeviceRecord,
     EnergyWindow,
+    Inventory,
     MetricInputs,
     PerformanceRate,
     PowerTrace,
@@ -27,7 +28,6 @@ from axpue import (
     compute_appue,
     compute_pue,
     compute_weights,
-    validate_inventory,
     verify_identity,
 )
 from axpue.errors import (
@@ -304,7 +304,7 @@ class TestAnalyze:
 
     @staticmethod
     def inventory():
-        return validate_inventory(
+        return Inventory(
             [
                 DeviceRecord("it-00", DeviceCategory.IT_EQUIPMENT),
                 DeviceRecord("it-01", DeviceCategory.IT_EQUIPMENT),
@@ -362,6 +362,66 @@ class TestAnalyze:
         assert report.per_run == ()
         assert report.weighted_appue is None
         assert report.pue == pytest.approx(1.5, rel=1e-12)
+
+    def test_many_runs_one_late_conflict_named(self):
+        devices = [f"d{i}" for i in range(8)]
+        inventory = Inventory(
+            [DeviceRecord(d, DeviceCategory.IT_EQUIPMENT) for d in devices]
+        )
+        traces = [self.flat_trace(d, 100.0, t_end=2500.0) for d in devices]
+        # 2,000 back-to-back runs; touching windows do not overlap.
+        runs = [
+            data_run(f"run-{k}", (k // 8) * 10.0, (k // 8) * 10.0 + 10.0, 1.0, {f"d{k % 8}"})
+            for k in range(2000)
+        ]
+        assert len(analyze(traces, inventory, runs).per_run) == 2000
+        runs.insert(1990, data_run("late", 2405.0, 2407.0, 1.0, {"d3"}))
+        expected = (
+            "runs 'run-1923' and 'late' overlap in time and share device(s) ['d3']"
+        )
+        with pytest.raises(SharedDeviceConflictError) as info:
+            analyze(traces, inventory, runs)
+        assert str(info.value) == expected
+
+    def test_first_conflict_is_the_earliest_starting(self):
+        # Two conflicts: the one whose later run starts first is reported,
+        # even though the other pair comes first in input order.
+        runs = [
+            data_run("x", 50.0, 60.0, 1.0, {"it-00"}),
+            data_run("y", 55.0, 70.0, 1.0, {"it-00"}),
+            data_run("p", 0.0, 20.0, 1.0, {"it-01"}),
+            data_run("q", 10.0, 30.0, 1.0, {"it-01"}),
+        ]
+        with pytest.raises(SharedDeviceConflictError) as info:
+            analyze(self.traces(), self.inventory(), runs)
+        assert str(info.value) == (
+            "runs 'p' and 'q' overlap in time and share device(s) ['it-01']"
+        )
+
+    def test_conflict_names_runs_in_input_order(self):
+        runs = [
+            data_run("late", 5.0, 15.0, 1.0, {"it-00", "it-01"}),
+            data_run("early", 0.0, 10.0, 1.0, {"it-00", "it-01"}),
+        ]
+        with pytest.raises(SharedDeviceConflictError) as info:
+            analyze(self.traces(), self.inventory(), runs)
+        assert str(info.value) == (
+            "runs 'late' and 'early' overlap in time and share device(s) "
+            "['it-00', 'it-01']"
+        )
+
+    def test_run_outside_explicit_window_rejected(self):
+        runs = [
+            data_run("a", 0.0, 500.0, 1e5, devices={"it-00"}),
+            data_run("b", 600.0, 1000.0, 1e5, devices={"it-01"}),
+        ]
+        with pytest.raises(InvalidWindowError, match="'b'"):
+            analyze(self.traces(), self.inventory(), runs, window=(0.0, 500.0))
+
+    def test_run_wider_than_explicit_window_names_the_run(self):
+        runs = [data_run("r", 0.0, 1000.0, 1e5, devices={"it-00"})]
+        with pytest.raises(InvalidWindowError, match="'r'"):
+            analyze(self.traces(), self.inventory(), runs, window=(0.0, 500.0))
 
     def test_scaling_traces_preserves_pue_and_divides_appue(self):
         runs = [data_run("r", 0.0, 1000.0, 1e5, devices={"it-00", "it-01"})]

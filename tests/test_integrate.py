@@ -8,20 +8,12 @@ import pytest
 from axpue import (
     DeviceCategory,
     DeviceRecord,
+    Inventory,
     PowerSample,
     PowerTrace,
     average_power,
     category_energy,
     integrate_power,
-    validate_inventory,
-)
-from axpue._kernels import (
-    COVERAGE_GAP,
-    COVERAGE_OK,
-    HAS_NUMBA,
-    _window_energy_numba,
-    _window_energy_numpy,
-    window_energy,
 )
 from axpue.errors import (
     CoverageGapError,
@@ -34,10 +26,6 @@ from axpue.errors import (
     ValidationError,
 )
 from conftest import interior_window, random_trace, riemann_energy
-
-KERNELS = [pytest.param(_window_energy_numpy, id="numpy")]
-if HAS_NUMBA:
-    KERNELS.append(pytest.param(_window_energy_numba, id="numba"))
 
 
 def constant_trace(watts: float, t_end: float = 120.0, step: float = 10.0) -> PowerTrace:
@@ -128,51 +116,29 @@ class TestIntegratePower:
         with pytest.raises(CoverageGapError):
             integrate_power(trace, 10.0, 40.0, max_gap=60.0)
 
-    def test_edge_beyond_max_gap_rejected(self):
-        trace = PowerTrace("dev", [100.0, 200.0], [50.0, 50.0])
-        with pytest.raises(CoverageGapError):
-            integrate_power(trace, 0.0, 200.0, max_gap=60.0)
-        with pytest.raises(CoverageGapError):
-            integrate_power(trace, 100.0, 300.0, max_gap=60.0)
-
-
-class TestKernels:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_constant_exact(self, kernel):
+    def test_constant_exact(self):
         times = np.arange(0.0, 130.0, 10.0)
-        watts = np.full_like(times, 42.0)
-        energy, code, _, _ = kernel(times, watts, 0.0, 120.0, 60.0)
-        assert code == COVERAGE_OK
+        trace = PowerTrace("dev", times, np.full_like(times, 42.0))
+        energy = integrate_power(trace, 0.0, 120.0, max_gap=60.0)
         assert energy == pytest.approx(42.0 * 120.0, rel=1e-12)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_gap_reported_with_location(self, kernel):
-        times = np.array([0.0, 10.0, 500.0])
-        watts = np.array([1.0, 1.0, 1.0])
-        energy, code, lo, hi = kernel(times, watts, 0.0, 500.0, 60.0)
-        assert code == COVERAGE_GAP
-        assert (lo, hi) == (10.0, 500.0)
+    def test_gap_reported_with_location(self):
+        trace = PowerTrace("dev", [0.0, 10.0, 500.0], [1.0, 1.0, 1.0])
+        with pytest.raises(CoverageGapError) as excinfo:
+            integrate_power(trace, 0.0, 500.0, max_gap=60.0)
+        assert excinfo.value.gap == (10.0, 500.0)
+        assert str(excinfo.value) == (
+            "device 'dev': no samples across [10.0, 500.0] (490.000 s > max_gap 60.0 s)"
+        )
 
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-    def test_paths_agree(self, rng):
-        for _ in range(50):
-            trace = random_trace(rng)
-            start, end = interior_window(rng, trace)
-            max_gap = float(rng.choice([5.0, 20.0, 100.0]))
-            got_np = _window_energy_numpy(trace.times, trace.watts, start, end, max_gap)
-            got_nb = _window_energy_numba(trace.times, trace.watts, start, end, max_gap)
-            assert got_np[1] == got_nb[1]
-            if got_np[1] == COVERAGE_OK:
-                assert got_nb[0] == pytest.approx(got_np[0], rel=1e-12)
-            else:
-                assert got_np[2:] == got_nb[2:]
-
-    def test_dispatch_matches_an_impl(self, rng):
-        trace = random_trace(rng)
-        start, end = interior_window(rng, trace)
-        got = window_energy(trace.times, trace.watts, start, end, 100.0)
-        ref = _window_energy_numpy(trace.times, trace.watts, start, end, 100.0)
-        assert got[0] == pytest.approx(ref[0], rel=1e-12)
+    def test_edge_beyond_max_gap_rejected(self):
+        trace = PowerTrace("dev", [100.0, 200.0], [50.0, 50.0])
+        with pytest.raises(CoverageGapError) as excinfo:
+            integrate_power(trace, 0.0, 200.0, max_gap=60.0)
+        assert excinfo.value.gap == (0.0, 100.0)
+        with pytest.raises(CoverageGapError) as excinfo:
+            integrate_power(trace, 100.0, 300.0, max_gap=60.0)
+        assert excinfo.value.gap == (200.0, 300.0)
 
 
 class TestAveragePower:
@@ -204,7 +170,7 @@ class TestAveragePower:
 
 
 class TestCategoryEnergy:
-    INVENTORY = validate_inventory(
+    INVENTORY = Inventory(
         [
             DeviceRecord("it-agg", DeviceCategory.IT_EQUIPMENT),
             DeviceRecord("overhead", DeviceCategory.COOLING),
@@ -230,7 +196,7 @@ class TestCategoryEnergy:
 
     def test_sums_per_device_oracles(self, rng):
         devices = [DeviceRecord(f"it-{i}", DeviceCategory.IT_EQUIPMENT) for i in range(3)]
-        inventory = validate_inventory(devices)
+        inventory = Inventory(devices)
         traces = [random_trace(rng, device_id=d.device_id, t0=0.0) for d in devices]
         start = max(float(t.times[0]) for t in traces) + 1.0
         end = min(float(t.times[-1]) for t in traces) - 1.0

@@ -17,6 +17,7 @@ from axpue import (
     RateUnit,
     RunMetrics,
     WorkKind,
+    analyze,
     load_bundle,
     parse_inventory_json,
     parse_power_csv,
@@ -349,6 +350,8 @@ class TestWriteReport:
 
 
 class TestLoadBundle:
+    """``load_bundle`` only parses; ``analyze`` rejects what does not fit."""
+
     @staticmethod
     def write_inputs(tmp_path, power_text, runs_text, inventory_text):
         power = tmp_path / "power.csv"
@@ -373,8 +376,9 @@ class TestLoadBundle:
         paths = self.write_inputs(
             tmp_path, HEADER + "ghost,0,100\n", "", self.INVENTORY
         )
+        bundle = load_bundle(*paths)
         with pytest.raises(UnknownDeviceError):
-            load_bundle(*paths)
+            analyze(bundle.traces, bundle.inventory, bundle.runs, window=(0.0, 60.0))
 
     def test_run_window_outside_coverage_rejected(self, tmp_path):
         # Samples end at t=100 but the run lasts until t=100 + >max_gap.
@@ -384,8 +388,9 @@ class TestLoadBundle:
             run_line(end=300.0),
             self.INVENTORY,
         )
+        bundle = load_bundle(*paths)
         with pytest.raises(CoverageGapError):
-            load_bundle(*paths, max_gap=60.0)
+            analyze(bundle.traces, bundle.inventory, bundle.runs, max_gap=60.0)
 
     def test_run_attributing_unknown_device_rejected(self, tmp_path):
         paths = self.write_inputs(
@@ -394,5 +399,6 @@ class TestLoadBundle:
             run_line(devices=["ghost"]),
             self.INVENTORY,
         )
+        bundle = load_bundle(*paths)
         with pytest.raises(UnknownDeviceError):
-            load_bundle(*paths)
+            analyze(bundle.traces, bundle.inventory, bundle.runs)

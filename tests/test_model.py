@@ -12,6 +12,7 @@ from axpue import (
     DeviceCategory,
     DeviceRecord,
     EnergyWindow,
+    Inventory,
     MetricsReport,
     PerformanceRate,
     PowerSample,
@@ -19,7 +20,6 @@ from axpue import (
     RunMetrics,
     WorkKind,
     WorkMeasure,
-    validate_inventory,
 )
 from axpue.errors import (
     CategoryMismatchError,
@@ -46,7 +46,7 @@ def _run(**overrides) -> ApplicationRun:
 
 class TestInventory:
     def test_well_formed(self):
-        inv = validate_inventory(
+        inv = Inventory(
             [
                 DeviceRecord("s1", DeviceCategory.IT_EQUIPMENT),
                 DeviceRecord("crac1", DeviceCategory.COOLING),
@@ -58,7 +58,7 @@ class TestInventory:
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(DuplicateDeviceError):
-            validate_inventory(
+            Inventory(
                 [
                     DeviceRecord("s1", DeviceCategory.IT_EQUIPMENT),
                     DeviceRecord("s1", DeviceCategory.OTHER),
@@ -66,14 +66,14 @@ class TestInventory:
             )
 
     def test_empty_is_valid(self):
-        assert len(validate_inventory([])) == 0
+        assert len(Inventory([])) == 0
 
     def test_empty_id_rejected(self):
         with pytest.raises(InvalidDeviceError):
             DeviceRecord("", DeviceCategory.IT_EQUIPMENT)
 
     def test_category_index(self):
-        inv = validate_inventory(
+        inv = Inventory(
             [
                 DeviceRecord("a", DeviceCategory.IT_EQUIPMENT),
                 DeviceRecord("b", DeviceCategory.IT_EQUIPMENT),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -77,7 +78,6 @@ def one_server_scenario(profile, overhead=None, duration=600.0, period=60.0):
     record = DeviceRecord("srv", DeviceCategory.IT_EQUIPMENT, "test server")
     return SimScenario(
         name="test",
-        seed=7,
         duration=duration,
         sample_period=period,
         devices=((record, DevicePowerModel.server()),),
@@ -116,7 +116,6 @@ class TestSimulate:
         record = DeviceRecord("arr", DeviceCategory.IT_EQUIPMENT, "array")
         scenario = SimScenario(
             name="storage",
-            seed=0,
             duration=600.0,
             sample_period=60.0,
             devices=((record, DevicePowerModel.storage()),),
@@ -189,7 +188,6 @@ class TestSimulate:
         with pytest.raises(ModelError):
             SimScenario(
                 name="bad",
-                seed=0,
                 duration=10.0,
                 sample_period=5.0,
                 devices=((record, DevicePowerModel.server()),),
@@ -207,7 +205,6 @@ class TestSimulate:
         with pytest.raises(ModelError):
             SimScenario(
                 name="bad",
-                seed=0,
                 duration=60.0,
                 sample_period=10.0,
                 devices=((record, DevicePowerModel.server()),),
@@ -309,6 +306,13 @@ class TestManifest:
         via_manifest = simulate(scenario_from_manifest(direct.manifest_json))
         assert via_manifest.power_csv == direct.power_csv
         assert via_manifest.runs_jsonl == direct.runs_jsonl
+
+    def test_manifest_has_no_seed_and_old_seed_key_is_ignored(self):
+        scenario = builtin_scenario("grep")
+        manifest = json.loads(scenario_to_manifest(scenario))
+        assert "seed" not in manifest
+        manifest["seed"] = 1234
+        assert scenario_from_manifest(json.dumps(manifest)) == scenario
 
     def test_bad_manifest_rejected(self):
         from axpue.errors import SchemaError
