@@ -16,14 +16,13 @@ from .engine import (
     build_report,
     compute_aopue,
     compute_appue,
+    compute_performance,
     compute_pue,
     compute_weights,
-    verify_identity,
 )
 from .integrate import (
     DEFAULT_MAX_GAP,
     PowerTrace,
-    average_power,
     category_energy,
     integrate_power,
 )
@@ -50,13 +49,12 @@ from .model import (
     Inventory,
     MetricsReport,
     PerformanceRate,
-    PowerSample,
     RateUnit,
     RunMetrics,
     WorkKind,
     WorkMeasure,
+    verify_identity,
 )
-from .performance import compute_performance
 from .simulate import (
     DeviceKind,
     DevicePowerModel,
@@ -90,7 +88,6 @@ __all__ = [
     "MetricInputs",
     "MetricsReport",
     "PerformanceRate",
-    "PowerSample",
     "PowerTrace",
     "RateUnit",
     "RunInput",
@@ -102,7 +99,6 @@ __all__ = [
     "WorkMeasure",
     "aggregate_appue",
     "analyze",
-    "average_power",
     "build_report",
     "builtin_scenario",
     "category_energy",

@@ -14,8 +14,14 @@ import math
 import sys
 from pathlib import Path
 
-from .engine import analyze
-from .errors import AxpueError, CoverageGapError, InvalidWindowError, NoSamplesError
+from .engine import aggregate_appue, analyze, compute_weights
+from .errors import (
+    AxpueError,
+    CoverageGapError,
+    InvalidWindowError,
+    NoSamplesError,
+    UnitMismatchError,
+)
 from .integrate import DEFAULT_MAX_GAP
 from .io import (
     REPORT_CSV_HEADER,
@@ -37,16 +43,14 @@ BUILTIN_PREFIX = "paper:"
 
 
 def _parse_window(text: str) -> tuple[float, float]:
+    """Parse 'start,end'; :func:`~axpue.engine.analyze` checks their order."""
     try:
         start_text, end_text = text.split(",")
-        start, end = float(start_text), float(end_text)
+        return float(start_text), float(end_text)
     except ValueError:
         raise InvalidWindowError(
             f"window must be 'start,end' with numeric bounds, got {text!r}"
         ) from None
-    if end <= start:
-        raise InvalidWindowError(f"window end ({end}) must be > start ({start})")
-    return start, end
 
 
 def _emit(data: bytes, out: str | None) -> None:
@@ -95,9 +99,16 @@ def _merged_rows(reports: list[MetricsReport]) -> tuple[list[list[str]], list[li
 
 
 def _aggregate_row(reports: list[MetricsReport]) -> list[str] | None:
+    """Totals over every run, with ApPUE/AoPUE weighted by IT power share.
+
+    The weights and the weighted values follow the engine's rule for a
+    report's own aggregate; with mixed performance units the two cells are
+    left blank.
+    """
     rows = [row for report in reports for row in report.per_run]
     if len(rows) < 2:
         return None
+    weights = compute_weights([r.it_power_kw for r in rows])
     it_total = math.fsum(r.it_power_kw for r in rows)
     facility_total = math.fsum(r.facility_power_kw for r in rows)
     out = [
@@ -105,24 +116,23 @@ def _aggregate_row(reports: list[MetricsReport]) -> list[str] | None:
         format_quantity(it_total),
         format_quantity(facility_total),
         "",
-        format_quantity(facility_total / it_total) if it_total > 0 else "",
+        format_quantity(facility_total / it_total),
         "",
         "",
     ]
-    units = {r.performance.reported()[1] for r in rows}
-    if len(units) > 1 or it_total <= 0:
-        if len(units) > 1:
-            print(
-                "warning: performance units differ across runs "
-                f"({', '.join(sorted(units))}); aggregate ApPUE/AoPUE left blank",
-                file=sys.stderr,
-            )
+    units = [r.performance.reported()[1] for r in rows]
+    try:
+        appue = aggregate_appue([r.appue for r in rows], weights, units)
+        aopue = aggregate_appue([r.aopue for r in rows], weights, units)
+    except UnitMismatchError:
+        print(
+            "warning: performance units differ across runs "
+            f"({', '.join(sorted(set(units)))}); aggregate ApPUE/AoPUE left blank",
+            file=sys.stderr,
+        )
         return out
-    weights = [r.it_power_kw / it_total for r in rows]
-    weighted_appue = math.fsum(r.appue * w for r, w in zip(rows, weights))
-    weighted_aopue = math.fsum(r.aopue * w for r, w in zip(rows, weights))
-    out[5] = format_appue(weighted_appue)
-    out[6] = format_quantity(weighted_aopue)
+    out[5] = format_appue(appue)
+    out[6] = format_quantity(aopue)
     return out
 
 

@@ -7,6 +7,11 @@ an identity every report must satisfy row-wise.  Multi-application ApPUE is
 the weight-averaged per-run value, with weights proportional to per-run IT
 power.
 
+Performance is a data processing rate: each application category has one
+meaningful counter and rate unit.  Data analysis reports KB/s (decimal, 1 KB
+= 1000 bytes), services requests/s, interactive workloads transactions/s, and
+HPC flop/s (quoted as GFLOPS in reports).
+
 Powers are carried in kilowatts and rates in reporting units so that ApPUE
 and AoPUE are numerically the plain quotients a reader would form from a
 results table.
@@ -31,9 +36,16 @@ from .errors import (
     ZeroITEnergyError,
     ZeroITPowerError,
 )
-from .integrate import DEFAULT_MAX_GAP, PowerTrace, category_energy, integrate_power
+from .integrate import (
+    DEFAULT_MAX_GAP,
+    PowerTrace,
+    _check_window,
+    category_energy,
+    integrate_power,
+)
 from .model import (
-    IDENTITY_REL_TOL,
+    RATE_UNIT_FOR_CATEGORY,
+    WEIGHT_SUM_TOL,
     ApplicationRun,
     DeviceCategory,
     EnergyWindow,
@@ -41,8 +53,8 @@ from .model import (
     MetricsReport,
     PerformanceRate,
     RunMetrics,
+    WorkKind,
 )
-from .performance import compute_performance
 
 #: Allowed relative overshoot of summed per-run IT energy vs. the window's.
 ATTRIBUTION_SLACK = 1e-6
@@ -83,6 +95,20 @@ class MetricInputs:
                 f"per-run IT energy ({attributed} J) exceeds the window's "
                 f"IT energy ({self.window.it_energy} J)"
             )
+
+
+def compute_performance(run: ApplicationRun) -> PerformanceRate:
+    """Rate of work over the run's window: counter / (end - start).
+
+    Byte counters are converted to decimal kilobytes before division so that
+    data-analysis rates come out in KB/s.
+    """
+    amount = float(run.work.amount)
+    if run.work.kind is WorkKind.BYTES_PROCESSED:
+        amount /= 1000.0
+    return PerformanceRate(
+        value=amount / run.duration, unit=RATE_UNIT_FOR_CATEGORY[run.category]
+    )
 
 
 def compute_pue(window: EnergyWindow) -> float:
@@ -149,19 +175,14 @@ def aggregate_appue(
         if w < 0 or not math.isfinite(w):
             raise ValidationError(f"weights must be finite and >= 0, got {w!r}")
     total = math.fsum(weights)
-    if abs(total - 1.0) > 1e-9:
-        raise ValidationError(f"weights sum to {total!r}, expected 1 +/- 1e-9")
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ValidationError(
+            f"weights sum to {total!r}, expected 1 +/- {WEIGHT_SUM_TOL}"
+        )
     value = math.fsum(a * w for a, w in zip(appues, weights))
     # A convex combination lies in [min, max] mathematically; clamp the
     # one-ulp rounding spill so the invariant holds for the float too.
     return min(max(value, min(appues)), max(appues))
-
-
-def verify_identity(appue: float, pue: float, aopue: float) -> bool:
-    """Check AoPUE = ApPUE / PUE within the report tolerance (pue must be > 0)."""
-    if pue <= 0:
-        return False
-    return abs(aopue - appue / pue) <= IDENTITY_REL_TOL * max(1.0, abs(aopue))
 
 
 def build_report(
@@ -285,6 +306,7 @@ def analyze(
             raise InvalidWindowError("no runs given; an explicit window is required")
         window = (min(r.start for r in runs), max(r.end for r in runs))
     start, end = window
+    _check_window(start, end)
     for run in runs:
         if run.start < start or run.end > end:
             raise InvalidWindowError(

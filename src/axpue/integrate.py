@@ -11,21 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     CoverageGapError,
     DuplicateDeviceError,
-    DuplicateSampleError,
     InvalidPowerError,
     InvalidWindowError,
     NoSamplesError,
     UnknownDeviceError,
     ValidationError,
 )
-from .model import DeviceCategory, EnergyWindow, Inventory, PowerSample
+from .model import DeviceCategory, EnergyWindow, Inventory
 
 #: Default largest tolerated spacing between samples, in seconds.
 DEFAULT_MAX_GAP = 60.0
@@ -65,26 +64,6 @@ class PowerTrace:
 
     def __len__(self) -> int:
         return int(self.times.size)
-
-    @classmethod
-    def from_samples(cls, samples: Iterable[PowerSample]) -> "PowerTrace":
-        """Build a trace from samples of one device, sorting by timestamp."""
-        samples = sorted(samples, key=lambda s: s.timestamp)
-        if not samples:
-            raise NoSamplesError("cannot build a trace from zero samples")
-        device_id = samples[0].device_id
-        for s in samples:
-            if s.device_id != device_id:
-                raise ValidationError(
-                    f"mixed device ids in one trace: {device_id!r} and {s.device_id!r}"
-                )
-        times = [s.timestamp for s in samples]
-        for a, b in zip(times, times[1:]):
-            if a == b:
-                raise DuplicateSampleError(
-                    f"device {device_id!r}: duplicate timestamp {a!r}"
-                )
-        return cls(device_id, np.array(times), np.array([s.power for s in samples]))
 
 
 def _check_window(start: float, end: float) -> None:
@@ -148,14 +127,6 @@ def integrate_power(
     ts = np.concatenate(([start], times[i0:i1], [end]))
     ps = np.concatenate(([p_start], watts[i0:i1], [p_end]))
     return 0.5 * float(np.sum((ps[1:] + ps[:-1]) * np.diff(ts)))
-
-
-def average_power(energy: float, start: float, end: float) -> float:
-    """Average power in watts of ``energy`` joules spread over [start, end]."""
-    _check_window(start, end)
-    if energy < 0 or not math.isfinite(energy):
-        raise ValidationError(f"energy must be finite and >= 0 J, got {energy!r}")
-    return energy / (end - start)
 
 
 def category_energy(

@@ -101,6 +101,11 @@ def _take(iterator, count: int) -> tuple[list, Exception | None]:
     return items, None
 
 
+def _then_raise(items: list, exc: Exception):
+    yield from items
+    raise exc
+
+
 def _plain_columns(lines: list) -> tuple[list, list, list] | None:
     """Split lines into device, timestamp and watts columns, if that is safe.
 
@@ -178,7 +183,8 @@ class _Samples:
     def __init__(self):
         self.ids: dict[str, int] = {}  # stripped device id -> code
         self.codes_by_field: dict[str, int] = {}  # raw device field -> code
-        self.chunks: list[tuple[np.ndarray, ...]] = []
+        # Per-chunk arrays of device codes, times, watts and line numbers.
+        self.columns: tuple[list[np.ndarray], ...] = ([], [], [], [])
 
     def add(self, columns: tuple, lines: np.ndarray) -> bool:
         """Convert and check one chunk's columns; False if any row is bad."""
@@ -208,36 +214,52 @@ class _Samples:
             return False
         if not (np.isfinite(power).all() and power.min() >= 0 and np.isfinite(times).all()):
             return False
-        self.chunks.append((codes, times, power, lines))
+        for column, values in zip(self.columns, (codes, times, power, lines)):
+            column.append(values)
         return True
 
     def traces(self) -> list[PowerTrace]:
-        """One trace per device in device-id order; rejects duplicate samples."""
-        if not self.chunks:
+        """One trace per device in device-id order; rejects duplicate samples.
+
+        Peak memory stays near a few columns: each column's chunks are
+        released as soon as it is joined, line numbers are joined only to
+        report a duplicate, and each device's samples are gathered on their
+        own instead of sorting whole columns.
+        """
+        codes, times, watts, lines = self.columns
+        if not codes:
             return []
-        # Release the per-chunk arrays before sorting needs memory of its own.
-        chunks, self.chunks = self.chunks, []
-        codes, times, watts, lines = (np.concatenate(col) for col in zip(*chunks))
-        del chunks
         names = sorted(self.ids)
         rank = np.empty(len(names), dtype=np.intp)
         rank[[self.ids[name] for name in names]] = np.arange(len(names))
-        devices = rank[codes]
-        order = np.lexsort((lines, times, devices))
-        devices, times, watts = devices[order], times[order], watts[order]
-        same_device = devices[1:] == devices[:-1]
-        duplicate = np.flatnonzero(same_device & (times[1:] == times[:-1]))
-        if duplicate.size:
-            i = int(duplicate[0])
-            raise DuplicateSampleError(
-                f"device {names[devices[i]]!r}: duplicate timestamp {float(times[i])!r}",
-                line=int(max(lines[order[i]], lines[order[i + 1]])),
-            )
-        bounds = np.flatnonzero(~same_device) + 1
-        return [
-            PowerTrace(name, t, w)
-            for name, t, w in zip(names, np.split(times, bounds), np.split(watts, bounds))
-        ]
+        devices = rank[_join(codes)]
+        times = _join(times)
+        # Stable: samples of a device at equal times stay in line order.
+        order = np.lexsort((times, devices))
+        ends = np.cumsum(np.bincount(devices, minlength=len(names)))
+        del devices
+        watts = _join(watts)
+        traces = []
+        for name, lo, hi in zip(names, [0, *ends[:-1].tolist()], ends.tolist()):
+            rows = order[lo:hi]
+            device_times = times[rows]
+            duplicate = np.flatnonzero(device_times[1:] == device_times[:-1])
+            if duplicate.size:
+                i = int(duplicate[0])
+                lines = _join(lines)
+                raise DuplicateSampleError(
+                    f"device {name!r}: duplicate timestamp {float(device_times[i])!r}",
+                    line=int(max(lines[rows[i]], lines[rows[i + 1]])),
+                )
+            traces.append(PowerTrace(name, device_times, watts[rows]))
+        return traces
+
+
+def _join(chunks: list[np.ndarray]) -> np.ndarray:
+    """Concatenate and release a column's chunks."""
+    column = np.concatenate(chunks)
+    chunks.clear()
+    return column
 
 
 def parse_power_csv(stream: IO[str] | Iterable[str]) -> list[PowerTrace]:
@@ -278,7 +300,11 @@ def parse_power_csv(stream: IO[str] | Iterable[str]) -> list[PowerTrace]:
             raise failure
         if len(chunk) < _CHUNK_LINES:
             return samples.traces()
-    reader = csv.reader(chunk if failure is not None else itertools.chain(chunk, lines))
+    # A failed read is raised where csv asks for the next line, so a quoted
+    # record left open at the end of the chunk ends in it, not in a short row.
+    reader = csv.reader(
+        _then_raise(chunk, failure) if failure is not None else itertools.chain(chunk, lines)
+    )
     while True:
         rows, csv_failure = _take(reader, _CHUNK_LINES)
         # Blank rows are skipped, but they count as lines.
@@ -293,10 +319,7 @@ def parse_power_csv(stream: IO[str] | Iterable[str]) -> list[PowerTrace]:
         if csv_failure is not None:
             raise csv_failure
         if len(rows) < _CHUNK_LINES:
-            break
-    if failure is not None:
-        raise failure
-    return samples.traces()
+            return samples.traces()
 
 
 def write_power_csv(samples: Iterable[tuple[str, float, float]]) -> bytes:
@@ -306,6 +329,17 @@ def write_power_csv(samples: Iterable[tuple[str, float, float]]) -> bytes:
     for device_id, timestamp, watts in samples:
         out.write(f"{device_id},{float(timestamp)!r},{float(watts)!r}\n")
     return out.getvalue().encode("utf-8")
+
+
+def _run_to_obj(run: ApplicationRun) -> dict:
+    return {
+        "run_id": run.run_id,
+        "category": run.category.value,
+        "start": run.start,
+        "end": run.end,
+        "work": {"type": run.work.kind.value, "value": run.work.amount},
+        "devices": sorted(run.attributed_devices),
+    }
 
 
 def _run_from_obj(obj: dict, line: int) -> ApplicationRun:
@@ -378,15 +412,7 @@ def parse_runs_jsonl(stream: IO[str] | Iterable[str]) -> list[ApplicationRun]:
 def write_runs_jsonl(runs: Iterable[ApplicationRun]) -> bytes:
     out = _stdio.StringIO()
     for run in runs:
-        obj = {
-            "run_id": run.run_id,
-            "category": run.category.value,
-            "start": run.start,
-            "end": run.end,
-            "work": {"type": run.work.kind.value, "value": run.work.amount},
-            "devices": sorted(run.attributed_devices),
-        }
-        out.write(json.dumps(obj, sort_keys=True) + "\n")
+        out.write(json.dumps(_run_to_obj(run), sort_keys=True) + "\n")
     return out.getvalue().encode("utf-8")
 
 
@@ -507,7 +533,13 @@ def _report_to_csv(report: MetricsReport) -> str:
 def write_report(report: MetricsReport, fmt: str = "json") -> bytes:
     """Serialize a report deterministically as JSON or a results-table CSV."""
     if fmt == "json":
-        text = json.dumps(_report_to_obj(report), sort_keys=True, indent=2) + "\n"
+        # json.dumps with indent holds every encoded fragment in one list
+        # before joining them; streaming them into a buffer keeps peak
+        # memory near the size of the text.
+        out = _stdio.StringIO()
+        json.dump(_report_to_obj(report), out, sort_keys=True, indent=2)
+        out.write("\n")
+        text = out.getvalue()
     elif fmt == "csv":
         text = _report_to_csv(report)
     else:

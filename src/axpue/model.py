@@ -16,7 +16,6 @@ from .errors import (
     CategoryMismatchError,
     DuplicateDeviceError,
     InvalidDeviceError,
-    InvalidPowerError,
     InvalidWindowError,
     ValidationError,
 )
@@ -25,6 +24,13 @@ from .errors import (
 WEIGHT_SUM_TOL = 1e-12
 #: Relative tolerance on the per-row AoPUE = ApPUE / PUE identity.
 IDENTITY_REL_TOL = 1e-9
+
+
+def verify_identity(appue: float, pue: float, aopue: float) -> bool:
+    """Check AoPUE = ApPUE / PUE within the report tolerance (pue must be > 0)."""
+    if pue <= 0:
+        return False
+    return abs(aopue - appue / pue) <= IDENTITY_REL_TOL * max(1.0, abs(aopue))
 
 
 class DeviceCategory(str, Enum):
@@ -102,23 +108,6 @@ class DeviceRecord:
 
 
 @dataclass(frozen=True)
-class PowerSample:
-    """One timestamped wattage reading from one device."""
-
-    device_id: str
-    timestamp: float
-    power: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.timestamp):
-            raise ValidationError(f"timestamp must be finite, got {self.timestamp!r}")
-        if not math.isfinite(self.power) or self.power < 0:
-            raise InvalidPowerError(
-                f"power must be finite and >= 0 W, got {self.power!r}"
-            )
-
-
-@dataclass(frozen=True)
 class WorkMeasure:
     """Accumulated work counter of one run (non-negative integer)."""
 
@@ -130,6 +119,10 @@ class WorkMeasure:
             raise ValidationError(f"work amount must be an integer, got {self.amount!r}")
         if self.amount < 0:
             raise ValidationError(f"work amount must be >= 0, got {self.amount}")
+        try:
+            float(self.amount)
+        except OverflowError:
+            raise ValidationError("work amount is beyond float range") from None
 
 
 @dataclass(frozen=True)
@@ -311,8 +304,8 @@ class MetricsReport:
             if abs(total - 1.0) > WEIGHT_SUM_TOL:
                 raise ValidationError(f"weights sum to {total!r}, expected 1")
         for row in self.per_run:
-            expected = row.appue / self.pue
-            if abs(row.aopue - expected) > IDENTITY_REL_TOL * max(1.0, abs(row.aopue)):
+            if not verify_identity(row.appue, self.pue, row.aopue):
                 raise ValidationError(
-                    f"run {row.run_id!r}: aopue {row.aopue!r} != appue/pue {expected!r}"
+                    f"run {row.run_id!r}: aopue {row.aopue!r} != "
+                    f"appue/pue {row.appue / self.pue!r}"
                 )

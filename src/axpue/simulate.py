@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DuplicateDeviceError, ModelError, SchemaError
 from .io import (
     _run_from_obj,
+    _run_to_obj,
     write_inventory_json,
     write_power_csv,
     write_runs_jsonl,
@@ -312,17 +313,7 @@ def scenario_to_manifest(scenario: SimScenario) -> bytes:
             device_id: [[t, u] for t, u in profile]
             for device_id, profile in sorted(scenario.utilization_profiles.items())
         },
-        "runs": [
-            {
-                "run_id": run.run_id,
-                "category": run.category.value,
-                "start": run.start,
-                "end": run.end,
-                "work": {"type": run.work.kind.value, "value": run.work.amount},
-                "devices": sorted(run.attributed_devices),
-            }
-            for run in scenario.runs
-        ],
+        "runs": [_run_to_obj(run) for run in scenario.runs],
         "overhead": {
             "fixed_watts": scenario.overhead.fixed_watts,
             "cooling_coefficient": scenario.overhead.cooling_coefficient,

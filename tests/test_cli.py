@@ -127,6 +127,22 @@ class TestComputeCommand:
         assert main(["compute", *args, "--window", "oops"]) == 2
         assert main(["compute", *args, "--window", "5,5"]) == 2
 
+    def test_inverted_window_message(self, tmp_path, capsys):
+        args = write_inputs(tmp_path, HEADER + "s1,0,100\ns1,100,100\n", run_line())
+        assert main(["compute", *args, "--window", "5000,100"]) == 2
+        assert capsys.readouterr().err == (
+            "error: window end (100.0) must be > start (5000.0)\n"
+        )
+
+    def test_work_value_beyond_float_range_exits_2(self, tmp_path, capsys):
+        args = write_inputs(
+            tmp_path,
+            HEADER + "s1,0,100\ns1,50,100\ns1,100,100\n",
+            run_line(work={"type": "bytes_processed", "value": 10**400}),
+        )
+        assert main(["compute", *args]) == 2
+        assert capsys.readouterr().err == "error: work amount is beyond float range\n"
+
     def test_missing_file_exits_2(self, tmp_path):
         code = main(
             [
@@ -199,6 +215,36 @@ class TestSimulateCommand:
         assert captured.err == ""
 
 
+def single_run_report(run_id: str, it_power_kw: float) -> str:
+    """A hand-written one-run report; its PUE is 1.5 and its ApPUE 2.0."""
+    return json.dumps(
+        {
+            "schema": "axpue-report/1",
+            "window": {
+                "start": 0.0,
+                "end": 100.0,
+                "energy_joules_by_category": {"it_equipment": 2.0, "cooling": 1.0},
+            },
+            "pue": 1.5,
+            "per_run": [
+                {
+                    "run_id": run_id,
+                    "category": "data_analysis",
+                    "it_power_kw": it_power_kw,
+                    "facility_power_kw": it_power_kw * 1.5,
+                    "performance": {"value": 10.0, "unit": "kb_per_second"},
+                    "appue": 2.0,
+                    "aopue": 2.0 / 1.5,
+                    "weight": 1.0,
+                }
+            ],
+            "weighted_appue": 2.0,
+            "aggregated_aopue": 2.0 / 1.5,
+            "provenance": {},
+        }
+    )
+
+
 class TestReportCommand:
     @staticmethod
     def five_reports(tmp_path) -> list[str]:
@@ -213,6 +259,7 @@ class TestReportCommand:
 
     def test_merged_table_matches_published_cells(self, tmp_path, capsys):
         files = self.five_reports(tmp_path)
+        capsys.readouterr()
         assert main(["report", *files]) == 0
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
@@ -222,9 +269,11 @@ class TestReportCommand:
         assert lines[4] == "Grep,92.331,138.636,24916.998 KB/s,1.502,269.8660,179.730"
         assert lines[5].startswith("Linpack,122.679,170.685,50.460 GFLOPS,1.391,0.411,")
         # Mixed units across rows: aggregate ApPUE/AoPUE stay blank.
-        assert lines[6].split(",")[0] == "(aggregate)"
-        assert lines[6].endswith(",,")
-        assert "units differ" in captured.err
+        assert lines[6] == "(aggregate),511.310,746.022,,1.459,,"
+        assert captured.err == (
+            "warning: performance units differ across runs (GFLOPS, KB/s); "
+            "aggregate ApPUE/AoPUE left blank\n"
+        )
 
     def test_single_report_passthrough(self, tmp_path, capsys):
         files = [str(simulate_and_compute(tmp_path, "paper:grep"))]
@@ -249,9 +298,26 @@ class TestReportCommand:
         ]
         assert main(["report", *files]) == 0
         lines = capsys.readouterr().out.splitlines()
-        aggregate = lines[-1].split(",")
-        assert aggregate[0] == "(aggregate)"
-        assert aggregate[5] != "" and aggregate[6] != ""
+        assert lines[-1] == "(aggregate),184.453,277.117,,1.502,143.6958,95.694"
+
+    @pytest.mark.parametrize(
+        "it_powers, error",
+        [
+            ((2.0, -1.0), "IT power must be finite and >= 0, got -1.0"),
+            ((0.0, 0.0), "all runs have zero IT power"),
+        ],
+        ids=["negative", "zero-total"],
+    )
+    def test_bad_it_power_exits_2(self, tmp_path, capsys, it_powers, error):
+        files = []
+        for run_id, it_power_kw in zip("ab", it_powers):
+            path = tmp_path / f"{run_id}.json"
+            path.write_text(single_run_report(run_id, it_power_kw))
+            files.append(str(path))
+        assert main(["report", *files]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
 
     def test_schema_mismatch_exits_2(self, tmp_path):
         bogus = tmp_path / "bogus.json"

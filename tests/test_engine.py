@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -24,10 +25,15 @@ from axpue import (
     aggregate_appue,
     analyze,
     build_report,
+    builtin_scenario,
     compute_aopue,
     compute_appue,
     compute_pue,
     compute_weights,
+    parse_inventory_json,
+    parse_power_csv,
+    parse_runs_jsonl,
+    simulate,
     verify_identity,
 )
 from axpue.errors import (
@@ -162,6 +168,11 @@ class TestAggregateAppue:
     def test_bad_weight_sum_rejected(self):
         with pytest.raises(ValidationError):
             aggregate_appue([1.0, 2.0], [0.4, 0.4])
+
+    def test_weight_sum_held_to_the_report_tolerance(self):
+        # 1e-10 off is inside the old 1e-9 slack but outside WEIGHT_SUM_TOL.
+        with pytest.raises(ValidationError, match=r"expected 1 \+/- 1e-12"):
+            aggregate_appue([1.0, 2.0], [0.5, 0.5 + 1e-10])
 
 
 class TestComputeAopue:
@@ -422,6 +433,15 @@ class TestAnalyze:
         runs = [data_run("r", 0.0, 1000.0, 1e5, devices={"it-00"})]
         with pytest.raises(InvalidWindowError, match="'r'"):
             analyze(self.traces(), self.inventory(), runs, window=(0.0, 500.0))
+
+    def test_inverted_window_rejected_before_runs_are_placed(self):
+        out = simulate(builtin_scenario("grep"))
+        traces = parse_power_csv(io.StringIO(out.power_csv.decode("utf-8")))
+        runs = parse_runs_jsonl(io.StringIO(out.runs_jsonl.decode("utf-8")))
+        inventory = Inventory(parse_inventory_json(out.inventory_json.decode("utf-8")))
+        with pytest.raises(InvalidWindowError) as excinfo:
+            analyze(traces, inventory, runs, window=(5000.0, 100.0))
+        assert str(excinfo.value) == "window end (100.0) must be > start (5000.0)"
 
     def test_scaling_traces_preserves_pue_and_divides_appue(self):
         runs = [data_run("r", 0.0, 1000.0, 1e5, devices={"it-00", "it-01"})]

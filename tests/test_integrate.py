@@ -9,16 +9,13 @@ from axpue import (
     DeviceCategory,
     DeviceRecord,
     Inventory,
-    PowerSample,
     PowerTrace,
-    average_power,
     category_energy,
     integrate_power,
 )
 from axpue.errors import (
     CoverageGapError,
     DuplicateDeviceError,
-    DuplicateSampleError,
     InvalidPowerError,
     InvalidWindowError,
     NoSamplesError,
@@ -142,31 +139,22 @@ class TestIntegratePower:
 
 
 class TestAveragePower:
-    def test_inverse_of_constant_case(self):
-        assert average_power(6000.0, 0.0, 60.0) == pytest.approx(100.0, rel=1e-12)
+    """Average power in watts: the window's energy over its length."""
 
     def test_zero_energy(self):
-        assert average_power(0.0, 0.0, 10.0) == 0.0
+        assert integrate_power(constant_trace(0.0), 0.0, 10.0) / 10.0 == 0.0
 
     def test_oracle_mean(self, rng):
         trace = random_trace(rng)
         start, end = interior_window(rng, trace)
-        energy = integrate_power(trace, start, end, max_gap=100.0)
+        mean = integrate_power(trace, start, end, max_gap=100.0) / (end - start)
         oracle_mean = riemann_energy(trace, start, end) / (end - start)
-        assert average_power(energy, start, end) == pytest.approx(oracle_mean, rel=1e-6)
+        assert mean == pytest.approx(oracle_mean, rel=1e-6)
 
     def test_constant_round_trip(self):
         trace = constant_trace(314.0)
-        energy = integrate_power(trace, 0.0, 120.0)
-        assert average_power(energy, 0.0, 120.0) == pytest.approx(314.0, rel=1e-12)
-
-    def test_inverted_window_rejected(self):
-        with pytest.raises(InvalidWindowError):
-            average_power(100.0, 10.0, 10.0)
-
-    def test_negative_energy_rejected(self):
-        with pytest.raises(ValidationError):
-            average_power(-1.0, 0.0, 10.0)
+        mean = integrate_power(trace, 0.0, 120.0) / 120.0
+        assert mean == pytest.approx(314.0, rel=1e-12)
 
 
 class TestCategoryEnergy:
@@ -235,25 +223,6 @@ class TestPowerTrace:
     def test_negative_watts_rejected(self):
         with pytest.raises(InvalidPowerError):
             PowerTrace("dev", [0.0, 1.0], [1.0, -1.0])
-
-    def test_from_samples_sorts(self):
-        trace = PowerTrace.from_samples(
-            [PowerSample("dev", 60.0, 2.0), PowerSample("dev", 0.0, 1.0)]
-        )
-        assert list(trace.times) == [0.0, 60.0]
-        assert list(trace.watts) == [1.0, 2.0]
-
-    def test_from_samples_rejects_duplicates(self):
-        with pytest.raises(DuplicateSampleError):
-            PowerTrace.from_samples(
-                [PowerSample("dev", 0.0, 1.0), PowerSample("dev", 0.0, 2.0)]
-            )
-
-    def test_from_samples_rejects_mixed_devices(self):
-        with pytest.raises(ValidationError):
-            PowerTrace.from_samples(
-                [PowerSample("a", 0.0, 1.0), PowerSample("b", 1.0, 2.0)]
-            )
 
     def test_arrays_are_frozen(self):
         trace = PowerTrace("dev", [0.0, 1.0], [1.0, 2.0])

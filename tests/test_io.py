@@ -236,6 +236,13 @@ class TestParseRunsJsonl:
             parse_runs_jsonl(stream)
         assert excinfo.value.line == 2
 
+    def test_work_value_beyond_float_range_carries_line(self):
+        huge = run_line(run_id="huge", work={"type": "bytes_processed", "value": 10**400})
+        with pytest.raises(SchemaError) as excinfo:
+            parse_runs_jsonl(io.StringIO(run_line() + huge))
+        assert excinfo.value.line == 2
+        assert str(excinfo.value) == "work amount is beyond float range"
+
     def test_write_parse_round_trip(self):
         runs = parse_runs_jsonl(io.StringIO(run_line()))
         again = parse_runs_jsonl(io.StringIO(write_runs_jsonl(runs).decode("utf-8")))

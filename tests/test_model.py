@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from axpue import (
@@ -15,7 +13,6 @@ from axpue import (
     Inventory,
     MetricsReport,
     PerformanceRate,
-    PowerSample,
     RateUnit,
     RunMetrics,
     WorkKind,
@@ -25,7 +22,6 @@ from axpue.errors import (
     CategoryMismatchError,
     DuplicateDeviceError,
     InvalidDeviceError,
-    InvalidPowerError,
     InvalidWindowError,
     ValidationError,
 )
@@ -84,20 +80,6 @@ class TestInventory:
         assert inv.ids_in(DeviceCategory.OTHER) == frozenset()
 
 
-class TestPowerSample:
-    def test_valid(self):
-        s = PowerSample("s1", 12.5, 100.0)
-        assert s.power == 100.0
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(InvalidPowerError):
-            PowerSample("s1", 0.0, -1.0)
-
-    def test_non_finite_timestamp_rejected(self):
-        with pytest.raises(ValidationError):
-            PowerSample("s1", math.inf, 10.0)
-
-
 class TestWorkMeasure:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
@@ -109,6 +91,10 @@ class TestWorkMeasure:
 
     def test_zero_allowed(self):
         assert WorkMeasure(WorkKind.REQUESTS_ANSWERED, 0).amount == 0
+
+    def test_beyond_float_range_rejected(self):
+        with pytest.raises(ValidationError, match="beyond float range"):
+            WorkMeasure(WorkKind.REQUESTS_ANSWERED, 10**400)
 
 
 class TestApplicationRun:
