@@ -11,21 +11,11 @@ from . import errors
 from .engine import (
     MetricInputs,
     RunInput,
-    aggregate_appue,
     analyze,
     build_report,
-    compute_aopue,
-    compute_appue,
     compute_performance,
-    compute_pue,
-    compute_weights,
 )
-from .integrate import (
-    DEFAULT_MAX_GAP,
-    PowerTrace,
-    category_energy,
-    integrate_power,
-)
+from .integrate import PowerTrace, integrate_power
 from .io import (
     ScenarioBundle,
     load_bundle,
@@ -33,14 +23,9 @@ from .io import (
     parse_power_csv,
     parse_runs_jsonl,
     read_report,
-    write_inventory_json,
-    write_power_csv,
     write_report,
-    write_runs_jsonl,
 )
 from .model import (
-    RATE_UNIT_FOR_CATEGORY,
-    WORK_KIND_FOR_CATEGORY,
     ApplicationCategory,
     ApplicationRun,
     DeviceCategory,
@@ -53,7 +38,6 @@ from .model import (
     RunMetrics,
     WorkKind,
     WorkMeasure,
-    verify_identity,
 )
 from .simulate import (
     DeviceKind,
@@ -62,12 +46,8 @@ from .simulate import (
     SimOutput,
     SimScenario,
     builtin_scenario,
-    paper_scenarios,
-    scenario_from_manifest,
-    scenario_to_manifest,
     simulate,
     sort_comparison_scenarios,
-    stretch_duration,
 )
 
 __version__ = "0.1.0"
@@ -75,9 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ApplicationCategory",
     "ApplicationRun",
-    "DEFAULT_MAX_GAP",
-    "RATE_UNIT_FOR_CATEGORY",
-    "WORK_KIND_FOR_CATEGORY",
     "DeviceCategory",
     "DeviceKind",
     "DevicePowerModel",
@@ -97,32 +74,18 @@ __all__ = [
     "SimScenario",
     "WorkKind",
     "WorkMeasure",
-    "aggregate_appue",
     "analyze",
     "build_report",
     "builtin_scenario",
-    "category_energy",
-    "compute_aopue",
-    "compute_appue",
     "compute_performance",
-    "compute_pue",
-    "compute_weights",
     "errors",
     "integrate_power",
     "load_bundle",
-    "paper_scenarios",
     "parse_inventory_json",
     "parse_power_csv",
     "parse_runs_jsonl",
     "read_report",
-    "scenario_from_manifest",
-    "scenario_to_manifest",
     "simulate",
     "sort_comparison_scenarios",
-    "stretch_duration",
-    "verify_identity",
-    "write_inventory_json",
-    "write_power_csv",
     "write_report",
-    "write_runs_jsonl",
 ]

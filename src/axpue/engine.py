@@ -32,7 +32,6 @@ from .errors import (
     UnitMismatchError,
     UnknownDeviceError,
     ValidationError,
-    ZeroFacilityPowerError,
     ZeroITEnergyError,
     ZeroITPowerError,
 )
@@ -111,31 +110,6 @@ def compute_performance(run: ApplicationRun) -> PerformanceRate:
     )
 
 
-def compute_pue(window: EnergyWindow) -> float:
-    """Total facility energy over IT energy; >= 1 by construction."""
-    if window.it_energy == 0:
-        raise ZeroITEnergyError("window holds no IT equipment energy")
-    return window.total_facility_energy / window.it_energy
-
-
-def compute_appue(rate: PerformanceRate, it_power_kw: float) -> float:
-    """Performance rate (reporting units) per kW of average IT power."""
-    if it_power_kw <= 0:
-        raise ZeroITPowerError(f"IT power must be > 0 kW, got {it_power_kw!r}")
-    magnitude, _ = rate.reported()
-    return magnitude / it_power_kw
-
-
-def compute_aopue(rate: PerformanceRate, facility_power_kw: float) -> float:
-    """Performance rate (reporting units) per kW of average facility power."""
-    if facility_power_kw <= 0:
-        raise ZeroFacilityPowerError(
-            f"facility power must be > 0 kW, got {facility_power_kw!r}"
-        )
-    magnitude, _ = rate.reported()
-    return magnitude / facility_power_kw
-
-
 def compute_weights(it_powers_kw: Sequence[float]) -> list[float]:
     """Per-run weights: each run's share of the summed IT power."""
     if len(it_powers_kw) == 0:
@@ -150,24 +124,22 @@ def compute_weights(it_powers_kw: Sequence[float]) -> list[float]:
 
 
 def aggregate_appue(
-    appues: Sequence[float],
-    weights: Sequence[float],
-    units: Sequence[str] | None = None,
+    appues: Sequence[float], weights: Sequence[float], units: Sequence[str]
 ) -> float:
     """Weighted ApPUE across runs: sum of ApPUE_i * weight_i.
 
-    When ``units`` is given, all runs must share one performance unit;
-    mixing units makes the aggregate meaningless.
+    All runs must share one performance unit; mixing units makes the
+    aggregate meaningless.
     """
     if len(appues) != len(weights):
         raise ShapeMismatchError(
             f"{len(appues)} ApPUE values vs {len(weights)} weights"
         )
-    if units is not None and len(units) != len(appues):
+    if len(units) != len(appues):
         raise ShapeMismatchError(f"{len(appues)} ApPUE values vs {len(units)} units")
     if not appues:
         raise NoRunsError("cannot aggregate an empty run list")
-    if units is not None and len(set(units)) > 1:
+    if len(set(units)) > 1:
         raise UnitMismatchError(
             f"cannot aggregate across performance units {sorted(set(units))!r}"
         )
@@ -195,16 +167,22 @@ def build_report(
     the AoPUE = ApPUE / PUE identity exact row-wise and equals the measured
     facility power whenever a run spans the whole window.
     """
-    pue = compute_pue(inputs.window)
+    window = inputs.window
+    if window.it_energy == 0:
+        raise ZeroITEnergyError("window holds no IT equipment energy")
+    pue = window.total_facility_energy / window.it_energy
     weights = (
         compute_weights([r.it_power_kw for r in inputs.runs]) if inputs.runs else []
     )
     rows = []
     for run_input, weight in zip(inputs.runs, weights):
         it_kw = run_input.it_power_kw
-        appue = compute_appue(run_input.rate, it_kw)
+        if it_kw <= 0:
+            raise ZeroITPowerError(f"IT power must be > 0 kW, got {it_kw!r}")
+        magnitude, _ = run_input.rate.reported()
         facility_kw = it_kw * pue
-        aopue = compute_aopue(run_input.rate, facility_kw)
+        appue = magnitude / it_kw
+        aopue = magnitude / facility_kw
         rows.append(
             RunMetrics(
                 run_id=run_input.run.run_id,
@@ -234,7 +212,7 @@ def build_report(
     if provenance:
         base_provenance.update(provenance)
     return MetricsReport(
-        window=inputs.window,
+        window=window,
         pue=pue,
         per_run=tuple(rows),
         weighted_appue=weighted_appue,

@@ -77,10 +77,6 @@ class ZeroITPowerError(AxpueError):
     """ApPUE or weights are undefined: average IT power is zero."""
 
 
-class ZeroFacilityPowerError(AxpueError):
-    """AoPUE is undefined: average facility power is zero."""
-
-
 class NoRunsError(AxpueError):
     """An aggregation was requested over an empty run list."""
 

@@ -72,20 +72,23 @@ def _check_window(start: float, end: float) -> None:
 
 
 def _coverage_gap(
-    times: np.ndarray, start: float, end: float, max_gap: float
+    times: np.ndarray, lo: int, hi: int, start: float, end: float, max_gap: float
 ) -> tuple[float, float] | None:
-    """First stretch wider than ``max_gap`` that the window needs, if any."""
+    """First stretch wider than ``max_gap`` that the window needs, if any.
+
+    ``times[lo:hi]`` holds the window's own samples plus the nearest one
+    beyond each edge, so its neighbouring pairs are exactly the stretches
+    that overlap the window.
+    """
     if times[0] - start > max_gap:
         return start, float(times[0])
     if end - times[-1] > max_gap:
         return float(times[-1]), end
-    if times.size > 1:
-        gaps = np.diff(times)
-        bad = (gaps > max_gap) & (times[:-1] < end) & (times[1:] > start)
-        hits = np.nonzero(bad)[0]
-        if hits.size:
-            i = int(hits[0])
-            return float(times[i]), float(times[i + 1])
+    window_times = times[lo:hi]
+    hits = ((window_times[1:] - window_times[:-1]) > max_gap).nonzero()[0]
+    if hits.size:
+        i = lo + int(hits[0])
+        return float(times[i]), float(times[i + 1])
     return None
 
 
@@ -96,7 +99,9 @@ def integrate_power(
 
     Boundary values come from linear interpolation between the bracketing
     samples, or from constant extension when the window edge lies beyond the
-    first/last sample by at most ``max_gap``.
+    first/last sample by at most ``max_gap``.  Only the window's samples and
+    the nearest one beyond each edge are read, so the cost does not grow
+    with the length of the trace.
 
     Raises :class:`NoSamplesError` on an empty trace,
     :class:`InvalidWindowError` when ``end <= start``, and
@@ -111,22 +116,23 @@ def integrate_power(
         )
     times, watts = trace.times, trace.watts
     start, end = float(start), float(end)
-    gap = _coverage_gap(times, start, end, float(max_gap))
+    # times[i0:i1] lies strictly inside the window.
+    i0 = int(times.searchsorted(start, side="right"))
+    i1 = int(times.searchsorted(end, side="left"))
+    lo, hi = max(i0 - 1, 0), min(i1 + 1, times.size)
+    gap = _coverage_gap(times, lo, hi, start, end, float(max_gap))
     if gap is not None:
-        lo, hi = gap
+        gap_start, gap_end = gap
         raise CoverageGapError(
-            f"device {trace.device_id!r}: no samples across [{lo}, {hi}] "
-            f"({hi - lo:.3f} s > max_gap {max_gap} s)",
+            f"device {trace.device_id!r}: no samples across [{gap_start}, {gap_end}] "
+            f"({gap_end - gap_start:.3f} s > max_gap {max_gap} s)",
             gap=gap,
             device_id=trace.device_id,
         )
-    p_start = float(np.interp(start, times, watts))
-    p_end = float(np.interp(end, times, watts))
-    i0 = int(np.searchsorted(times, start, side="right"))
-    i1 = int(np.searchsorted(times, end, side="left"))
+    p_start, p_end = np.interp((start, end), times[lo:hi], watts[lo:hi]).tolist()
     ts = np.concatenate(([start], times[i0:i1], [end]))
     ps = np.concatenate(([p_start], watts[i0:i1], [p_end]))
-    return 0.5 * float(np.sum((ps[1:] + ps[:-1]) * np.diff(ts)))
+    return 0.5 * float(((ps[1:] + ps[:-1]) * (ts[1:] - ts[:-1])).sum())
 
 
 def category_energy(

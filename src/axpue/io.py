@@ -331,6 +331,18 @@ def write_power_csv(samples: Iterable[tuple[str, float, float]]) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
+def _load_json(data: bytes | str, what: str, line: int | None = None) -> object:
+    """Decode UTF-8 JSON; any text that is not JSON is a :class:`SchemaError`."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{what}: {exc.reason}", line=line) from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{what}: {exc.msg}", line=line) from exc
+    except ValueError as exc:  # an integer literal beyond the int digit limit
+        raise SchemaError(f"{what}: {str(exc).partition(';')[0]}", line=line) from exc
+
+
 def _run_to_obj(run: ApplicationRun) -> dict:
     return {
         "run_id": run.run_id,
@@ -399,10 +411,7 @@ def parse_runs_jsonl(stream: IO[str] | Iterable[str]) -> list[ApplicationRun]:
     for line_no, raw in enumerate(stream, start=1):
         if not raw.strip():
             continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc.msg}", line=line_no) from exc
+        obj = _load_json(raw, "invalid JSON", line=line_no)
         if not isinstance(obj, dict):
             raise SchemaError("each line must be a JSON object", line=line_no)
         runs.append(_run_from_obj(obj, line_no))
@@ -419,10 +428,7 @@ def write_runs_jsonl(runs: Iterable[ApplicationRun]) -> bytes:
 def parse_inventory_json(stream: IO[str] | str) -> list[DeviceRecord]:
     """Parse a JSON device list; unknown categories are schema errors."""
     text = stream if isinstance(stream, str) else stream.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg}") from exc
+    data = _load_json(text, "invalid JSON")
     if not isinstance(data, list):
         raise SchemaError("inventory must be a JSON list of device objects")
     devices = []
@@ -557,12 +563,7 @@ def _json(value: object, *types: type) -> object:
 
 def read_report(data: bytes | str) -> MetricsReport:
     """Parse a JSON report back into a validated :class:`MetricsReport`."""
-    try:
-        obj = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"invalid JSON report: {exc.reason}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON report: {exc.msg}") from exc
+    obj = _load_json(data, "invalid JSON report")
     if not isinstance(obj, dict) or obj.get("schema") != REPORT_SCHEMA:
         raise SchemaError(f"not a {REPORT_SCHEMA} document")
     number, optional = (int, float), (int, float, type(None))
@@ -622,10 +623,22 @@ def load_bundle(
     against the inventory and whether telemetry covers every window is
     checked once, by :func:`~axpue.engine.analyze`.
     """
-    with open(inventory_path, "r", encoding="utf-8") as f:
-        inventory = Inventory(parse_inventory_json(f))
-    with open(power_path, "r", encoding="utf-8", newline="") as f:
-        traces = parse_power_csv(f)
-    with open(runs_path, "r", encoding="utf-8") as f:
-        runs = parse_runs_jsonl(f)
+    inventory = Inventory(_parse_file(parse_inventory_json, inventory_path))
+    traces = _parse_file(parse_power_csv, power_path, newline="")
+    runs = _parse_file(parse_runs_jsonl, runs_path)
     return ScenarioBundle(inventory=inventory, traces=tuple(traces), runs=tuple(runs))
+
+
+def _parse_file(parse, path: str | Path, newline: str | None = None):
+    """``parse`` an open UTF-8 text file.
+
+    Undecodable bytes, and a CSV field longer than ``csv.field_size_limit()``,
+    are a :class:`ParseError` naming the file.
+    """
+    with open(path, "r", encoding="utf-8", newline=newline) as f:
+        try:
+            return parse(f)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+        except csv.Error as exc:
+            raise ParseError(f"{path}: {exc}") from exc

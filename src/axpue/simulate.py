@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import DuplicateDeviceError, ModelError, SchemaError
 from .io import (
+    _load_json,
     _run_from_obj,
     _run_to_obj,
     write_inventory_json,
@@ -325,11 +326,7 @@ def scenario_to_manifest(scenario: SimScenario) -> bytes:
 
 def scenario_from_manifest(data: bytes | str) -> SimScenario:
     """Parse a scenario manifest produced by :func:`scenario_to_manifest`."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid scenario manifest: {exc.msg}") from exc
+    obj = _load_json(data, "invalid scenario manifest")
     if not isinstance(obj, dict) or obj.get("schema") != SCENARIO_SCHEMA:
         raise SchemaError(f"not a {SCENARIO_SCHEMA} document")
     try:
@@ -367,7 +364,7 @@ def scenario_from_manifest(data: bytes | str) -> SimScenario:
             runs=runs,
             overhead=overhead,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed scenario manifest: {exc}") from exc
 
 
@@ -560,24 +557,3 @@ def builtin_scenario(name: str, data_gb: float | None = None) -> SimScenario:
         if scenario.name == key:
             return scenario
     raise ModelError(f"unknown built-in scenario {name!r}")
-
-
-def stretch_duration(scenario: SimScenario, factor: float) -> SimScenario:
-    """Same scenario slowed by ``factor``: windows and profiles stretch, the
-    work counters and the meter cadence stay as they are."""
-    if not (math.isfinite(factor) and factor > 0):
-        raise ModelError(f"factor must be > 0, got {factor!r}")
-    profiles = {
-        device_id: tuple((t * factor, u) for t, u in profile)
-        for device_id, profile in scenario.utilization_profiles.items()
-    }
-    runs = tuple(
-        replace(run, start=run.start * factor, end=run.end * factor)
-        for run in scenario.runs
-    )
-    return replace(
-        scenario,
-        duration=scenario.duration * factor,
-        utilization_profiles=profiles,
-        runs=runs,
-    )

@@ -21,7 +21,6 @@ from axpue import (
     PowerTrace,
     RunInput,
     SimScenario,
-    WORK_KIND_FOR_CATEGORY,
     WorkMeasure,
     analyze,
     compute_performance,
@@ -30,6 +29,7 @@ from axpue import (
     parse_runs_jsonl,
     simulate,
 )
+from axpue.model import WORK_KIND_FOR_CATEGORY
 
 # Published reference measurements: IT power (kW), total facility power (kW),
 # performance (reporting units), PUE, ApPUE, AoPUE.

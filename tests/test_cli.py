@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axpue.cli import main
 from axpue.io import read_report
@@ -323,6 +330,137 @@ class TestReportCommand:
         bogus = tmp_path / "bogus.json"
         bogus.write_text('{"schema": "other/1"}')
         assert main(["report", str(bogus)]) == 2
+
+
+#: A JSON integer literal past Python's int-to-str digit limit (4,300 by default).
+HUGE_INT = "7" * 5000
+DIGIT_LIMIT = "Exceeds the limit (4300 digits) for integer string conversion"
+VALID_POWER = HEADER + "s1,0,100\ns1,50,100\ns1,100,100\n"
+
+
+def simulated_manifest(tmp_path) -> Path:
+    assert main(["simulate", "paper:grep", "--out", str(tmp_path / "sim")]) == 0
+    return tmp_path / "sim" / "manifest.json"
+
+
+class TestBadInputBytes:
+    """Input no parser can read exits 2 with one error line, never a traceback."""
+
+    @pytest.mark.parametrize("target", ["runs", "inventory"])
+    def test_oversized_json_integer_in_compute_input(self, tmp_path, capsys, target):
+        runs = run_line(work={"type": "bytes_processed", "value": 1}).replace(
+            '"value": 1', f'"value": {HUGE_INT}'
+        )
+        inventory = INVENTORY.replace('"label": ""', f'"label": "", "rack": {HUGE_INT}')
+        if target == "runs":
+            args = write_inputs(tmp_path, VALID_POWER, runs)
+        else:
+            args = write_inputs(tmp_path, VALID_POWER, run_line(), inventory)
+        assert main(["compute", *args]) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid JSON: {DIGIT_LIMIT}")
+
+    def test_oversized_json_integer_in_report(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        report = single_run_report("a", 1.0)
+        path.write_text(report.replace('"pue": 1.5', f'"pue": {HUGE_INT}'))
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid JSON report: {DIGIT_LIMIT}")
+
+    def test_oversized_json_integer_in_manifest(self, tmp_path, capsys):
+        manifest = simulated_manifest(tmp_path)
+        text = manifest.read_text()
+        duration = f'"duration": {json.loads(text)["duration"]!r}'
+        manifest.write_text(text.replace(duration, f'"duration": {HUGE_INT}'))
+        capsys.readouterr()
+        assert main(["simulate", str(manifest), "--out", str(tmp_path / "again")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: invalid scenario manifest: {DIGIT_LIMIT}"
+        )
+
+    def test_manifest_number_beyond_float_range(self, tmp_path, capsys):
+        manifest = simulated_manifest(tmp_path)
+        obj = json.loads(manifest.read_text())
+        obj["duration"] = 10**400
+        manifest.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["simulate", str(manifest), "--out", str(tmp_path / "again")]) == 2
+        assert capsys.readouterr().err == (
+            "error: malformed scenario manifest: int too large to convert to float\n"
+        )
+
+    # 0xff never starts a UTF-8 sequence; 0xe9 (Latin-1 e-acute) needs two more bytes.
+    @pytest.mark.parametrize(
+        "target, bad, reason",
+        [
+            ("power.csv", b"s1,\xff150,100\n", "invalid start byte"),
+            ("runs.jsonl", b'{"run_id": "\xe9"}\n', "invalid continuation byte"),
+            ("inventory.json", b" \xe9\n", "invalid continuation byte"),
+        ],
+    )
+    def test_invalid_utf8_in_compute_input(self, tmp_path, capsys, target, bad, reason):
+        args = write_inputs(tmp_path, VALID_POWER, run_line())
+        path = tmp_path / target
+        path.write_bytes(path.read_bytes() + bad)
+        assert main(["compute", *args]) == 2
+        assert capsys.readouterr().err == f"error: {path}: not valid UTF-8 ({reason})\n"
+
+    def test_invalid_utf8_in_manifest(self, tmp_path, capsys):
+        manifest = simulated_manifest(tmp_path)
+        manifest.write_bytes(manifest.read_bytes().replace(b"grep", b"gr\xe9p", 1))
+        capsys.readouterr()
+        assert main(["simulate", str(manifest), "--out", str(tmp_path / "again")]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid scenario manifest: invalid continuation byte\n"
+        )
+
+    def test_csv_field_over_the_csv_limit(self, tmp_path, capsys):
+        long_id = "s" * (csv.field_size_limit() + 1)
+        args = write_inputs(tmp_path, VALID_POWER + f"{long_id},0,1\n", run_line())
+        assert main(["compute", *args]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'power.csv'}: field larger than field limit "
+            f"({csv.field_size_limit()})\n"
+        )
+
+
+VALID_INPUTS = {
+    "power": VALID_POWER.encode(),
+    "runs": run_line().encode(),
+    "inventory": INVENTORY.encode(),
+}
+
+
+def damaged(valid: bytes):
+    """Arbitrary bytes, or the valid file with a span replaced by arbitrary bytes."""
+    cut = st.integers(0, len(valid))
+    span = st.tuples(cut, cut, st.binary(max_size=24))
+    return st.one_of(
+        st.binary(max_size=200),
+        span.map(lambda s: valid[: min(s[:2])] + s[2] + valid[max(s[:2]) :]),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.sampled_from(sorted(VALID_INPUTS)).flatmap(
+        lambda target: st.tuples(st.just(target), damaged(VALID_INPUTS[target]))
+    )
+)
+def test_compute_survives_any_bytes_in_one_input(data):
+    target, content = data
+    with tempfile.TemporaryDirectory() as tmp:
+        args = ["compute"]
+        for name, valid in VALID_INPUTS.items():
+            path = Path(tmp) / name
+            path.write_bytes(content if name == target else valid)
+            args += [f"--{name}", str(path)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*args, "--out", str(Path(tmp) / "report.json")])
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().startswith("error: ")
 
 
 class TestModuleEntryPoint:

@@ -22,20 +22,15 @@ from axpue import (
     RunInput,
     WorkKind,
     WorkMeasure,
-    aggregate_appue,
     analyze,
     build_report,
     builtin_scenario,
-    compute_aopue,
-    compute_appue,
-    compute_pue,
-    compute_weights,
     parse_inventory_json,
     parse_power_csv,
     parse_runs_jsonl,
     simulate,
-    verify_identity,
 )
+from axpue.engine import aggregate_appue, compute_weights
 from axpue.errors import (
     InvalidWindowError,
     NoRunsError,
@@ -44,10 +39,10 @@ from axpue.errors import (
     UnitMismatchError,
     UnknownDeviceError,
     ValidationError,
-    ZeroFacilityPowerError,
     ZeroITEnergyError,
     ZeroITPowerError,
 )
+from axpue.model import verify_identity
 from conftest import random_metric_inputs
 
 
@@ -69,43 +64,75 @@ def kb_rate(value: float) -> PerformanceRate:
     return PerformanceRate(value, RateUnit.KB_PER_SECOND)
 
 
+def one_run_report(it_kw: float, total_kw: float, rate: PerformanceRate):
+    """Report of one run that spans an hour at the given average powers."""
+    window = window_for_powers(it_kw, total_kw)
+    if rate.unit is RateUnit.FLOPS_PER_SECOND:
+        run = ApplicationRun(
+            run_id="hpc",
+            category=ApplicationCategory.HIGH_PERFORMANCE_COMPUTING,
+            start=0.0,
+            end=3600.0,
+            work=WorkMeasure(WorkKind.FLOATING_POINT_OPS, 1),
+            attributed_devices=frozenset({"it-00"}),
+        )
+    else:
+        run = data_run("r", 0.0, 3600.0, 1.0)
+    return build_report(MetricInputs(window, (RunInput(run, window.it_energy, rate),)))
+
+
+def window_pue(window: EnergyWindow) -> float:
+    return build_report(MetricInputs(window, ())).pue
+
+
 class TestComputePue:
     def test_published_comprehensive_row(self):
-        assert compute_pue(window_for_powers(100.412, 147.323)) == pytest.approx(
+        assert window_pue(window_for_powers(100.412, 147.323)) == pytest.approx(
             1.467, abs=1e-3
         )
 
     def test_no_overhead_gives_one(self):
-        assert compute_pue(window_for_powers(100.0, 100.0)) == pytest.approx(1.0, rel=1e-15)
+        assert window_pue(window_for_powers(100.0, 100.0)) == pytest.approx(1.0, rel=1e-15)
 
     def test_published_hpc_row(self):
-        assert compute_pue(window_for_powers(122.679, 170.685)) == pytest.approx(
+        assert window_pue(window_for_powers(122.679, 170.685)) == pytest.approx(
             1.391, abs=1e-3
         )
 
     def test_zero_it_energy_rejected(self):
         window = EnergyWindow(0.0, 60.0, {DeviceCategory.COOLING: 100.0})
-        with pytest.raises(ZeroITEnergyError):
-            compute_pue(window)
+        with pytest.raises(ZeroITEnergyError, match="window holds no IT equipment energy"):
+            window_pue(window)
 
 
 class TestComputeAppue:
     def test_published_comprehensive_row(self):
-        assert compute_appue(kb_rate(563.271), 100.412) == pytest.approx(5.6096, abs=1e-3)
+        report = one_run_report(100.412, 147.323, kb_rate(563.271))
+        assert report.per_run[0].appue == pytest.approx(5.6096, abs=1e-3)
 
     def test_published_grep_row(self):
-        assert compute_appue(kb_rate(24916.998), 92.331) == pytest.approx(269.866, abs=1e-3)
+        report = one_run_report(92.331, 138.636, kb_rate(24916.998))
+        assert report.per_run[0].appue == pytest.approx(269.866, abs=1e-3)
 
     def test_zero_rate(self):
-        assert compute_appue(kb_rate(0.0), 50.0) == 0.0
+        assert one_run_report(50.0, 75.0, kb_rate(0.0)).per_run[0].appue == 0.0
 
     def test_zero_power_rejected(self):
-        with pytest.raises(ZeroITPowerError):
-            compute_appue(kb_rate(1.0), 0.0)
+        window = window_for_powers(100.0, 150.0)
+        inputs = MetricInputs(
+            window,
+            (
+                RunInput(data_run("idle", 0.0, 3600.0, 1.0), 0.0, kb_rate(1.0)),
+                RunInput(data_run("busy", 0.0, 3600.0, 1.0), window.it_energy, kb_rate(1.0)),
+            ),
+        )
+        with pytest.raises(ZeroITPowerError, match=r"IT power must be > 0 kW, got 0\.0"):
+            build_report(inputs)
 
     def test_gflops_magnitude_used_for_hpc(self):
         rate = PerformanceRate(50.46e9, RateUnit.FLOPS_PER_SECOND)
-        assert compute_appue(rate, 122.679) == pytest.approx(0.411, abs=1e-3)
+        report = one_run_report(122.679, 170.685, rate)
+        assert report.per_run[0].appue == pytest.approx(0.411, abs=1e-3)
 
 
 class TestComputeWeights:
@@ -136,59 +163,62 @@ class TestComputeWeights:
 
 
 class TestAggregateAppue:
+    KB = ["KB/s", "KB/s"]
+
     def test_hand_summed_pair(self):
-        assert aggregate_appue([17.2394, 269.866], [0.5, 0.5]) == pytest.approx(
+        assert aggregate_appue([17.2394, 269.866], [0.5, 0.5], self.KB) == pytest.approx(
             143.5527, abs=1e-9
         )
 
     def test_degenerate_single(self):
-        assert aggregate_appue([7.25], [1.0]) == 7.25
+        assert aggregate_appue([7.25], [1.0], ["KB/s"]) == 7.25
 
     def test_equal_values_fixed_point(self, rng):
         for _ in range(20):
             weights = compute_weights(rng.uniform(0.1, 10.0, size=4).tolist())
-            assert aggregate_appue([3.75] * 4, weights) == 3.75
+            assert aggregate_appue([3.75] * 4, weights, ["KB/s"] * 4) == 3.75
 
     def test_convex_bounds(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 8))
             appues = rng.uniform(0.01, 300.0, size=n).tolist()
             weights = compute_weights(rng.uniform(0.1, 10.0, size=n).tolist())
-            value = aggregate_appue(appues, weights)
+            value = aggregate_appue(appues, weights, ["KB/s"] * n)
             assert min(appues) <= value <= max(appues)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            aggregate_appue([1.0, 2.0], [1.0])
+            aggregate_appue([1.0, 2.0], [1.0], self.KB)
+        with pytest.raises(ShapeMismatchError):
+            aggregate_appue([1.0, 2.0], [0.5, 0.5], ["KB/s"])
 
     def test_mixed_units_rejected(self):
         with pytest.raises(UnitMismatchError):
-            aggregate_appue([1.0, 2.0], [0.5, 0.5], units=["KB/s", "GFLOPS"])
+            aggregate_appue([1.0, 2.0], [0.5, 0.5], ["KB/s", "GFLOPS"])
 
     def test_bad_weight_sum_rejected(self):
         with pytest.raises(ValidationError):
-            aggregate_appue([1.0, 2.0], [0.4, 0.4])
+            aggregate_appue([1.0, 2.0], [0.4, 0.4], self.KB)
 
     def test_weight_sum_held_to_the_report_tolerance(self):
         # 1e-10 off is inside the old 1e-9 slack but outside WEIGHT_SUM_TOL.
         with pytest.raises(ValidationError, match=r"expected 1 \+/- 1e-12"):
-            aggregate_appue([1.0, 2.0], [0.5, 0.5 + 1e-10])
+            aggregate_appue([1.0, 2.0], [0.5, 0.5 + 1e-10], self.KB)
 
 
 class TestComputeAopue:
     def test_published_comprehensive_row(self):
-        assert compute_aopue(kb_rate(563.271), 147.323) == pytest.approx(3.823, abs=1e-3)
+        report = one_run_report(100.412, 147.323, kb_rate(563.271))
+        assert report.per_run[0].aopue == pytest.approx(3.823, abs=1e-3)
 
     def test_published_hpc_row(self):
         rate = PerformanceRate(50.46e9, RateUnit.FLOPS_PER_SECOND)
-        assert compute_aopue(rate, 170.685) == pytest.approx(0.295, abs=1e-3)
+        report = one_run_report(122.679, 170.685, rate)
+        assert report.per_run[0].aopue == pytest.approx(0.295, abs=1e-3)
 
     def test_published_sort_row(self):
-        assert compute_aopue(kb_rate(1588.128), 138.481) == pytest.approx(11.468, abs=1e-3)
-
-    def test_zero_power_rejected(self):
-        with pytest.raises(ZeroFacilityPowerError):
-            compute_aopue(kb_rate(1.0), 0.0)
+        report = one_run_report(92.122, 138.481, kb_rate(1588.128))
+        assert report.per_run[0].aopue == pytest.approx(11.468, abs=1e-3)
 
 
 class TestVerifyIdentity:

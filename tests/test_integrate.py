@@ -10,7 +10,6 @@ from axpue import (
     DeviceRecord,
     Inventory,
     PowerTrace,
-    category_energy,
     integrate_power,
 )
 from axpue.errors import (
@@ -22,6 +21,7 @@ from axpue.errors import (
     UnknownDeviceError,
     ValidationError,
 )
+from axpue.integrate import category_energy
 from conftest import interior_window, random_trace, riemann_energy
 
 

@@ -1,0 +1,113 @@
+"""Property test: window integration against the whole-trace rule it replaced.
+
+``reference_integrate_power`` scans every sample of the trace for gaps and
+interpolates over the whole trace, as ``integrate_power`` did before it read
+only the samples a window needs.  It is kept here only as the reference: on
+every generated trace and window both must return the same energy, bit for
+bit, or raise the same error with the same message and gap.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from axpue import PowerTrace, integrate_power
+from axpue.errors import CoverageGapError, NoSamplesError
+from axpue.integrate import _check_window
+
+
+def reference_coverage_gap(times, start, end, max_gap):
+    if times[0] - start > max_gap:
+        return start, float(times[0])
+    if end - times[-1] > max_gap:
+        return float(times[-1]), end
+    if times.size > 1:
+        gaps = np.diff(times)
+        bad = (gaps > max_gap) & (times[:-1] < end) & (times[1:] > start)
+        hits = np.nonzero(bad)[0]
+        if hits.size:
+            i = int(hits[0])
+            return float(times[i]), float(times[i + 1])
+    return None
+
+
+def reference_integrate_power(trace, start, end, max_gap):
+    _check_window(start, end)
+    if len(trace) == 0:
+        raise NoSamplesError(
+            f"device {trace.device_id!r}: trace holds no samples",
+            device_id=trace.device_id,
+        )
+    times, watts = trace.times, trace.watts
+    start, end = float(start), float(end)
+    gap = reference_coverage_gap(times, start, end, float(max_gap))
+    if gap is not None:
+        lo, hi = gap
+        raise CoverageGapError(
+            f"device {trace.device_id!r}: no samples across [{lo}, {hi}] "
+            f"({hi - lo:.3f} s > max_gap {max_gap} s)",
+            gap=gap,
+            device_id=trace.device_id,
+        )
+    p_start = float(np.interp(start, times, watts))
+    p_end = float(np.interp(end, times, watts))
+    i0 = int(np.searchsorted(times, start, side="right"))
+    i1 = int(np.searchsorted(times, end, side="left"))
+    ts = np.concatenate(([start], times[i0:i1], [end]))
+    ps = np.concatenate(([p_start], watts[i0:i1], [p_end]))
+    return 0.5 * float(np.sum((ps[1:] + ps[:-1]) * np.diff(ts)))
+
+
+def outcome(integrate, trace, start, end, max_gap):
+    """The energy's bits, or the (type, message, gap, device) raised."""
+    try:
+        return ("ok", integrate(trace, start, end, max_gap).hex())
+    except Exception as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "gap", None))
+
+
+@st.composite
+def cases(draw):
+    """A trace with short and wide gaps, and a window that may pass its ends."""
+    steps = draw(
+        st.lists(
+            st.one_of(st.floats(0.25, 20.0), st.floats(20.0, 300.0)), max_size=40
+        )
+    )
+    origin = draw(st.floats(-1e6, 1e6))
+    empty = not steps and draw(st.booleans())
+    times = [] if empty else (origin + np.cumsum([0.0, *steps])).tolist()
+    watts = draw(st.lists(st.floats(0.0, 1e4), min_size=len(times), max_size=len(times)))
+    lo = (times[0] if times else origin) - 200.0
+    hi = (times[-1] if times else origin) + 200.0
+    point = st.floats(lo, hi)
+    if times:
+        point = st.one_of(point, st.sampled_from(times))
+    a, b = draw(point), draw(point)
+    start, end = min(a, b), max(a, b)
+    if start == end:
+        end = start + draw(st.floats(0.5, 100.0))
+    max_gap = draw(st.sampled_from([5.0, 30.0, 60.0, 150.0]))
+    return times, watts, start, end, max_gap
+
+
+@settings(max_examples=500, deadline=None)
+# Past both ends; a wide gap after, before, inside and exactly as the window;
+# a window starting on the last sample; a single sample; no sample.
+@example(([0.0, 10.0, 20.0], [1.0, 2.0, 3.0], -50.0, 75.0, 60.0))
+@example(([0.0, 10.0, 200.0, 210.0], [1.0, 2.0, 3.0, 4.0], 0.0, 10.0, 60.0))
+@example(([0.0, 100.0, 110.0, 120.0], [1.0, 2.0, 3.0, 4.0], 105.0, 120.0, 60.0))
+@example(([0.0, 10.0, 200.0, 210.0], [1.0, 2.0, 3.0, 4.0], 5.0, 205.0, 60.0))
+@example(([0.0, 10.0, 200.0, 210.0], [1.0, 2.0, 3.0, 4.0], 10.0, 200.0, 60.0))
+@example(([0.0, 10.0], [1.0, 2.0], 10.0, 50.0, 60.0))
+@example(([0.0], [3.0], -30.0, 30.0, 60.0))
+@example(([], [], 0.0, 1.0, 60.0))
+@given(cases())
+def test_window_integration_matches_the_whole_trace_rule(case):
+    times, watts, start, end, max_gap = case
+    trace = PowerTrace("dev", times, watts)
+    assert outcome(integrate_power, trace, start, end, max_gap) == outcome(
+        reference_integrate_power, trace, start, end, max_gap
+    )

@@ -23,10 +23,7 @@ from axpue import (
     parse_power_csv,
     parse_runs_jsonl,
     read_report,
-    write_inventory_json,
-    write_power_csv,
     write_report,
-    write_runs_jsonl,
 )
 from axpue.errors import (
     CoverageGapError,
@@ -38,6 +35,7 @@ from axpue.errors import (
     UnknownDeviceError,
     ValidationError,
 )
+from axpue.io import write_inventory_json, write_power_csv, write_runs_jsonl
 
 HEADER = "device_id,timestamp,watts\n"
 

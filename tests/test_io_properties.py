@@ -17,9 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import axpue.io
-from axpue import PowerTrace, parse_power_csv, write_power_csv
+from axpue import PowerTrace, parse_power_csv
 from axpue.errors import DuplicateSampleError, InvalidPowerError, ParseError
-from axpue.io import POWER_CSV_HEADER, _parse_timestamp
+from axpue.io import POWER_CSV_HEADER, _parse_timestamp, write_power_csv
 
 
 def reference_parse_power_csv(stream):

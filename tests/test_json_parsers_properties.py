@@ -22,17 +22,16 @@ from axpue import (
     ApplicationRun,
     DeviceCategory,
     DeviceRecord,
-    WORK_KIND_FOR_CATEGORY,
     WorkMeasure,
     build_report,
     parse_inventory_json,
     parse_runs_jsonl,
     read_report,
-    write_inventory_json,
     write_report,
-    write_runs_jsonl,
 )
 from axpue.errors import AxpueError
+from axpue.io import write_inventory_json, write_runs_jsonl
+from axpue.model import WORK_KIND_FOR_CATEGORY
 from conftest import random_metric_inputs
 
 SCALARS = st.one_of(

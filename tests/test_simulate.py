@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 
@@ -19,15 +20,12 @@ from axpue import (
     WorkKind,
     WorkMeasure,
     builtin_scenario,
-    paper_scenarios,
     parse_power_csv,
-    scenario_from_manifest,
-    scenario_to_manifest,
     simulate,
     sort_comparison_scenarios,
-    stretch_duration,
 )
 from axpue.errors import ModelError
+from axpue.simulate import paper_scenarios, scenario_from_manifest, scenario_to_manifest
 from conftest import run_pipeline
 
 
@@ -279,7 +277,19 @@ class TestSortComparison:
 
     def test_doubling_duration_lowers_appue(self):
         _, sort2 = sort_comparison_scenarios()
-        slow = stretch_duration(sort2, 2.0)
+        # Windows and profiles stretch; work counters and meter cadence stay.
+        slow = dataclasses.replace(
+            sort2,
+            duration=sort2.duration * 2.0,
+            utilization_profiles={
+                device_id: tuple((t * 2.0, u) for t, u in profile)
+                for device_id, profile in sort2.utilization_profiles.items()
+            },
+            runs=tuple(
+                dataclasses.replace(run, start=run.start * 2.0, end=run.end * 2.0)
+                for run in sort2.runs
+            ),
+        )
         fast_report = run_pipeline(sort2)
         slow_report = run_pipeline(slow)
         assert slow_report.per_run[0].appue < fast_report.per_run[0].appue
