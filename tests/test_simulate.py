@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import json
+import random
 
 import numpy as np
 import pytest
@@ -210,6 +212,118 @@ class TestSimulate:
                 runs=(),
                 overhead=FacilityOverheadModel(0.0, 0.0, 0.0),
             )
+
+
+def mixed_fleet_scenario(name: str, duration: float, period: float, seed: int = 7):
+    """A server, a storage array and a fixed load with seeded utilization profiles."""
+    rng = random.Random(seed)
+
+    def profile():
+        inner = sorted(rng.uniform(0.0, duration) for _ in range(3))
+        return ((0.0, rng.random()), *((t, rng.random()) for t in inner), (duration, rng.random()))
+
+    server = DeviceRecord("srv-a", DeviceCategory.IT_EQUIPMENT, "server")
+    storage = DeviceRecord("arr-1", DeviceCategory.IT_EQUIPMENT, "storage array")
+    switch = DeviceRecord("switch", DeviceCategory.IT_EQUIPMENT, "fixed load")
+    return SimScenario(
+        name=name,
+        duration=duration,
+        sample_period=period,
+        devices=(
+            (server, DevicePowerModel.server()),
+            (storage, DevicePowerModel.storage()),
+            (switch, DevicePowerModel.fixed(41.7)),
+        ),
+        utilization_profiles={"srv-a": profile(), "arr-1": profile()},
+        runs=(
+            ApplicationRun(
+                run_id="job",
+                category=ApplicationCategory.DATA_ANALYSIS,
+                start=0.0,
+                end=duration,
+                work=WorkMeasure(WorkKind.BYTES_PROCESSED, 3 * 10**9),
+                attributed_devices=frozenset({"srv-a", "arr-1"}),
+            ),
+        ),
+        overhead=FacilityOverheadModel(12.5, 0.31, 0.045),
+    )
+
+
+SMALL_SCENARIOS = {
+    "ragged": mixed_fleet_scenario("ragged", duration=127.5, period=60.0),
+    "fine": mixed_fleet_scenario("fine", duration=100.0, period=0.7),
+}
+
+# SHA-256 of power.csv, runs.jsonl, inventory.json and manifest.json, in that
+# order.  They pin the simulator's output bytes, not just their repeatability.
+PINNED_DIGESTS = {
+    "paper:bigdatabench": (
+        "347199723c7de1b7a0d8ed0f0e783dc0798499df4a38de134fa33680693d5ee9",
+        "3052afb77236142e96050e7110a7c4479df93abdcfd2c51b40abe121e105f02b",
+        "a181599b2ac6176762271a5b041cafbb599fb19dd49c9b7eb07c833381947c2d",
+        "e207d36c0c603e81799407cd85fcaa1c60a41cfebe37c6212dcf9fa10626e260",
+    ),
+    "paper:svm": (
+        "cfaa3400149157bfe4f2f4af8207e2f371983c3f0362c7625907cca5109cc12d",
+        "0b3e0b9770d40de0d0490c2bba07349083688835cd15e6ca08a486b16ebdaece",
+        "a181599b2ac6176762271a5b041cafbb599fb19dd49c9b7eb07c833381947c2d",
+        "3d5fb2f4edc3a78b88f9ca98a50aaf0058e515d3b2586d6cee5255cad5735aa0",
+    ),
+    "paper:sort": (
+        "2e24fa53b378925e824d4cb57a8282a898c19411e1c23952de701a6fd289fe17",
+        "fc9ee3ff9bb61502c4b49ac2d1c06ba0fef27b5f0adc088cee1d0ce1bce5fb4a",
+        "a181599b2ac6176762271a5b041cafbb599fb19dd49c9b7eb07c833381947c2d",
+        "4aaf418ca6842c729b44552200c57cf9cc6049d0f9209f871d1f1a28a91c2f8c",
+    ),
+    "paper:grep": (
+        "24e10bedd8e4a44422410957182689fb9eba128af57e4f952a59824225dc5f65",
+        "25e074ccaebf7f55f72c1ecbba1e66fa5765ba29cd6084ac3ffd6297c69b629e",
+        "a181599b2ac6176762271a5b041cafbb599fb19dd49c9b7eb07c833381947c2d",
+        "d1ac59994b8888faa4faaed8b6566692d321b3ad44904e62f5927cf05b268282",
+    ),
+    "paper:linpack": (
+        "81252a0cf52371a6be4c490d030315b91129ee87f756768bd43e04d1a1e23cb2",
+        "c4a131c584e8c8e8b06673bd20ab2fb2ceb0d3faacf17e830fab35d252c3c409",
+        "a181599b2ac6176762271a5b041cafbb599fb19dd49c9b7eb07c833381947c2d",
+        "67d89f62102af78e7c4d490a07f8921b937353a518a154ac7a699a84dcf0ef40",
+    ),
+    "paper:sort1": (
+        "28cc08a51d911e231bc23ced69c46106a1d79cc17355c59271c805559ec05f29",
+        "ab679c0c9eef11095b563538e81bcfb3bb62f4536b240cc63efdc5382d09feee",
+        "753bd2e32c9d2ea8ce91f89d458e41b88dd7d67cb2e47f5bfebbaf93fa4ca6c5",
+        "5083d307c0a45bbef94f4c4f3ddff812e8777b83b8f70441f5d063465aa1841c",
+    ),
+    "paper:sort2": (
+        "692719a46ecc3d982d4c65792eb9f6eb0a83e816d62757d0fae61bce79457466",
+        "e891b1c4cc1f16655276e09066472a913129754d8aae6dc54e13c796f4d65a26",
+        "753bd2e32c9d2ea8ce91f89d458e41b88dd7d67cb2e47f5bfebbaf93fa4ca6c5",
+        "43c817d1171ffa3dc62c2dfccd2c0e21c63b8c5ad24e8f2b1ad2cbbb86ab1336",
+    ),
+    "ragged": (
+        "90e5498088b5c36b2309547f1a9f25eb50df41d34da337f9c9d14b7c8a1229da",
+        "f3cb49f4c225b3be90d127ad287a8ea1b98e2d1a8f7879ce95c7c6e33f67561f",
+        "98d28cded479c69a68f8f7b2fc03eeb64e3a52f6f7459a138790c854e0784c3e",
+        "d688fa4a3fe0faac2fb0e5f82a167bc7cdd3787aca8ea09587ed1c131edd9e6d",
+    ),
+    "fine": (
+        "c6ba6f7b6dae2eec12612f481f68507beb3a3657f019a8210aecba1397e1d46b",
+        "86f3ca4ae5b7db8de8348371b9cf4ec9a0107e96e8df1235a7a4b3240b8c61a3",
+        "98d28cded479c69a68f8f7b2fc03eeb64e3a52f6f7459a138790c854e0784c3e",
+        "28fee2375e7de6325908dd149f9c903f5648678648cede204995e71625e70430",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_simulated_bytes_are_pinned(name):
+    scenario = (
+        builtin_scenario(name.removeprefix("paper:"))
+        if name.startswith("paper:")
+        else SMALL_SCENARIOS[name]
+    )
+    out = simulate(scenario)
+    files = (out.power_csv, out.runs_jsonl, out.inventory_json, out.manifest_json)
+    assert tuple(hashlib.sha256(data).hexdigest() for data in files) == PINNED_DIGESTS[name]
 
 
 class TestReferenceScenarios:
