@@ -322,13 +322,27 @@ def parse_power_csv(stream: IO[str] | Iterable[str]) -> list[PowerTrace]:
             return samples.traces()
 
 
-def write_power_csv(samples: Iterable[tuple[str, float, float]]) -> bytes:
-    """Serialize (device_id, timestamp, watts) rows; inverse of the parser."""
-    out = _stdio.StringIO()
-    out.write(",".join(POWER_CSV_HEADER) + "\n")
-    for device_id, timestamp, watts in samples:
-        out.write(f"{device_id},{float(timestamp)!r},{float(watts)!r}\n")
-    return out.getvalue().encode("utf-8")
+def write_power_csv(blocks: Iterable[tuple[str, np.ndarray, np.ndarray]]) -> bytes:
+    """Serialize ``(device_id, times, watts)`` blocks; inverse of the parser.
+
+    Each block's rows are written in order, one per sample.  Values go
+    through float64, so an integer prints as ``0.0`` and every value as its
+    shortest round-tripping ``repr``.  Blocks that share one ``times`` array
+    (the simulator's grid) format its timestamps once.
+    """
+    parts = [",".join(POWER_CSV_HEADER) + "\n"]
+    times_seen, stamps = None, []
+    for device_id, times, watts in blocks:
+        if times is not times_seen:
+            times_seen = times
+            stamps = list(map(repr, np.asarray(times, dtype=np.float64).tolist()))
+        watts = np.asarray(watts, dtype=np.float64).tolist()
+        if len(watts) != len(stamps):
+            raise ValidationError(
+                f"device {device_id!r}: {len(stamps)} timestamps but {len(watts)} watts"
+            )
+        parts.append("".join([f"{device_id},{stamp},{w!r}\n" for stamp, w in zip(stamps, watts)]))
+    return "".join(parts).encode("utf-8")
 
 
 def _load_json(data: bytes | str, what: str, line: int | None = None) -> object:

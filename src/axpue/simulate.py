@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -261,13 +261,8 @@ def simulate(scenario: SimScenario) -> SimOutput:
     )
     device_watts.append((OTHER_DEVICE, np.full_like(ts, overhead.fixed_watts)))
 
-    def rows() -> Iterable[tuple[str, float, float]]:
-        for record, watts in device_watts:
-            for t, w in zip(ts, watts):
-                yield record.device_id, float(t), float(w)
-
     return SimOutput(
-        power_csv=write_power_csv(rows()),
+        power_csv=write_power_csv((r.device_id, ts, watts) for r, watts in device_watts),
         runs_jsonl=write_runs_jsonl(scenario.runs),
         inventory_json=write_inventory_json([r for r, _ in device_watts]),
         manifest_json=scenario_to_manifest(scenario),

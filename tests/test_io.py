@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 
+import numpy as np
 import pytest
 
 import axpue.io
@@ -97,10 +98,24 @@ class TestParsePowerCsv:
 
     def test_write_parse_round_trip(self):
         rows = [("s1", 0.0, 100.5), ("s1", 61.25, 99.875), ("s2", 0.5, 0.0)]
-        traces = parse_csv(write_power_csv(rows).decode("utf-8"))
+        blocks = [(device_id, [t], [w]) for device_id, t, w in rows]
+        traces = parse_csv(write_power_csv(blocks).decode("utf-8"))
         assert [t.device_id for t in traces] == ["s1", "s2"]
         assert list(traces[0].watts) == [100.5, 99.875]
         assert list(traces[1].times) == [0.5]
+
+    def test_write_formats_blocks_through_float64(self):
+        grid = np.array([0.0, 0.1 + 0.2, 1e300])
+        text = write_power_csv([("a", grid, [1, 2, 3]), ("b", grid, np.array([-0.0, 0.5, 7.0]))])
+        assert text.decode("utf-8") == (
+            HEADER
+            + "a,0.0,1.0\na,0.30000000000000004,2.0\na,1e+300,3.0\n"
+            + "b,0.0,-0.0\nb,0.30000000000000004,0.5\nb,1e+300,7.0\n"
+        )
+
+    def test_write_rejects_mismatched_block(self):
+        with pytest.raises(ValidationError, match="2 timestamps but 1 watts"):
+            write_power_csv([("a", [0.0, 1.0], [5.0])])
 
 
 def trace_values(traces):
