@@ -178,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-gap",
         type=float,
         default=DEFAULT_MAX_GAP,
-        help="largest tolerated sample spacing in seconds (default %(default)s)",
+        help="largest tolerated sample spacing in seconds, > 0; inf turns the "
+        "coverage check off (default %(default)s)",
     )
     compute.add_argument("--format", choices=("json", "csv"), default="json")
     compute.add_argument("--out", help="output path (default stdout)")
@@ -209,15 +210,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _located(exc: AxpueError) -> str:
+    """The message, after ``PATH:LINE:`` or ``PATH:`` when the error names its file."""
+    if exc.path is None:
+        return str(exc)
+    where = exc.path if exc.line is None else f"{exc.path}:{exc.line}"
+    return f"{where}: {exc}"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CoverageGapError, NoSamplesError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_located(exc)}", file=sys.stderr)
         return EXIT_COVERAGE
     except AxpueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_located(exc)}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,6 +38,7 @@ from .errors import (
 from .integrate import (
     DEFAULT_MAX_GAP,
     PowerTrace,
+    _check_max_gap,
     _check_window,
     category_energy,
     integrate_power,
@@ -276,8 +277,10 @@ def analyze(
     with no runs an explicit window is required.  Per-run IT energy is the
     summed integral over the run's attributed devices within the run's own
     window.  Overlapping runs must not share devices, and every run must lie
-    inside the report window.
+    inside the report window.  ``max_gap`` must be > 0; ``inf`` turns the
+    coverage check off.
     """
+    _check_max_gap(max_gap)
     _check_run_devices(runs, inventory)
     if window is None:
         if not runs:

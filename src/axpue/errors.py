@@ -1,7 +1,9 @@
 """Exception types raised across the package.
 
-Parsers attach a 1-based ``line`` number where one is known; integration
-errors carry the ``device_id`` of the offending trace when available.
+Parsers attach a 1-based ``line`` number where one is known, and
+:func:`~axpue.io.load_bundle` the ``path`` of the file it was reading;
+integration errors carry the ``device_id`` of the offending trace when
+available.
 """
 
 from __future__ import annotations
@@ -9,6 +11,10 @@ from __future__ import annotations
 
 class AxpueError(Exception):
     """Base class for every error raised by this package."""
+
+    #: The input file and 1-based line the error was found in, when known.
+    path: str | None = None
+    line: int | None = None
 
 
 class ValidationError(AxpueError):

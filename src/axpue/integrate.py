@@ -66,6 +66,12 @@ class PowerTrace:
         return int(self.times.size)
 
 
+def _check_max_gap(max_gap: float) -> None:
+    """``max_gap`` must be > 0; ``inf`` means no stretch is too wide."""
+    if not max_gap > 0:  # NaN compares false, so it is rejected too
+        raise ValidationError(f"max_gap must be > 0 seconds, got {max_gap!r}")
+
+
 def _check_window(start: float, end: float) -> None:
     if not (math.isfinite(start) and math.isfinite(end)) or end <= start:
         raise InvalidWindowError(f"window end ({end}) must be > start ({start})")
@@ -103,11 +109,13 @@ def integrate_power(
     the nearest one beyond each edge are read, so the cost does not grow
     with the length of the trace.
 
-    Raises :class:`NoSamplesError` on an empty trace,
-    :class:`InvalidWindowError` when ``end <= start``, and
+    Raises :class:`ValidationError` when ``max_gap`` is NaN or not positive
+    (``inf`` turns the gap check off), :class:`NoSamplesError` on an empty
+    trace, :class:`InvalidWindowError` when ``end <= start``, and
     :class:`CoverageGapError` when any stretch relevant to the window is
     wider than ``max_gap``.
     """
+    _check_max_gap(max_gap)
     _check_window(start, end)
     if len(trace) == 0:
         raise NoSamplesError(

@@ -32,6 +32,7 @@ from typing import IO, Iterable, NoReturn
 import numpy as np
 
 from .errors import (
+    AxpueError,
     DuplicateSampleError,
     InvalidPowerError,
     InvalidWindowError,
@@ -355,6 +356,8 @@ def _load_json(data: bytes | str, what: str, line: int | None = None) -> object:
         raise SchemaError(f"{what}: {exc.msg}", line=line) from exc
     except ValueError as exc:  # an integer literal beyond the int digit limit
         raise SchemaError(f"{what}: {str(exc).partition(';')[0]}", line=line) from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{what}: nested too deeply", line=line) from exc
 
 
 def _run_to_obj(run: ApplicationRun) -> dict:
@@ -644,15 +647,19 @@ def load_bundle(
 
 
 def _parse_file(parse, path: str | Path, newline: str | None = None):
-    """``parse`` an open UTF-8 text file.
+    """``parse`` an open UTF-8 text file; its errors carry the ``path``.
 
     Undecodable bytes, and a CSV field longer than ``csv.field_size_limit()``,
-    are a :class:`ParseError` naming the file.
+    are a :class:`ParseError`.
     """
     with open(path, "r", encoding="utf-8", newline=newline) as f:
         try:
-            return parse(f)
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
-        except csv.Error as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+            try:
+                return parse(f)
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not valid UTF-8 ({exc.reason})") from exc
+            except csv.Error as exc:
+                raise ParseError(str(exc)) from exc
+        except AxpueError as exc:
+            exc.path = str(path)
+            raise

@@ -20,6 +20,7 @@ from axpue.io import read_report
 
 HEADER = "device_id,timestamp,watts\n"
 INVENTORY = '[{"device_id": "s1", "category": "it_equipment", "label": ""}]'
+VALID_POWER = HEADER + "s1,0,100\ns1,50,100\ns1,100,100\n"
 
 
 def run_line(**overrides) -> str:
@@ -95,6 +96,53 @@ class TestComputeCommand:
         assert main(["compute", *args, "--max-gap", "60"]) == 3
         assert "max_gap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_gap", ["nan", "0", "-1"])
+    def test_max_gap_must_be_positive(self, tmp_path, capsys, max_gap):
+        args = write_inputs(tmp_path, HEADER + "s1,0,100\ns1,100000,100\n", "")
+        code = main(["compute", *args, "--max-gap", max_gap, "--window", "0,100000"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: max_gap must be > 0 seconds, got {float(max_gap)!r}\n"
+        )
+
+    def test_infinite_max_gap_bridges_any_gap(self, tmp_path, capsys):
+        args = write_inputs(tmp_path, HEADER + "s1,0,100\ns1,100000,100\n", "")
+        assert main(["compute", *args, "--max-gap", "inf", "--window", "0,100000"]) == 0
+        assert read_report(capsys.readouterr().out).pue == 1.0
+
+    @pytest.mark.parametrize(
+        "target, power, runs, where, message",
+        [
+            ("power.csv", HEADER + "s1,0,100\ns1,5\n", run_line(), 3, "expected 3 fields, got 2"),
+            (
+                "power.csv",
+                HEADER + "s1,0,100\ns1,60,100\ns1,0,5\n",
+                run_line(),
+                4,
+                "device 's1': duplicate timestamp 0.0",
+            ),
+            (
+                "power.csv",
+                HEADER + "s1,0,100\ns1,60,-1\n",
+                run_line(),
+                3,
+                "device 's1': watts must be finite and >= 0, got -1.0",
+            ),
+            (
+                "runs.jsonl",
+                VALID_POWER,
+                run_line() + run_line(run_id="late", start=100.0, end=50.0),
+                2,
+                "run 'late': end (50.0) must be > start (100.0)",
+            ),
+        ],
+        ids=["short-row", "duplicate-sample", "negative-watts", "inverted-run"],
+    )
+    def test_errors_name_file_and_line(self, tmp_path, capsys, target, power, runs, where, message):
+        args = write_inputs(tmp_path, power, runs)
+        assert main(["compute", *args]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / target}:{where}: {message}\n"
+
     # The inputs of tests/test_io.py::TestLoadBundle's rejection tests.
     @pytest.mark.parametrize(
         "power, runs, extra, code",
@@ -148,7 +196,9 @@ class TestComputeCommand:
             run_line(work={"type": "bytes_processed", "value": 10**400}),
         )
         assert main(["compute", *args]) == 2
-        assert capsys.readouterr().err == "error: work amount is beyond float range\n"
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'runs.jsonl'}:1: work amount is beyond float range\n"
+        )
 
     def test_missing_file_exits_2(self, tmp_path):
         code = main(
@@ -334,8 +384,9 @@ class TestReportCommand:
 
 #: A JSON integer literal past Python's int-to-str digit limit (4,300 by default).
 HUGE_INT = "7" * 5000
+#: JSON nested far deeper than the interpreter's recursion limit.
+DEEP = "[" * 100_000
 DIGIT_LIMIT = "Exceeds the limit (4300 digits) for integer string conversion"
-VALID_POWER = HEADER + "s1,0,100\ns1,50,100\ns1,100,100\n"
 
 
 def simulated_manifest(tmp_path) -> Path:
@@ -354,10 +405,37 @@ class TestBadInputBytes:
         inventory = INVENTORY.replace('"label": ""', f'"label": "", "rack": {HUGE_INT}')
         if target == "runs":
             args = write_inputs(tmp_path, VALID_POWER, runs)
+            where = f"{tmp_path / 'runs.jsonl'}:1"
         else:
             args = write_inputs(tmp_path, VALID_POWER, run_line(), inventory)
+            where = f"{tmp_path / 'inventory.json'}"
         assert main(["compute", *args]) == 2
-        assert capsys.readouterr().err.startswith(f"error: invalid JSON: {DIGIT_LIMIT}")
+        assert capsys.readouterr().err.startswith(f"error: {where}: invalid JSON: {DIGIT_LIMIT}")
+
+    @pytest.mark.parametrize("target", ["runs", "inventory"])
+    def test_deep_nesting_in_compute_input(self, tmp_path, capsys, target):
+        if target == "runs":
+            args = write_inputs(tmp_path, VALID_POWER, DEEP)
+            where = f"{tmp_path / 'runs.jsonl'}:1"
+        else:
+            args = write_inputs(tmp_path, VALID_POWER, run_line(), DEEP)
+            where = f"{tmp_path / 'inventory.json'}"
+        assert main(["compute", *args]) == 2
+        assert capsys.readouterr().err == f"error: {where}: invalid JSON: nested too deeply\n"
+
+    def test_deep_nesting_in_report(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        path.write_text(DEEP)
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr().err == "error: invalid JSON report: nested too deeply\n"
+
+    def test_deep_nesting_in_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(DEEP)
+        assert main(["simulate", str(manifest), "--out", str(tmp_path / "sim")]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid scenario manifest: nested too deeply\n"
+        )
 
     def test_oversized_json_integer_in_report(self, tmp_path, capsys):
         path = tmp_path / "a.json"
@@ -438,6 +516,7 @@ def damaged(valid: bytes):
     return st.one_of(
         st.binary(max_size=200),
         span.map(lambda s: valid[: min(s[:2])] + s[2] + valid[max(s[:2]) :]),
+        st.integers(1, 100_000).map(lambda depth: b"[" * depth),
     )
 
 

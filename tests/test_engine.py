@@ -398,6 +398,11 @@ class TestAnalyze:
         with pytest.raises(InvalidWindowError):
             analyze(self.traces(), self.inventory(), [])
 
+    @pytest.mark.parametrize("max_gap", [float("nan"), 0.0, -60.0])
+    def test_max_gap_must_be_positive(self, max_gap):
+        with pytest.raises(ValidationError, match="max_gap must be > 0 seconds"):
+            analyze(self.traces(), self.inventory(), [], window=(0.0, 1000.0), max_gap=max_gap)
+
     def test_no_runs_with_window(self):
         report = analyze(self.traces(), self.inventory(), [], window=(0.0, 1000.0))
         assert report.per_run == ()

@@ -95,6 +95,17 @@ class TestIntegratePower:
         with pytest.raises(InvalidWindowError):
             integrate_power(constant_trace(100.0), 60.0, 60.0)
 
+    @pytest.mark.parametrize("max_gap", [float("nan"), 0.0, -1.0])
+    def test_max_gap_must_be_positive(self, max_gap):
+        trace = PowerTrace("dev", [0.0, 100000.0], [100.0, 100.0])
+        with pytest.raises(ValidationError, match="max_gap must be > 0 seconds"):
+            integrate_power(trace, 0.0, 100000.0, max_gap=max_gap)
+
+    def test_infinite_max_gap_never_rejects(self):
+        trace = PowerTrace("dev", [10.0, 100000.0], [100.0, 100.0])
+        energy = integrate_power(trace, 0.0, 200000.0, max_gap=float("inf"))
+        assert energy == pytest.approx(100.0 * 200000.0)
+
     def test_interior_gap_rejected(self):
         trace = PowerTrace("dev", [0.0, 10.0, 700.0], [100.0, 100.0, 100.0])
         with pytest.raises(CoverageGapError) as excinfo:
