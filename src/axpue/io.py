@@ -338,11 +338,9 @@ def write_power_csv(blocks: Iterable[tuple[str, np.ndarray, np.ndarray]]) -> byt
             times_seen = times
             stamps = list(map(repr, np.asarray(times, dtype=np.float64).tolist()))
         watts = np.asarray(watts, dtype=np.float64).tolist()
-        if len(watts) != len(stamps):
-            raise ValidationError(
-                f"device {device_id!r}: {len(stamps)} timestamps but {len(watts)} watts"
-            )
-        parts.append("".join([f"{device_id},{stamp},{w!r}\n" for stamp, w in zip(stamps, watts)]))
+        parts.append(
+            "".join([f"{device_id},{stamp},{w!r}\n" for stamp, w in zip(stamps, watts, strict=True)])
+        )
     return "".join(parts).encode("utf-8")
 
 

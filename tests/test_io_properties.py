@@ -1,9 +1,11 @@
-"""Property tests: the chunked power-CSV parser against a row-at-a-time one.
+"""Property tests: the chunked power-CSV parser and the block writer against
+row-at-a-time ones.
 
 ``reference_parse_power_csv`` is the row loop the chunked parser replaced.
 It is kept here only as the reference the parser is compared against: on
 every generated input both must return the same traces, or raise the same
-error type with the same message and line.
+error type with the same message and line.  ``reference_write_power_csv``
+is likewise the row writer the block writer must match byte for byte.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import io
 import math
 from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -260,3 +263,29 @@ def test_write_then_parse_round_trips(samples, chunk):
     assert [(t.device_id, t.times.tolist(), t.watts.tolist()) for t in traces] == [
         (device_id, times, powers) for device_id, (times, powers) in sorted(expected.items())
     ]
+
+
+def reference_write_power_csv(rows) -> bytes:
+    """The row-at-a-time writer that the block writer replaced."""
+    out = io.StringIO()
+    out.write(",".join(POWER_CSV_HEADER) + "\n")
+    for device_id, timestamp, watts in rows:
+        out.write(f"{device_id},{float(timestamp)!r},{float(watts)!r}\n")
+    return out.getvalue().encode("utf-8")
+
+
+# Integers within float64's exact range print as floats through both writers.
+NUMBERS = st.floats(allow_nan=False) | st.integers(-(2**53), 2**53)
+
+
+@settings(max_examples=200, deadline=None)
+@given(times=st.lists(NUMBERS, max_size=6), data=st.data())
+def test_block_writer_matches_the_row_writer(times, data):
+    """Blocks on one shared grid, or on a copy of it, print as the row loop does."""
+    grid = np.array(times, dtype=np.float64)
+    blocks = [
+        (device_id, grid if shared else list(times), data.draw(st.lists(NUMBERS, min_size=len(times), max_size=len(times))))
+        for device_id, shared in data.draw(st.lists(st.tuples(DEVICE_IDS, st.booleans()), max_size=4))
+    ]
+    rows = [(d, t, w) for d, _, watts in blocks for t, w in zip(times, watts)]
+    assert write_power_csv(blocks) == reference_write_power_csv(rows)
