@@ -5,7 +5,8 @@ Usage, from the root of a checkout::
     python3 benchmarks/record.py --seeds 1 2 3 4 5 [--checkout DIR]
 
 For each workload, ``perfbench/run.py`` of ``--checkout`` (default: this
-checkout) runs once per seed, one after the other.  One record per workload
+checkout) runs once per seed, one after the other, for the ``run_seconds``
+that the checkout's ``BENCHMARK.json`` sets.  One record per workload
 is appended: the checkout's commit, the date, the seeds, the median, Q1 and
 Q3 of each end-to-end metric over the seeds, the median ``cpu_slowdown``,
 the number of failed computations, and the Python and numpy versions.
@@ -71,16 +72,16 @@ def record(checkout: Path, workload: str, seeds: list[int], seconds: float) -> d
 
 def main() -> int:
     ap = argparse.ArgumentParser(description="record perfbench results in BENCH_perfbench.json")
-    ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    ap.add_argument("--seeds", type=int, nargs="+", required=True, help="two or more seeds")
     ap.add_argument("--checkout", type=Path, default=ROOT, help="checkout whose perfbench to run")
-    ap.add_argument("--seconds", type=float, help="measuring time per run (default: BENCHMARK.json's run_seconds)")
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_perfbench.json")
     args = ap.parse_args()
+    if len(args.seeds) < 2:
+        ap.error("--seeds needs two or more seeds for the quartiles")
     checkout = args.checkout.resolve()
-    seconds = args.seconds or json.loads((checkout / "BENCHMARK.json").read_text())["run_seconds"]
+    seconds = json.loads((checkout / "BENCHMARK.json").read_text())["run_seconds"]
     records = json.loads(args.out.read_text()) if args.out.exists() else []
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         records.append(record(checkout, workload, args.seeds, seconds))
         args.out.write_text(json.dumps(records, indent=1) + "\n")
         print(json.dumps(records[-1]))

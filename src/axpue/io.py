@@ -328,15 +328,18 @@ def write_power_csv(blocks: Iterable[tuple[str, np.ndarray, np.ndarray]]) -> byt
 
     Each block's rows are written in order, one per sample.  Values go
     through float64, so an integer prints as ``0.0`` and every value as its
-    shortest round-tripping ``repr``.  Blocks that share one ``times`` array
-    (the simulator's grid) format its timestamps once.
+    shortest round-tripping ``repr``.  Consecutive blocks whose ``times``
+    hold the same float64 bits (the simulator's grid) format them once.
     """
     parts = [",".join(POWER_CSV_HEADER) + "\n"]
     times_seen, stamps = None, []
     for device_id, times, watts in blocks:
-        if times is not times_seen:
-            times_seen = times
-            stamps = list(map(repr, np.asarray(times, dtype=np.float64).tolist()))
+        times = np.asarray(times, dtype=np.float64)
+        # Keyed on the bits, not the object: a buffer refilled in place
+        # between blocks is formatted again, and -0.0 is not 0.0.
+        if (key := times.tobytes()) != times_seen:
+            times_seen = key
+            stamps = list(map(repr, times.tolist()))
         watts = np.asarray(watts, dtype=np.float64).tolist()
         parts.append(
             "".join([f"{device_id},{stamp},{w!r}\n" for stamp, w in zip(stamps, watts, strict=True)])

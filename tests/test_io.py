@@ -113,6 +113,18 @@ class TestParsePowerCsv:
             + "b,0.0,-0.0\nb,0.30000000000000004,0.5\nb,1e+300,7.0\n"
         )
 
+    def test_write_reformats_a_grid_changed_in_place(self):
+        buffer = np.zeros(2)
+
+        def blocks():
+            for device_id, grid in (("a", [0.0, 60.0]), ("b", [-0.0, 60.0]), ("c", [5.0, 65.0])):
+                buffer[:] = grid
+                yield device_id, buffer, [1.0, 2.0]
+
+        assert write_power_csv(blocks()).decode("utf-8") == (
+            HEADER + "a,0.0,1.0\na,60.0,2.0\nb,-0.0,1.0\nb,60.0,2.0\nc,5.0,1.0\nc,65.0,2.0\n"
+        )
+
     def test_write_rejects_mismatched_block(self):
         with pytest.raises(ValueError):
             write_power_csv([("a", [0.0, 1.0], [5.0])])
