@@ -136,8 +136,17 @@ def _aggregate_row(reports: list[MetricsReport]) -> list[str] | None:
     return out
 
 
+def _read_report_file(path: str) -> MetricsReport:
+    """:func:`~axpue.io.read_report` of one file; its errors carry the ``path``."""
+    try:
+        return read_report(Path(path).read_bytes())
+    except AxpueError as exc:
+        exc.path = path
+        raise
+
+
 def cmd_report(args: argparse.Namespace) -> int:
-    reports = [read_report(Path(path).read_bytes()) for path in args.files]
+    reports = [_read_report_file(path) for path in args.files]
     table, series = _merged_rows(reports)
     aggregate = _aggregate_row(reports)
     out = _stdio.StringIO()

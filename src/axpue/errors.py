@@ -1,9 +1,9 @@
 """Exception types raised across the package.
 
 Parsers attach a 1-based ``line`` number where one is known, and
-:func:`~axpue.io.load_bundle` the ``path`` of the file it was reading;
-integration errors carry the ``device_id`` of the offending trace when
-available.
+:func:`~axpue.io.load_bundle` and ``axpue report`` the ``path`` of the file
+they were reading; integration errors carry the ``device_id`` of the
+offending trace when available.
 """
 
 from __future__ import annotations

@@ -84,7 +84,11 @@ def _parse_timestamp(text: str) -> float:
     return moment.timestamp()
 
 
-#: Lines of power CSV that are read, converted and checked at a time.
+#: Characters of power CSV that are read, split and checked at a time.
+_BLOCK_CHARS = 1 << 16
+#: Characters asked of the stream by each ``read`` call.
+_READ_CHARS = 8192
+#: Rows that ``csv.reader`` tokenizes before they are converted and checked.
 _CHUNK_LINES = 2048
 
 
@@ -102,45 +106,27 @@ def _take(iterator, count: int) -> tuple[list, Exception | None]:
     return items, None
 
 
-def _then_raise(items: list, exc: Exception):
+def _then_raise(items: Iterable, exc: Exception):
     yield from items
     raise exc
 
 
-def _plain_columns(lines: list) -> tuple[list, list, list] | None:
-    """Split lines into device, timestamp and watts columns, if that is safe.
+def _split_block(text: str) -> tuple[list, list, list] | None:
+    """Split a block of lines into device, timestamp and watts columns, if safe.
 
-    Plain lines are split with ``str`` methods, which is only what
-    ``csv.reader`` would do when every line holds exactly two commas and one
-    ``\\n`` at its end (the chunk's last line may lack it), no field can
-    exceed the csv field limit, and there is no ``"`` or ``\\r``.  Returns
-    None otherwise.  Device fields after the first keep a leading ``\\n``,
-    which device-id stripping removes.
+    Plain blocks are split with ``str`` methods, which is only what
+    ``csv.reader`` would do when every line holds exactly two commas and
+    ends in ``\\n``, there is no ``"`` or ``\\r``, and no field is longer than
+    ``csv.field_size_limit()``; the caller keeps blocks short enough for the
+    last rule.  Returns None otherwise.  Device fields after the first keep a
+    leading ``\\n``, which device-id stripping removes.
     """
-    count = len(lines)
-    if not count:
-        return [], [], []
-    try:
-        # A plain chunk has no "\r", so "\r" can mark where each line ended.
-        text = "\r".join(lines)
-    except TypeError:
+    if '"' in text or "\r" in text:
         return None
-    if not text.endswith("\n"):
-        text += "\n"
-    text += "\r"
-    if (
-        '"' in text
-        or text.count("\r") != count
-        or text.count("\n\r") != count
-        or text.count("\n") != count
-    ):
-        return None
-    limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, lines)) > limit:
-        return None
+    count = text.count("\n")
     # With a comma before each newline, every line starts a new field and
     # each newline is the first character of its field.
-    fields = text.replace("\n\r", ",\n").split(",")
+    fields = text.replace("\n", ",\n").split(",")
     if len(fields) != 3 * count + 1 or "".join(fields[3::3]).count("\n") != count:
         return None
     del fields[-1]
@@ -263,6 +249,60 @@ def _join(chunks: list[np.ndarray]) -> np.ndarray:
     return column
 
 
+def _read_block(stream, tail: str, size: int) -> tuple[str, Exception | None]:
+    """``tail`` plus up to ``size - len(tail)`` characters read from ``stream``.
+
+    Shorter only at the end of the stream, or when a read fails; the failure
+    is returned, so that the complete lines read before it are still checked.
+    """
+    parts, count = [tail], len(tail)
+    try:
+        while count < size and (piece := stream.read(min(_READ_CHARS, size - count))):
+            parts.append(piece)
+            count += len(piece)
+    except Exception as exc:
+        return "".join(parts), exc
+    return "".join(parts), None
+
+
+def _add_plain_blocks(stream, lines, samples: _Samples) -> tuple[int, Iterable[str] | None]:
+    """Add the stream's plain blocks; then the lines left for ``csv.reader``.
+
+    Returns the number of the first line not added, and the lines from it
+    on, or None when the stream has ended.  Those lines are the text already
+    read, with its last line completed from the stream, and then the rest of
+    the stream; the text is split into lines as the stream splits them (a
+    lone ``\\r`` ends a line only where the stream has universal newlines).
+    """
+    # No field of a block this long can exceed the csv field limit.
+    size = min(_BLOCK_CHARS, csv.field_size_limit())
+    line, tail = 2, ""
+    while True:
+        text, failure = _read_block(stream, tail, size)
+        at_end = failure is None and len(text) < size
+        cut = len(text) if at_end else text.rfind("\n") + 1
+        block = text[:cut]
+        columns = _split_block(block)
+        if columns is None or not (cut or at_end or failure):
+            # Not plain, or a line longer than a block: csv.reader takes over.
+            newline = "\n" if getattr(stream, "newlines", None) is None else ""
+            # A failed read is raised where csv asks for the next line, so a
+            # quoted record left open in the block ends in it, not in a short row.
+            if failure is not None:
+                return line, _then_raise(_stdio.StringIO(block, newline=newline), failure)
+            text += next(lines, "")
+            return line, itertools.chain(_stdio.StringIO(text, newline=newline), lines)
+        count = len(columns[0])
+        if not samples.add(columns, np.arange(line, line + count)):
+            _raise_first_bad_row(zip(*columns), line)
+        line += count
+        if failure is not None:
+            raise failure
+        if at_end:
+            return line, None
+        tail = text[cut:]
+
+
 def parse_power_csv(stream: IO[str] | Iterable[str]) -> list[PowerTrace]:
     """Parse power samples into one trace per device, sorted by device_id.
 
@@ -271,11 +311,14 @@ def parse_power_csv(stream: IO[str] | Iterable[str]) -> list[PowerTrace]:
     readings are rejected with the offending 1-based line number (the row's
     record number when a quoted field spans lines).
 
-    The stream is read ``_CHUNK_LINES`` lines at a time.  Plain chunks are
-    split with string methods; from the first chunk that is not plain on,
-    ``csv.reader`` tokenizes the rest.  Each chunk is converted and checked
-    column-wise; a chunk that fails is re-checked row by row to report its
-    first bad row.
+    After the header, a stream with ``read`` (a text file, ``StringIO``) is
+    read in blocks of up to ``_BLOCK_CHARS`` characters, cut after their
+    last newline.  Plain blocks are split with string methods; from the
+    first block that is not plain on, ``csv.reader`` tokenizes the rest, as
+    it does every line of a stream without ``read``.  Each block, or each
+    ``_CHUNK_LINES`` rows of ``csv.reader``, is converted and checked
+    column-wise; one that fails is re-checked row by row to report its
+    first bad row.  Lines read before a failed read are checked first.
     """
     lines = iter(stream)
     try:
@@ -288,24 +331,13 @@ def parse_power_csv(stream: IO[str] | Iterable[str]) -> list[PowerTrace]:
             line=1,
         )
     samples = _Samples()
-    line = 2
-    while True:
-        chunk, failure = _take(lines, _CHUNK_LINES)
-        columns = _plain_columns(chunk)
-        if columns is None:
-            break
-        if not samples.add(columns, np.arange(line, line + len(chunk))):
-            _raise_first_bad_row(zip(*columns), line)
-        line += len(chunk)
-        if failure is not None:
-            raise failure
-        if len(chunk) < _CHUNK_LINES:
+    if hasattr(stream, "read"):
+        line, rest = _add_plain_blocks(stream, lines, samples)
+        if rest is None:
             return samples.traces()
-    # A failed read is raised where csv asks for the next line, so a quoted
-    # record left open at the end of the chunk ends in it, not in a short row.
-    reader = csv.reader(
-        _then_raise(chunk, failure) if failure is not None else itertools.chain(chunk, lines)
-    )
+    else:
+        line, rest = 2, lines
+    reader = csv.reader(rest)
     while True:
         rows, csv_failure = _take(reader, _CHUNK_LINES)
         # Blank rows are skipped, but they count as lines.
@@ -572,10 +604,15 @@ def write_report(report: MetricsReport, fmt: str = "json") -> bytes:
 
 
 def _json(value: object, *types: type) -> object:
-    """``value`` if its JSON type is one of ``types`` (a boolean is no int)."""
+    """``value`` if its JSON type is one of ``types`` (a boolean is no int).
+
+    An integer beyond float range raises :class:`OverflowError`.
+    """
     if type(value) not in types:
         names = " or ".join(t.__name__ for t in types)
         raise TypeError(f"expected {names}, got {value!r}")
+    if type(value) is int:
+        float(value)
     return value
 
 
@@ -641,7 +678,7 @@ def load_bundle(
     against the inventory and whether telemetry covers every window is
     checked once, by :func:`~axpue.engine.analyze`.
     """
-    inventory = Inventory(_parse_file(parse_inventory_json, inventory_path))
+    inventory = _parse_file(lambda f: Inventory(parse_inventory_json(f)), inventory_path)
     traces = _parse_file(parse_power_csv, power_path, newline="")
     runs = _parse_file(parse_runs_jsonl, runs_path)
     return ScenarioBundle(inventory=inventory, traces=tuple(traces), runs=tuple(runs))

@@ -87,6 +87,14 @@ class TestComputeCommand:
         assert main(["compute", *args]) == 2
         assert "ghost" in capsys.readouterr().err
 
+    def test_duplicate_inventory_id_names_the_inventory(self, tmp_path, capsys):
+        inventory = json.dumps(json.loads(INVENTORY) * 2)
+        args = write_inputs(tmp_path, VALID_POWER, run_line(), inventory)
+        assert main(["compute", *args]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'inventory.json'}: duplicate device_id 's1'\n"
+        )
+
     def test_coverage_gap_exits_3(self, tmp_path, capsys):
         args = write_inputs(
             tmp_path,
@@ -381,6 +389,23 @@ class TestReportCommand:
         bogus.write_text('{"schema": "other/1"}')
         assert main(["report", str(bogus)]) == 2
 
+    def test_errors_name_the_report_file(self, tmp_path, capsys):
+        good, stub = tmp_path / "good.json", tmp_path / "stub.json"
+        good.write_text(single_run_report("a", 1.0))
+        stub.write_text('{"schema": "axpue-report/1"}')
+        assert main(["report", str(good), str(stub)]) == 2
+        assert capsys.readouterr().err == f"error: {stub}: malformed report document: 'window'\n"
+
+    def test_number_beyond_float_range_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        doc = json.loads(single_run_report("a", 1.0))
+        doc["per_run"][0]["facility_power_kw"] = 10**400
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed report document: int too large to convert to float\n"
+        )
+
 
 #: A JSON integer literal past Python's int-to-str digit limit (4,300 by default).
 HUGE_INT = "7" * 5000
@@ -427,7 +452,7 @@ class TestBadInputBytes:
         path = tmp_path / "a.json"
         path.write_text(DEEP)
         assert main(["report", str(path)]) == 2
-        assert capsys.readouterr().err == "error: invalid JSON report: nested too deeply\n"
+        assert capsys.readouterr().err == f"error: {path}: invalid JSON report: nested too deeply\n"
 
     def test_deep_nesting_in_manifest(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
@@ -443,7 +468,7 @@ class TestBadInputBytes:
         path.write_text(report.replace('"pue": 1.5', f'"pue": {HUGE_INT}'))
         assert main(["report", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: invalid JSON report: {DIGIT_LIMIT}")
+        assert err.startswith(f"error: {path}: invalid JSON report: {DIGIT_LIMIT}")
 
     def test_oversized_json_integer_in_manifest(self, tmp_path, capsys):
         manifest = simulated_manifest(tmp_path)

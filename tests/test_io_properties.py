@@ -10,12 +10,14 @@ is likewise the row writer the block writer must match byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -175,18 +177,49 @@ def streams(text, cuts):
 HEADER = "device_id,timestamp,watts\n"
 
 
+#: Block sizes that put block edges inside short inputs, and the default.
+BLOCKS = st.integers(5, 20) | st.just(axpue.io._BLOCK_CHARS)
+
+
+@contextlib.contextmanager
+def parser_sizes(chunk=axpue.io._CHUNK_LINES, block=axpue.io._BLOCK_CHARS, reads=axpue.io._READ_CHARS, field_limit=None):
+    """The parser with small chunks, blocks, reads and csv field limit."""
+    old_limit = csv.field_size_limit(field_limit or csv.field_size_limit())
+    try:
+        with mock.patch.multiple(axpue.io, _CHUNK_LINES=chunk, _BLOCK_CHARS=block, _READ_CHARS=reads):
+            yield
+    finally:
+        csv.field_size_limit(old_limit)
+
+
 @settings(max_examples=500, deadline=None)
-@given(text_and_cuts=csv_texts(), chunk=st.integers(1, 4))
+@given(
+    text_and_cuts=csv_texts(),
+    chunk=st.integers(1, 4),
+    block=BLOCKS,
+    reads=st.integers(1, 8),
+    field_limit=st.none() | st.integers(8, 40),
+)
 # A quoted field without a comma in it, in a later chunk.
-@example(text_and_cuts=(HEADER + 's1,0,1\ns1,60,1\n"s2",0,"1"\n', []), chunk=2)
+@example(text_and_cuts=(HEADER + 's1,0,1\ns1,60,1\n"s2",0,"1"\n', []), chunk=2, block=1 << 16, reads=8, field_limit=None)
 # Rows of 2 and 4 fields in one chunk: 6 fields, as two good rows have.
-@example(text_and_cuts=(HEADER + "s1,0\ns2,5,1,x\n", []), chunk=2)
+@example(text_and_cuts=(HEADER + "s1,0\ns2,5,1,x\n", []), chunk=2, block=1 << 16, reads=8, field_limit=None)
 # A piece ending in a comma before a piece starting with a newline.
-@example(text_and_cuts=(HEADER + "s1,0,1,\ns2,0,1\n", [len(HEADER), len(HEADER) + 7]), chunk=2)
+@example(text_and_cuts=(HEADER + "s1,0,1,\ns2,0,1\n", [len(HEADER), len(HEADER) + 7]), chunk=2, block=1 << 16, reads=8, field_limit=None)
 # A piece holding a newline inside a row.
-@example(text_and_cuts=(HEADER + "s1,5\n,1\n", [len(HEADER)]), chunk=1)
-def test_chunked_parser_matches_row_loop(text_and_cuts, chunk):
-    with mock.patch.object(axpue.io, "_CHUNK_LINES", chunk):
+@example(text_and_cuts=(HEADER + "s1,5\n,1\n", [len(HEADER)]), chunk=1, block=1 << 16, reads=8, field_limit=None)
+# A blank line, then a last line without a newline, in the next block.
+@example(text_and_cuts=(HEADER + "s1,0,1\n\ns2,0,100", []), chunk=2, block=7, reads=8, field_limit=None)
+# A \r\n split between two blocks.
+@example(text_and_cuts=(HEADER + "s1,0,1\r\ns1,60,1\r\n", []), chunk=2, block=7, reads=3, field_limit=None)
+# A lone \r ends a line only where the stream has universal newlines.
+@example(text_and_cuts=(HEADER + "s1,0,1\rs1,60,1\n", []), chunk=2, block=1 << 16, reads=8, field_limit=None)
+# A line longer than the block.
+@example(text_and_cuts=(HEADER + "s1,0,1\nsensor-a,60.0,100.5\ns1,60,1\n", []), chunk=2, block=10, reads=4, field_limit=None)
+# A block ending inside a line, under a small csv field limit.
+@example(text_and_cuts=(HEADER + "s1,0,1\ns2,1970-01-01T00:00:00Z,1\n", []), chunk=2, block=16, reads=5, field_limit=20)
+def test_chunked_parser_matches_row_loop(text_and_cuts, chunk, block, reads, field_limit):
+    with parser_sizes(chunk, block, reads, field_limit):
         for kind, make_stream in streams(*text_and_cuts).items():
             expected = outcome(reference_parse_power_csv, make_stream)
             assert outcome(parse_power_csv, make_stream) == expected, kind
@@ -222,14 +255,21 @@ def test_bytes_lines_raise_like_csv():
 
 def test_field_over_csv_limit_raises_like_csv():
     text = "device_id,timestamp,watts\ns1,0,1\n" + "s" * 40 + ",0,1\n"
-    with mock.patch.object(axpue.io, "_CHUNK_LINES", 2):
-        old = csv.field_size_limit(20)
-        try:
-            expected = outcome(reference_parse_power_csv, lambda: io.StringIO(text))
-            assert expected[0] == "error"
-            assert outcome(parse_power_csv, lambda: io.StringIO(text)) == expected
-        finally:
-            csv.field_size_limit(old)
+    with parser_sizes(chunk=2, field_limit=20):
+        expected = outcome(reference_parse_power_csv, lambda: io.StringIO(text))
+        assert expected[0] == "error"
+        assert outcome(parse_power_csv, lambda: io.StringIO(text)) == expected
+
+
+def test_bad_row_is_reported_before_a_later_undecodable_byte(tmp_path):
+    rows = "".join(f"s1,{60 * i},100\n" for i in range(3, 1600))
+    assert len(rows) > 20_000
+    path = tmp_path / "power.csv"
+    path.write_bytes((HEADER + "s1,0,1\ns1,60,bad\n" + rows).encode() + b"\xff,0,1\n")
+    with open(path, encoding="utf-8", newline="") as f:
+        with pytest.raises(ParseError, match="bad watts value 'bad'") as caught:
+            parse_power_csv(f)
+    assert caught.value.line == 3
 
 
 DEVICE_IDS = st.text(
@@ -249,11 +289,11 @@ SAMPLES = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-@given(samples=SAMPLES, chunk=st.integers(1, 5))
-def test_write_then_parse_round_trips(samples, chunk):
+@given(samples=SAMPLES, chunk=st.integers(1, 5), block=BLOCKS)
+def test_write_then_parse_round_trips(samples, chunk, block):
     # One-sample blocks keep the rows in their drawn, arbitrary order.
     text = write_power_csv([(d, [t], [w]) for d, t, w in samples]).decode("utf-8")
-    with mock.patch.object(axpue.io, "_CHUNK_LINES", chunk):
+    with parser_sizes(chunk, block):
         traces = parse_power_csv(io.StringIO(text, newline=""))
     expected = {}
     for device_id, timestamp, watts in sorted(samples, key=lambda s: (s[0], s[1])):

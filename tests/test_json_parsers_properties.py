@@ -222,6 +222,7 @@ REPORT_INPUTS = st.one_of(
 @example(data=b"\xff")
 @example(data=edited_report(lambda doc: doc["per_run"][0].update(it_power_kw=None)))
 @example(data=edited_report(lambda doc: doc.update(pue=10**400)))
+@example(data=edited_report(lambda doc: doc["per_run"][0].update(facility_power_kw=10**400)))
 @example(data=edited_report(lambda doc: doc["window"].update(energy_joules_by_category=[])))
 @example(data=edited_report(lambda doc: doc.update(provenance=[1])))
 def test_report_reads_or_raises_axpue_error(data):
