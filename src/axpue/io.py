@@ -118,10 +118,11 @@ def _split_block(text: str) -> tuple[list, list, list] | None:
     ``csv.reader`` would do when every line holds exactly two commas and
     ends in ``\\n``, there is no ``"`` or ``\\r``, and no field is longer than
     ``csv.field_size_limit()``; the caller keeps blocks short enough for the
-    last rule.  Returns None otherwise.  Device fields after the first keep a
-    leading ``\\n``, which device-id stripping removes.
+    last rule.  Returns None otherwise, and for an empty block.  Device
+    fields after the first keep a leading ``\\n``, which device-id stripping
+    removes.
     """
-    if '"' in text or "\r" in text:
+    if not text.endswith("\n") or '"' in text or "\r" in text:
         return None
     count = text.count("\n")
     # With a comma before each newline, every line starts a new field and
@@ -249,18 +250,19 @@ def _join(chunks: list[np.ndarray]) -> np.ndarray:
     return column
 
 
-def _read_block(stream, tail: str, size: int) -> tuple[str, Exception | None]:
+def _read_block(stream, tail: str, size: int) -> tuple[str, UnicodeDecodeError | None]:
     """``tail`` plus up to ``size - len(tail)`` characters read from ``stream``.
 
-    Shorter only at the end of the stream, or when a read fails; the failure
-    is returned, so that the complete lines read before it are still checked.
+    Shorter only at the end of the stream, or when a read meets bytes that
+    do not decode; that error is returned, so that the complete lines read
+    before it are still checked.
     """
     parts, count = [tail], len(tail)
     try:
         while count < size and (piece := stream.read(min(_READ_CHARS, size - count))):
             parts.append(piece)
             count += len(piece)
-    except Exception as exc:
+    except UnicodeDecodeError as exc:
         return "".join(parts), exc
     return "".join(parts), None
 
@@ -283,8 +285,9 @@ def _add_plain_blocks(stream, lines, samples: _Samples) -> tuple[int, Iterable[s
         cut = len(text) if at_end else text.rfind("\n") + 1
         block = text[:cut]
         columns = _split_block(block)
-        if columns is None or not (cut or at_end or failure):
-            # Not plain, or a line longer than a block: csv.reader takes over.
+        if columns is None:
+            # Not plain, a line longer than a block, or the stream's end:
+            # csv.reader takes over.
             newline = "\n" if getattr(stream, "newlines", None) is None else ""
             # A failed read is raised where csv asks for the next line, so a
             # quoted record left open in the block ends in it, not in a short row.
@@ -318,7 +321,7 @@ def parse_power_csv(stream: IO[str] | Iterable[str]) -> list[PowerTrace]:
     it does every line of a stream without ``read``.  Each block, or each
     ``_CHUNK_LINES`` rows of ``csv.reader``, is converted and checked
     column-wise; one that fails is re-checked row by row to report its
-    first bad row.  Lines read before a failed read are checked first.
+    first bad row.  Lines read before bytes that do not decode are checked first.
     """
     lines = iter(stream)
     try:

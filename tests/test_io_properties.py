@@ -182,44 +182,58 @@ BLOCKS = st.integers(5, 20) | st.just(axpue.io._BLOCK_CHARS)
 
 
 @contextlib.contextmanager
-def parser_sizes(chunk=axpue.io._CHUNK_LINES, block=axpue.io._BLOCK_CHARS, reads=axpue.io._READ_CHARS, field_limit=None):
-    """The parser with small chunks, blocks, reads and csv field limit."""
+def parser_sizes(
+    chunk=axpue.io._CHUNK_LINES,
+    block=axpue.io._BLOCK_CHARS,
+    reads=axpue.io._READ_CHARS,
+    field_limit=None,
+):
+    """The parser with small chunks, blocks and reads, and a csv field limit."""
     old_limit = csv.field_size_limit(field_limit or csv.field_size_limit())
     try:
-        with mock.patch.multiple(axpue.io, _CHUNK_LINES=chunk, _BLOCK_CHARS=block, _READ_CHARS=reads):
+        with mock.patch.multiple(
+            axpue.io, _CHUNK_LINES=chunk, _BLOCK_CHARS=block, _READ_CHARS=reads
+        ):
             yield
     finally:
         csv.field_size_limit(old_limit)
 
 
+#: ``parser_sizes`` arguments: chunk, block, read size and csv field limit.
+SIZES = st.tuples(st.integers(1, 4), BLOCKS, st.integers(1, 8), st.none() | st.integers(8, 40))
+
+
+def sizes(chunk=2, block=axpue.io._BLOCK_CHARS, reads=axpue.io._READ_CHARS, field_limit=None):
+    return chunk, block, reads, field_limit
+
+
 @settings(max_examples=500, deadline=None)
-@given(
-    text_and_cuts=csv_texts(),
-    chunk=st.integers(1, 4),
-    block=BLOCKS,
-    reads=st.integers(1, 8),
-    field_limit=st.none() | st.integers(8, 40),
-)
+@given(text_and_cuts=csv_texts(), sizes=SIZES)
 # A quoted field without a comma in it, in a later chunk.
-@example(text_and_cuts=(HEADER + 's1,0,1\ns1,60,1\n"s2",0,"1"\n', []), chunk=2, block=1 << 16, reads=8, field_limit=None)
+@example(text_and_cuts=(HEADER + 's1,0,1\ns1,60,1\n"s2",0,"1"\n', []), sizes=sizes())
 # Rows of 2 and 4 fields in one chunk: 6 fields, as two good rows have.
-@example(text_and_cuts=(HEADER + "s1,0\ns2,5,1,x\n", []), chunk=2, block=1 << 16, reads=8, field_limit=None)
+@example(text_and_cuts=(HEADER + "s1,0\ns2,5,1,x\n", []), sizes=sizes())
 # A piece ending in a comma before a piece starting with a newline.
-@example(text_and_cuts=(HEADER + "s1,0,1,\ns2,0,1\n", [len(HEADER), len(HEADER) + 7]), chunk=2, block=1 << 16, reads=8, field_limit=None)
+@example(text_and_cuts=(HEADER + "s1,0,1,\ns2,0,1\n", [len(HEADER), len(HEADER) + 7]), sizes=sizes())
 # A piece holding a newline inside a row.
-@example(text_and_cuts=(HEADER + "s1,5\n,1\n", [len(HEADER)]), chunk=1, block=1 << 16, reads=8, field_limit=None)
+@example(text_and_cuts=(HEADER + "s1,5\n,1\n", [len(HEADER)]), sizes=sizes(chunk=1))
+# A last line of one field, without a newline.
+@example(text_and_cuts=(HEADER + "s1,0,1\ns1", []), sizes=sizes())
 # A blank line, then a last line without a newline, in the next block.
-@example(text_and_cuts=(HEADER + "s1,0,1\n\ns2,0,100", []), chunk=2, block=7, reads=8, field_limit=None)
-# A \r\n split between two blocks.
-@example(text_and_cuts=(HEADER + "s1,0,1\r\ns1,60,1\r\n", []), chunk=2, block=7, reads=3, field_limit=None)
+@example(text_and_cuts=(HEADER + "s1,0,1\n\ns2,0,100", []), sizes=sizes(block=7))
+# A \r\n split between two blocks, and between two reads.
+@example(text_and_cuts=(HEADER + "s1,0,1\r\ns1,60,1\r\n", []), sizes=sizes(block=7, reads=3))
 # A lone \r ends a line only where the stream has universal newlines.
-@example(text_and_cuts=(HEADER + "s1,0,1\rs1,60,1\n", []), chunk=2, block=1 << 16, reads=8, field_limit=None)
+@example(text_and_cuts=(HEADER + "s1,0,1\rs1,60,1\n", []), sizes=sizes())
 # A line longer than the block.
-@example(text_and_cuts=(HEADER + "s1,0,1\nsensor-a,60.0,100.5\ns1,60,1\n", []), chunk=2, block=10, reads=4, field_limit=None)
+@example(text_and_cuts=(HEADER + "s1,0,1\nsensor-a,60.0,100.5\ns1,60,1\n", []), sizes=sizes(block=10))
 # A block ending inside a line, under a small csv field limit.
-@example(text_and_cuts=(HEADER + "s1,0,1\ns2,1970-01-01T00:00:00Z,1\n", []), chunk=2, block=16, reads=5, field_limit=20)
-def test_chunked_parser_matches_row_loop(text_and_cuts, chunk, block, reads, field_limit):
-    with parser_sizes(chunk, block, reads, field_limit):
+@example(
+    text_and_cuts=(HEADER + "s1,0,1\ns2,1970-01-01T00:00:00Z,1\n", []),
+    sizes=sizes(block=16, field_limit=20),
+)
+def test_chunked_parser_matches_row_loop(text_and_cuts, sizes):
+    with parser_sizes(*sizes):
         for kind, make_stream in streams(*text_and_cuts).items():
             expected = outcome(reference_parse_power_csv, make_stream)
             assert outcome(parse_power_csv, make_stream) == expected, kind
@@ -261,15 +275,21 @@ def test_field_over_csv_limit_raises_like_csv():
         assert outcome(parse_power_csv, lambda: io.StringIO(text)) == expected
 
 
-def test_bad_row_is_reported_before_a_later_undecodable_byte(tmp_path):
+@pytest.mark.parametrize(
+    "watts, error, line",
+    [("bad", ParseError, 3), ("1", UnicodeDecodeError, None)],
+    ids=["bad-row-first", "only-the-byte"],
+)
+def test_lines_before_an_undecodable_byte_are_checked_first(tmp_path, watts, error, line):
+    """Complete lines read before the byte are checked; the line it cut is not."""
     rows = "".join(f"s1,{60 * i},100\n" for i in range(3, 1600))
     assert len(rows) > 20_000
     path = tmp_path / "power.csv"
-    path.write_bytes((HEADER + "s1,0,1\ns1,60,bad\n" + rows).encode() + b"\xff,0,1\n")
+    path.write_bytes((HEADER + f"s1,0,1\ns1,60,{watts}\n" + rows).encode() + b"\xff,0,1\n")
     with open(path, encoding="utf-8", newline="") as f:
-        with pytest.raises(ParseError, match="bad watts value 'bad'") as caught:
+        with pytest.raises(error) as caught:
             parse_power_csv(f)
-    assert caught.value.line == 3
+    assert getattr(caught.value, "line", None) == line
 
 
 DEVICE_IDS = st.text(
