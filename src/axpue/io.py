@@ -84,31 +84,16 @@ def _parse_timestamp(text: str) -> float:
     return moment.timestamp()
 
 
-#: Characters of power CSV that are read, split and checked at a time.
+#: Characters of power CSV read before a block's last line is completed.
 _BLOCK_CHARS = 1 << 16
 #: Characters asked of the stream by each ``read`` call.
 _READ_CHARS = 8192
-#: Rows that ``csv.reader`` tokenizes before they are converted and checked.
-_CHUNK_LINES = 2048
 
 
-def _take(iterator, count: int) -> tuple[list, Exception | None]:
-    """Up to ``count`` items, and the exception that cut the read short.
-
-    Items read before the failure are kept, so that errors in earlier rows
-    are still reported first.
-    """
-    items: list = []
-    try:
-        items.extend(itertools.islice(iterator, count))
-    except Exception as exc:
-        return items, exc
-    return items, None
-
-
-def _then_raise(items: Iterable, exc: Exception):
-    yield from items
+def _then_raise(exc: Exception):
+    """An iterator that raises ``exc`` when asked for its first item."""
     raise exc
+    yield
 
 
 def _split_block(text: str) -> tuple[list, list, list] | None:
@@ -137,7 +122,7 @@ def _split_block(text: str) -> tuple[list, list, list] | None:
 def _raise_first_bad_row(rows: Iterable, first_line: int) -> NoReturn:
     """Raise the error of the first bad row, checking rows one at a time.
 
-    Only called on a chunk whose column checks failed; it never returns.
+    Only called on a block whose column checks failed; it never returns.
     """
     for line, row in enumerate(rows, start=first_line):
         if not row:
@@ -162,20 +147,20 @@ def _raise_first_bad_row(rows: Iterable, first_line: int) -> NoReturn:
             )
         if not math.isfinite(timestamp):
             raise ParseError(f"non-finite timestamp {row[1]!r}", line=line)
-    raise AssertionError("a chunk failed its column checks but no row is bad")
+    raise AssertionError("a block failed its column checks but no row is bad")
 
 
 class _Samples:
-    """Power samples collected chunk by chunk as numpy columns."""
+    """Power samples collected block by block as numpy columns."""
 
     def __init__(self):
         self.ids: dict[str, int] = {}  # stripped device id -> code
         self.codes_by_field: dict[str, int] = {}  # raw device field -> code
-        # Per-chunk arrays of device codes, times, watts and line numbers.
+        # Per-block arrays of device codes, times, watts and line numbers.
         self.columns: tuple[list[np.ndarray], ...] = ([], [], [], [])
 
     def add(self, columns: tuple, lines: np.ndarray) -> bool:
-        """Convert and check one chunk's columns; False if any row is bad."""
+        """Convert and check one block's columns; False if any row is bad."""
         count = len(lines)
         if not count:
             return True
@@ -190,7 +175,7 @@ class _Samples:
         try:
             times = np.fromiter(map(float, stamps), np.float64, count)
         except ValueError:
-            # RFC 3339 stamps: parse each distinct string of the chunk once.
+            # RFC 3339 stamps: parse each distinct string of the block once.
             try:
                 epoch = {text: _parse_timestamp(text) for text in set(stamps)}
             except (ValueError, OverflowError):
@@ -209,7 +194,7 @@ class _Samples:
     def traces(self) -> list[PowerTrace]:
         """One trace per device in device-id order; rejects duplicate samples.
 
-        Peak memory stays near a few columns: each column's chunks are
+        Peak memory stays near a few columns: each column's blocks are
         released as soon as it is joined, line numbers are joined only to
         report a duplicate, and each device's samples are gathered on their
         own instead of sorting whole columns.
@@ -243,70 +228,63 @@ class _Samples:
         return traces
 
 
-def _join(chunks: list[np.ndarray]) -> np.ndarray:
-    """Concatenate and release a column's chunks."""
-    column = np.concatenate(chunks)
-    chunks.clear()
+def _join(blocks: list[np.ndarray]) -> np.ndarray:
+    """Concatenate and release a column's blocks."""
+    column = np.concatenate(blocks)
+    blocks.clear()
     return column
 
 
-def _read_block(stream, tail: str, size: int) -> tuple[str, UnicodeDecodeError | None]:
-    """``tail`` plus up to ``size - len(tail)`` characters read from ``stream``.
+def _read_block(stream: IO[str]) -> tuple[str, UnicodeDecodeError | None]:
+    """Whole lines of about ``_BLOCK_CHARS`` characters, read from ``stream``.
 
-    Shorter only at the end of the stream, or when a read meets bytes that
-    do not decode; that error is returned, so that the complete lines read
-    before it are still checked.
+    The block ends where the stream ends a line: its last line is completed
+    with ``readline``.  It is shorter only at the end of the stream, or when
+    a read meets bytes that do not decode; that error is returned with the
+    complete lines read before it, so that they are still checked.
     """
-    parts, count = [tail], len(tail)
+    parts, count = [], 0
     try:
-        while count < size and (piece := stream.read(min(_READ_CHARS, size - count))):
+        while count < _BLOCK_CHARS and (
+            piece := stream.read(min(_READ_CHARS, _BLOCK_CHARS - count))
+        ):
             parts.append(piece)
             count += len(piece)
+        if parts and not parts[-1].endswith("\n"):
+            parts.append(stream.readline())
     except UnicodeDecodeError as exc:
-        return "".join(parts), exc
+        text = "".join(parts)
+        return text[: text.rfind("\n") + 1], exc
     return "".join(parts), None
 
 
-def _add_plain_blocks(stream, lines, samples: _Samples) -> tuple[int, Iterable[str] | None]:
-    """Add the stream's plain blocks; then the lines left for ``csv.reader``.
+def _csv_rows(
+    block: str, stream: IO[str], failure: UnicodeDecodeError | None
+) -> tuple[list[list[str]], Exception | None]:
+    """The records of ``block`` as ``csv.reader`` gives them.
 
-    Returns the number of the first line not added, and the lines from it
-    on, or None when the stream has ended.  Those lines are the text already
-    read, with its last line completed from the stream, and then the rest of
-    the stream; the text is split into lines as the stream splits them (a
-    lone ``\\r`` ends a line only where the stream has universal newlines).
+    A quoted record left open at the end of the block is closed with lines
+    of the stream, or of nothing but ``failure`` when that cut the block
+    short.  Returns the records, and the exception to raise once they are
+    checked: one that stopped ``csv.reader``, or else ``failure``.
     """
-    # No field of a block this long can exceed the csv field limit.
-    size = min(_BLOCK_CHARS, csv.field_size_limit())
-    line, tail = 2, ""
-    while True:
-        text, failure = _read_block(stream, tail, size)
-        at_end = failure is None and len(text) < size
-        cut = len(text) if at_end else text.rfind("\n") + 1
-        block = text[:cut]
-        columns = _split_block(block)
-        if columns is None:
-            # Not plain, a line longer than a block, or the stream's end:
-            # csv.reader takes over.
-            newline = "\n" if getattr(stream, "newlines", None) is None else ""
-            # A failed read is raised where csv asks for the next line, so a
-            # quoted record left open in the block ends in it, not in a short row.
-            if failure is not None:
-                return line, _then_raise(_stdio.StringIO(block, newline=newline), failure)
-            text += next(lines, "")
-            return line, itertools.chain(_stdio.StringIO(text, newline=newline), lines)
-        count = len(columns[0])
-        if not samples.add(columns, np.arange(line, line + count)):
-            _raise_first_bad_row(zip(*columns), line)
-        line += count
-        if failure is not None:
-            raise failure
-        if at_end:
-            return line, None
-        tail = text[cut:]
+    # A lone \r ends a line only where the stream splits lines at it too.
+    newline = "\n" if getattr(stream, "newlines", None) is None else ""
+    lines = _stdio.StringIO(block, newline=newline).readlines()
+    rest = stream if failure is None else _then_raise(failure)
+    reader = csv.reader(itertools.chain(lines, rest))
+    rows = []
+    try:
+        for row in reader:
+            rows.append(row)
+            if reader.line_num >= len(lines):
+                break
+    except Exception as exc:
+        return rows, exc
+    return rows, failure
 
 
-def parse_power_csv(stream: IO[str] | Iterable[str]) -> list[PowerTrace]:
+def parse_power_csv(stream: IO[str]) -> list[PowerTrace]:
     """Parse power samples into one trace per device, sorted by device_id.
 
     Rows may arrive in any order; each device's samples are sorted by time.
@@ -314,18 +292,17 @@ def parse_power_csv(stream: IO[str] | Iterable[str]) -> list[PowerTrace]:
     readings are rejected with the offending 1-based line number (the row's
     record number when a quoted field spans lines).
 
-    After the header, a stream with ``read`` (a text file, ``StringIO``) is
-    read in blocks of up to ``_BLOCK_CHARS`` characters, cut after their
-    last newline.  Plain blocks are split with string methods; from the
-    first block that is not plain on, ``csv.reader`` tokenizes the rest, as
-    it does every line of a stream without ``read``.  Each block, or each
-    ``_CHUNK_LINES`` rows of ``csv.reader``, is converted and checked
-    column-wise; one that fails is re-checked row by row to report its
-    first bad row.  Lines read before bytes that do not decode are checked first.
+    ``stream`` is a text stream (a text file, ``StringIO``).  After the
+    header, it is read in blocks of whole lines of about ``_BLOCK_CHARS``
+    characters.  A plain block is split with string methods; any other
+    block, and one longer than ``csv.field_size_limit()``, is tokenized by
+    ``csv.reader``, with the lines of the stream that close a quoted record
+    it leaves open.  Each block is converted and checked column-wise; one
+    that fails is re-checked row by row to report its first bad row.  Lines
+    read before bytes that do not decode are checked first.
     """
-    lines = iter(stream)
     try:
-        header = next(csv.reader(lines))
+        header = next(csv.reader(stream))
     except StopIteration:
         raise ParseError("empty power CSV: missing header", line=1) from None
     if tuple(h.strip() for h in header) != POWER_CSV_HEADER:
@@ -333,28 +310,29 @@ def parse_power_csv(stream: IO[str] | Iterable[str]) -> list[PowerTrace]:
             f"expected header {','.join(POWER_CSV_HEADER)!r}, got {','.join(header)!r}",
             line=1,
         )
-    samples = _Samples()
-    if hasattr(stream, "read"):
-        line, rest = _add_plain_blocks(stream, lines, samples)
-        if rest is None:
-            return samples.traces()
-    else:
-        line, rest = 2, lines
-    reader = csv.reader(rest)
+    samples, line = _Samples(), 2
     while True:
-        rows, csv_failure = _take(reader, _CHUNK_LINES)
-        # Blank rows are skipped, but they count as lines.
-        numbers = [number for number, row in enumerate(rows, start=line) if row]
-        full = [row for row in rows if row]
-        if not (
-            all(len(row) == 3 for row in full)
-            and samples.add(tuple(zip(*full)), np.array(numbers, dtype=np.intp))
-        ):
-            _raise_first_bad_row(rows, line)
-        line += len(rows)
-        if csv_failure is not None:
-            raise csv_failure
-        if len(rows) < _CHUNK_LINES:
+        block, failure = _read_block(stream)
+        columns = _split_block(block) if len(block) <= csv.field_size_limit() else None
+        if columns is not None:
+            count = len(columns[0])
+            if not samples.add(columns, np.arange(line, line + count)):
+                _raise_first_bad_row(zip(*columns), line)
+            line += count
+        elif block:
+            rows, failure = _csv_rows(block, stream, failure)
+            # Blank rows are skipped, but they count as lines.
+            numbers = [number for number, row in enumerate(rows, start=line) if row]
+            full = [row for row in rows if row]
+            if not (
+                all(len(row) == 3 for row in full)
+                and samples.add(tuple(zip(*full)), np.array(numbers, dtype=np.intp))
+            ):
+                _raise_first_bad_row(rows, line)
+            line += len(rows)
+        if failure is not None:
+            raise failure
+        if not block:
             return samples.traces()
 
 

@@ -135,11 +135,12 @@ def trace_values(traces):
 
 
 class TestPowerCsvChunks:
-    """The parser reads ``_CHUNK_LINES`` lines at a time; here, two."""
+    """The parser reads blocks of whole lines of ``_BLOCK_CHARS`` characters
+    and more; here, of ten, so that most blocks hold one or two rows."""
 
     @pytest.fixture(autouse=True)
-    def two_line_chunks(self, monkeypatch):
-        monkeypatch.setattr(axpue.io, "_CHUNK_LINES", 2)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(axpue.io, "_BLOCK_CHARS", 10)
 
     def test_duplicate_across_chunks_reports_later_line(self):
         with pytest.raises(DuplicateSampleError) as excinfo:
@@ -176,11 +177,24 @@ class TestPowerCsvChunks:
         traces = parse_csv(HEADER + " a,0,1\na,60,2\na ,120,3\n")
         assert trace_values(traces) == [("a", [0.0, 60.0, 120.0], [1.0, 2.0, 3.0])]
 
-    def test_lines_without_newlines_parse_like_a_file(self):
-        rows = ["s1,0,100", "s1,60,1", "s2,0,5", "s2,60,6", "s1,120,3"]
-        text = HEADER + "".join(r + "\n" for r in rows)
-        bare = parse_power_csv(["device_id,timestamp,watts"] + rows)
-        assert trace_values(bare) == trace_values(parse_csv(text))
+    def test_bad_watts_two_blocks_after_a_quoted_row_carries_its_line(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_csv(HEADER + '"s1",0,100\ns1,60,100\ns1,120,1a\ns1,180,100\n')
+        assert excinfo.value.line == 4
+        assert str(excinfo.value) == "bad watts value '1a'"
+
+    def test_plain_block_after_a_quoted_one_is_split(self, monkeypatch):
+        split_block, split = axpue.io._split_block, []
+
+        def spy(text):
+            columns = split_block(text)
+            split.append((text, columns is not None))
+            return columns
+
+        monkeypatch.setattr(axpue.io, "_split_block", spy)
+        traces = parse_csv(HEADER + '"s1",0,100\ns1,60,100\n')
+        assert split == [('"s1",0,100\n', False), ("s1,60,100\n", True), ("", False)]
+        assert trace_values(traces) == [("s1", [0.0, 60.0], [100.0, 100.0])]
 
     def test_last_line_without_newline(self):
         traces = parse_csv(HEADER + "s1,0,100\ns1,60,100\ns1,120,5")

@@ -1,7 +1,7 @@
-"""Property tests: the chunked power-CSV parser and the block writer against
+"""Property tests: the block power-CSV parser and the block writer against
 row-at-a-time ones.
 
-``reference_parse_power_csv`` is the row loop the chunked parser replaced.
+``reference_parse_power_csv`` is the row loop the block parser replaced.
 It is kept here only as the reference the parser is compared against: on
 every generated input both must return the same traces, or raise the same
 error type with the same message and line.  ``reference_write_power_csv``
@@ -158,20 +158,11 @@ def csv_texts(draw):
     text = ending.join(lines)
     if draw(st.booleans()):
         text += ending
-    cuts = sorted(draw(st.lists(st.integers(0, len(text)), max_size=8)))
-    return text, cuts
+    return text
 
 
-def streams(text, cuts):
-    """The same input as text files, lists of lines, and re-cut pieces."""
-    pieces = [text[i:j] for i, j in zip([0] + cuts, cuts + [len(text)])]
-    return {
-        "file": lambda: io.StringIO(text, newline=""),
-        "lf-file": lambda: io.StringIO(text),
-        "lines": lambda: text.splitlines(keepends=True),
-        "bare lines": lambda: text.splitlines(),
-        "pieces": lambda: iter(pieces),
-    }
+#: A text file's newline modes: as read by csv, universal, and \n only.
+NEWLINES = ("", None, "\n")
 
 
 HEADER = "device_id,timestamp,watts\n"
@@ -182,94 +173,112 @@ BLOCKS = st.integers(5, 20) | st.just(axpue.io._BLOCK_CHARS)
 
 
 @contextlib.contextmanager
-def parser_sizes(
-    chunk=axpue.io._CHUNK_LINES,
-    block=axpue.io._BLOCK_CHARS,
-    reads=axpue.io._READ_CHARS,
-    field_limit=None,
-):
-    """The parser with small chunks, blocks and reads, and a csv field limit."""
+def parser_sizes(block=axpue.io._BLOCK_CHARS, reads=axpue.io._READ_CHARS, field_limit=None):
+    """The parser with small blocks and reads, and a csv field limit."""
     old_limit = csv.field_size_limit(field_limit or csv.field_size_limit())
     try:
-        with mock.patch.multiple(
-            axpue.io, _CHUNK_LINES=chunk, _BLOCK_CHARS=block, _READ_CHARS=reads
-        ):
+        with mock.patch.multiple(axpue.io, _BLOCK_CHARS=block, _READ_CHARS=reads):
             yield
     finally:
         csv.field_size_limit(old_limit)
 
 
-#: ``parser_sizes`` arguments: chunk, block, read size and csv field limit.
-SIZES = st.tuples(st.integers(1, 4), BLOCKS, st.integers(1, 8), st.none() | st.integers(8, 40))
+#: ``parser_sizes`` arguments: block, read size and csv field limit.
+SIZES = st.tuples(BLOCKS, st.integers(1, 8), st.none() | st.integers(8, 40))
 
 
-def sizes(chunk=2, block=axpue.io._BLOCK_CHARS, reads=axpue.io._READ_CHARS, field_limit=None):
-    return chunk, block, reads, field_limit
+def sizes(block=axpue.io._BLOCK_CHARS, reads=axpue.io._READ_CHARS, field_limit=None):
+    return block, reads, field_limit
 
 
 @settings(max_examples=500, deadline=None)
-@given(text_and_cuts=csv_texts(), sizes=SIZES)
-# A quoted field without a comma in it, in a later chunk.
-@example(text_and_cuts=(HEADER + 's1,0,1\ns1,60,1\n"s2",0,"1"\n', []), sizes=sizes())
-# Rows of 2 and 4 fields in one chunk: 6 fields, as two good rows have.
-@example(text_and_cuts=(HEADER + "s1,0\ns2,5,1,x\n", []), sizes=sizes())
-# A piece ending in a comma before a piece starting with a newline.
-@example(text_and_cuts=(HEADER + "s1,0,1,\ns2,0,1\n", [len(HEADER), len(HEADER) + 7]), sizes=sizes())
-# A piece holding a newline inside a row.
-@example(text_and_cuts=(HEADER + "s1,5\n,1\n", [len(HEADER)]), sizes=sizes(chunk=1))
+@given(text=csv_texts(), sizes=SIZES)
+# A quoted field without a comma in it, in a later block.
+@example(text=HEADER + 's1,0,1\ns1,60,1\n"s2",0,"1"\n', sizes=sizes(block=8))
+# Rows of 2 and 4 fields in one block: 6 fields, as two good rows have.
+@example(text=HEADER + "s1,0\ns2,5,1,x\n", sizes=sizes())
+# A row of 4 fields, then a good row, in one block.
+@example(text=HEADER + "s1,0,1,\ns2,0,1\n", sizes=sizes())
+# Two rows of 2 fields in one block: as many commas as one good row.
+@example(text=HEADER + "s1,5\n,1\n", sizes=sizes())
 # A last line of one field, without a newline.
-@example(text_and_cuts=(HEADER + "s1,0,1\ns1", []), sizes=sizes())
+@example(text=HEADER + "s1,0,1\ns1", sizes=sizes())
 # A blank line, then a last line without a newline, in the next block.
-@example(text_and_cuts=(HEADER + "s1,0,1\n\ns2,0,100", []), sizes=sizes(block=7))
-# A \r\n split between two blocks, and between two reads.
-@example(text_and_cuts=(HEADER + "s1,0,1\r\ns1,60,1\r\n", []), sizes=sizes(block=7, reads=3))
+@example(text=HEADER + "s1,0,1\n\ns2,0,100", sizes=sizes(block=7))
+# A \r\n split between two reads, where a block's last line is completed.
+@example(text=HEADER + "s1,0,1\r\ns1,60,1\r\n", sizes=sizes(block=7, reads=3))
 # A lone \r ends a line only where the stream has universal newlines.
-@example(text_and_cuts=(HEADER + "s1,0,1\rs1,60,1\n", []), sizes=sizes())
+@example(text=HEADER + "s1,0,1\rs1,60,1\n", sizes=sizes())
 # A line longer than the block.
-@example(text_and_cuts=(HEADER + "s1,0,1\nsensor-a,60.0,100.5\ns1,60,1\n", []), sizes=sizes(block=10))
-# A block ending inside a line, under a small csv field limit.
+@example(text=HEADER + "s1,0,1\nsensor-a,60.0,100.5\ns1,60,1\n", sizes=sizes(block=10))
+# A block completed past a small csv field limit.
 @example(
-    text_and_cuts=(HEADER + "s1,0,1\ns2,1970-01-01T00:00:00Z,1\n", []),
-    sizes=sizes(block=16, field_limit=20),
+    text=HEADER + "s1,0,1\ns2,1970-01-01T00:00:00Z,1\n", sizes=sizes(block=16, field_limit=20)
 )
-def test_chunked_parser_matches_row_loop(text_and_cuts, sizes):
+# A quoted record that opens in one block and closes in the next.
+@example(text=HEADER + 's1,0,1\n"s2\nz",0,1\ns1,60,1\n', sizes=sizes(block=8))
+@example(text=HEADER + 's1,0,1\n"s2\n\nz",0,1\ns1,60,1\n', sizes=sizes(block=8, reads=2))
+# A quoted row in the first block, and a bad watts value two blocks later.
+@example(text=HEADER + '"s1",0,1\ns1,60,1\ns1,120,x\ns1,180,1\n', sizes=sizes(block=8))
+def test_chunked_parser_matches_row_loop(text, sizes):
     with parser_sizes(*sizes):
-        for kind, make_stream in streams(*text_and_cuts).items():
+        for newline in NEWLINES:
+            def make_stream():
+                return io.StringIO(text, newline=newline)
+
             expected = outcome(reference_parse_power_csv, make_stream)
-            assert outcome(parse_power_csv, make_stream) == expected, kind
+            assert outcome(parse_power_csv, make_stream) == expected, newline
 
 
-def failing_lines(lines, exc):
-    yield from lines
-    raise exc
+class UndecodableAfter(io.StringIO):
+    """Text whose reads raise ``UnicodeDecodeError`` once it is used up."""
+
+    def _check(self):
+        if self.tell() >= len(self.getvalue()):
+            raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    def read(self, size=-1):
+        self._check()
+        return super().read(size)
+
+    def readline(self, size=-1):
+        self._check()
+        return super().readline(size)
+
+    def __next__(self):
+        self._check()
+        return super().__next__()
 
 
 @settings(max_examples=100, deadline=None)
-@given(text_and_cuts=csv_texts(), chunk=st.integers(1, 4), cut=st.integers(0, 18))
+@given(text=csv_texts(), newline=st.sampled_from(NEWLINES), sizes=SIZES)
 # The stream fails inside a quoted record that is still open.
-@example(text_and_cuts=(HEADER + '"s1\nz",0,100', []), chunk=2, cut=2)
-def test_stream_failure_is_reported_after_earlier_rows(text_and_cuts, chunk, cut):
-    lines = text_and_cuts[0].splitlines(keepends=True)[:cut]
-    with mock.patch.object(axpue.io, "_CHUNK_LINES", chunk):
+@example(text=HEADER + '"s1\nz",0,100', newline="", sizes=sizes())
+# ... in the block after the one that opened it.
+@example(text=HEADER + 's1,0,1\n"s2\nz",0,1\n', newline="", sizes=sizes(block=8))
+def test_stream_failure_is_reported_after_earlier_rows(text, newline, sizes):
+    # A failed read loses the line it cuts, so the text ends with a whole line.
+    text = text[: text.rfind("\n") + 1]
+    with parser_sizes(*sizes):
         def make_stream():
-            return failing_lines(lines, UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad"))
+            return UndecodableAfter(text, newline=newline)
 
         expected = outcome(reference_parse_power_csv, make_stream)
         assert outcome(parse_power_csv, make_stream) == expected
 
 
 def test_bytes_lines_raise_like_csv():
-    lines = [b"device_id,timestamp,watts\n", b"s1,0,1\n"]
-    expected = outcome(reference_parse_power_csv, lambda: iter(lines))
-    assert outcome(parse_power_csv, lambda: iter(lines)) == expected
-    lines = ["device_id,timestamp,watts\n", b"s1,0,1\n"]
-    expected = outcome(reference_parse_power_csv, lambda: iter(lines))
-    assert outcome(parse_power_csv, lambda: iter(lines)) == expected
+    def make_stream():
+        return io.BytesIO(b"device_id,timestamp,watts\ns1,0,1\n")
+
+    expected = outcome(reference_parse_power_csv, make_stream)
+    assert expected[0] == "error"
+    assert outcome(parse_power_csv, make_stream) == expected
 
 
 def test_field_over_csv_limit_raises_like_csv():
     text = "device_id,timestamp,watts\ns1,0,1\n" + "s" * 40 + ",0,1\n"
-    with parser_sizes(chunk=2, field_limit=20):
+    with parser_sizes(field_limit=20):
         expected = outcome(reference_parse_power_csv, lambda: io.StringIO(text))
         assert expected[0] == "error"
         assert outcome(parse_power_csv, lambda: io.StringIO(text)) == expected
@@ -309,11 +318,11 @@ SAMPLES = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-@given(samples=SAMPLES, chunk=st.integers(1, 5), block=BLOCKS)
-def test_write_then_parse_round_trips(samples, chunk, block):
+@given(samples=SAMPLES, block=BLOCKS)
+def test_write_then_parse_round_trips(samples, block):
     # One-sample blocks keep the rows in their drawn, arbitrary order.
     text = write_power_csv([(d, [t], [w]) for d, t, w in samples]).decode("utf-8")
-    with parser_sizes(chunk, block):
+    with parser_sizes(block):
         traces = parse_power_csv(io.StringIO(text, newline=""))
     expected = {}
     for device_id, timestamp, watts in sorted(samples, key=lambda s: (s[0], s[1])):
