@@ -10,11 +10,17 @@ from __future__ import annotations
 
 
 class AxpueError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
 
-    #: The input file and 1-based line the error was found in, when known.
+    ``line`` and ``path`` name the 1-based line and the input file the error
+    was found in, when known.
+    """
+
     path: str | None = None
-    line: int | None = None
+
+    def __init__(self, message: str, *, line: int | None = None):
+        super().__init__(message)
+        self.line = line
 
 
 class ValidationError(AxpueError):
@@ -32,17 +38,9 @@ class DuplicateDeviceError(ValidationError):
 class InvalidPowerError(ValidationError):
     """A power reading is negative or not finite."""
 
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
-
 
 class InvalidWindowError(AxpueError):
     """A time window is empty or inverted (end <= start)."""
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
 
 
 class NoSamplesError(AxpueError):
@@ -101,10 +99,6 @@ class SharedDeviceConflictError(AxpueError):
 
 class ParseError(AxpueError):
     """An input stream could not be parsed."""
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
 
 
 class DuplicateSampleError(ParseError):
