@@ -26,7 +26,6 @@ from typing import Sequence
 from .errors import (
     InvalidWindowError,
     NoRunsError,
-    NoSamplesError,
     SharedDeviceConflictError,
     ShapeMismatchError,
     UnitMismatchError,
@@ -295,18 +294,14 @@ def analyze(
                 f"the report window [{start}, {end}]"
             )
     energy_window = category_energy(traces, inventory, start, end, max_gap)
+    # category_energy has checked that every inventory device has a trace.
     trace_by_device = {t.device_id: t for t in traces}
     run_inputs = []
     for run in runs:
-        joules = []
-        for device_id in sorted(run.attributed_devices):
-            trace = trace_by_device.get(device_id)
-            if trace is None:
-                raise NoSamplesError(
-                    f"run {run.run_id!r}: no telemetry for device {device_id!r}",
-                    device_id=device_id,
-                )
-            joules.append(integrate_power(trace, run.start, run.end, max_gap))
+        joules = [
+            integrate_power(trace_by_device[device_id], run.start, run.end, max_gap)
+            for device_id in sorted(run.attributed_devices)
+        ]
         run_inputs.append(
             RunInput(
                 run=run,

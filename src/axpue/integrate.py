@@ -152,8 +152,9 @@ def category_energy(
 ) -> EnergyWindow:
     """Integrate every trace over [start, end] and sum by facility category.
 
-    Every trace's device must exist in the inventory; integration errors
-    propagate carrying the offending device_id.
+    Every trace's device must exist in the inventory, and every inventory
+    device needs a trace: an unmetered device would count as 0 J.
+    Integration errors propagate carrying the offending device_id.
     """
     _check_window(start, end)
     seen: set[str] = set()
@@ -165,6 +166,13 @@ def category_energy(
                 f"multiple traces for device {trace.device_id!r}"
             )
         seen.add(trace.device_id)
+    unmetered = [d.device_id for d in inventory.devices if d.device_id not in seen]
+    if unmetered:
+        device_id = min(unmetered)
+        raise NoSamplesError(
+            f"device {device_id!r} ({inventory.category_of(device_id).value}) has no telemetry",
+            device_id=device_id,
+        )
     energies: dict[DeviceCategory, list[float]] = {cat: [] for cat in DeviceCategory}
     for trace in sorted(traces, key=lambda t: t.device_id):
         joules = integrate_power(trace, start, end, max_gap)

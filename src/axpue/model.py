@@ -22,7 +22,7 @@ from .errors import (
 
 #: Tolerance on the sum of per-run weights in a report.
 WEIGHT_SUM_TOL = 1e-12
-#: Relative tolerance on the per-row AoPUE = ApPUE / PUE identity.
+#: Relative tolerance on a report's PUE, facility power and AoPUE identities.
 IDENTITY_REL_TOL = 1e-9
 
 
@@ -284,8 +284,10 @@ class RunMetrics:
 class MetricsReport:
     """PUE plus per-run ApPUE/AoPUE rows, weights, and aggregates.
 
-    Construction re-checks the report-level invariants: weights sum to one
-    and every row satisfies AoPUE = ApPUE / PUE within ``IDENTITY_REL_TOL``.
+    Construction re-checks the report-level invariants: PUE >= 1 and equals
+    the window's total facility energy over its IT energy, weights sum to
+    one, and every row satisfies facility power = IT power * PUE and
+    AoPUE = ApPUE / PUE.  The equalities hold within ``IDENTITY_REL_TOL``.
     """
 
     window: EnergyWindow
@@ -297,13 +299,25 @@ class MetricsReport:
 
     def __post_init__(self):
         object.__setattr__(self, "per_run", tuple(self.per_run))
-        if self.pue <= 0 or not math.isfinite(self.pue):
-            raise ValidationError(f"pue must be finite and > 0, got {self.pue!r}")
+        if not (math.isfinite(self.pue) and self.pue >= 1):
+            raise ValidationError(f"pue must be finite and >= 1, got {self.pue!r}")
+        it_energy = self.window.it_energy
+        measured = self.window.total_facility_energy / it_energy if it_energy else math.inf
+        if not math.isclose(self.pue, measured, rel_tol=IDENTITY_REL_TOL):
+            raise ValidationError(
+                f"pue {self.pue!r} != total facility energy / IT energy {measured!r}"
+            )
         if self.per_run:
             total = math.fsum(row.weight for row in self.per_run)
             if abs(total - 1.0) > WEIGHT_SUM_TOL:
                 raise ValidationError(f"weights sum to {total!r}, expected 1")
         for row in self.per_run:
+            facility_kw = row.it_power_kw * self.pue
+            if not math.isclose(row.facility_power_kw, facility_kw, rel_tol=IDENTITY_REL_TOL):
+                raise ValidationError(
+                    f"run {row.run_id!r}: facility_power_kw {row.facility_power_kw!r} != "
+                    f"it_power_kw * pue {facility_kw!r}"
+                )
             if not verify_identity(row.appue, self.pue, row.aopue):
                 raise ValidationError(
                     f"run {row.run_id!r}: aopue {row.aopue!r} != "

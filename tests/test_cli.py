@@ -95,6 +95,14 @@ class TestComputeCommand:
             f"error: {tmp_path / 'inventory.json'}: duplicate device_id 's1'\n"
         )
 
+    def test_unmetered_device_exits_3(self, tmp_path, capsys):
+        inventory = json.dumps(
+            [*json.loads(INVENTORY), {"device_id": "c1", "category": "cooling", "label": ""}]
+        )
+        args = write_inputs(tmp_path, VALID_POWER, run_line(), inventory)
+        assert main(["compute", *args]) == 3
+        assert capsys.readouterr().err == "error: device 'c1' (cooling) has no telemetry\n"
+
     def test_coverage_gap_exits_3(self, tmp_path, capsys):
         args = write_inputs(
             tmp_path,
@@ -395,6 +403,19 @@ class TestReportCommand:
         stub.write_text('{"schema": "axpue-report/1"}')
         assert main(["report", str(good), str(stub)]) == 2
         assert capsys.readouterr().err == f"error: {stub}: malformed report document: 'window'\n"
+
+    def test_forged_pue_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "forged.json"
+        doc = json.loads(single_run_report("a", 1.0))
+        # PUE 0.5, with every field derived from it rescaled to match.
+        doc["pue"] = 0.5
+        row = doc["per_run"][0]
+        row["facility_power_kw"] = row["it_power_kw"] * 0.5
+        row["aopue"] = row["appue"] / 0.5
+        doc["aggregated_aopue"] = doc["weighted_appue"] / 0.5
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: pue must be finite and >= 1, got 0.5\n"
 
     def test_number_beyond_float_range_exits_2(self, tmp_path, capsys):
         path = tmp_path / "big.json"

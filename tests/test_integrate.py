@@ -187,9 +187,8 @@ class TestCategoryEnergy:
         assert window.total_facility_energy == pytest.approx(530.3628e6, rel=1e-9)
 
     def test_empty_category_is_zero(self):
-        window = category_energy(
-            [constant_trace_for("it-agg", 1000.0)], self.INVENTORY, 0.0, 3600.0
-        )
+        inventory = Inventory([DeviceRecord("it-agg", DeviceCategory.IT_EQUIPMENT)])
+        window = category_energy([constant_trace_for("it-agg", 1000.0)], inventory, 0.0, 3600.0)
         assert window.energy_by_category[DeviceCategory.OTHER] == 0.0
         assert window.energy_by_category[DeviceCategory.COOLING] == 0.0
 
@@ -215,10 +214,26 @@ class TestCategoryEnergy:
             category_energy(traces, self.INVENTORY, 0.0, 60.0)
 
     def test_gap_error_carries_device(self):
-        trace = PowerTrace("it-agg", [0.0, 5000.0], [1.0, 1.0])
+        traces = [
+            PowerTrace("it-agg", [0.0, 5000.0], [1.0, 1.0]),
+            PowerTrace("overhead", np.arange(0.0, 5060.0, 60.0), np.ones(85)),
+        ]
         with pytest.raises(CoverageGapError) as excinfo:
-            category_energy([trace], self.INVENTORY, 0.0, 5000.0, max_gap=60.0)
+            category_energy(traces, self.INVENTORY, 0.0, 5000.0, max_gap=60.0)
         assert excinfo.value.device_id == "it-agg"
+
+    def test_unmetered_device_is_named_in_id_order(self):
+        inventory = Inventory(
+            [
+                DeviceRecord("it-agg", DeviceCategory.IT_EQUIPMENT),
+                DeviceRecord("pdu", DeviceCategory.POWER_TRANSMISSION),
+                DeviceRecord("crac", DeviceCategory.COOLING),
+            ]
+        )
+        with pytest.raises(NoSamplesError) as excinfo:
+            category_energy([constant_trace_for("it-agg", 1.0)], inventory, 0.0, 3600.0)
+        assert excinfo.value.device_id == "crac"
+        assert str(excinfo.value) == "device 'crac' (cooling) has no telemetry"
 
 
 def constant_trace_for(device_id: str, watts: float) -> PowerTrace:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from axpue import (
@@ -204,6 +206,29 @@ class TestMetricsReport:
                 weighted_appue=5.0,
                 aggregated_aopue=5.0 / 1.5,
             )
+
+    @pytest.mark.parametrize(
+        "pue, facility_kw, message",
+        [
+            (0.5, 50.0, "pue must be finite and >= 1, got 0.5"),
+            (2.0, 200.0, "pue 2.0 != total facility energy / IT energy 1.5"),
+            (1.5, 151.0, "run 'r': facility_power_kw 151.0 != it_power_kw * pue 150.0"),
+        ],
+        ids=["below-one", "not-the-energy-quotient", "facility-power"],
+    )
+    def test_derived_fields_are_checked(self, pue, facility_kw, message):
+        row = dataclasses.replace(
+            _row(appue=5.0, aopue=5.0 / pue, weight=1.0), facility_power_kw=facility_kw
+        )
+        with pytest.raises(ValidationError) as excinfo:
+            MetricsReport(
+                window=self.WINDOW,
+                pue=pue,
+                per_run=(row,),
+                weighted_appue=5.0,
+                aggregated_aopue=5.0 / pue,
+            )
+        assert str(excinfo.value) == message
 
     def test_valid_report_passes(self):
         report = MetricsReport(
