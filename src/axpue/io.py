@@ -279,7 +279,7 @@ def _csv_rows(
             rows.append(row)
             if reader.line_num >= len(lines):
                 break
-    except Exception as exc:
+    except (csv.Error, UnicodeDecodeError) as exc:
         return rows, exc
     return rows, failure
 

@@ -177,12 +177,6 @@ class TestPowerCsvChunks:
         traces = parse_csv(HEADER + " a,0,1\na,60,2\na ,120,3\n")
         assert trace_values(traces) == [("a", [0.0, 60.0, 120.0], [1.0, 2.0, 3.0])]
 
-    def test_bad_watts_two_blocks_after_a_quoted_row_carries_its_line(self):
-        with pytest.raises(ParseError) as excinfo:
-            parse_csv(HEADER + '"s1",0,100\ns1,60,100\ns1,120,1a\ns1,180,100\n')
-        assert excinfo.value.line == 4
-        assert str(excinfo.value) == "bad watts value '1a'"
-
     def test_plain_block_after_a_quoted_one_is_split(self, monkeypatch):
         split_block, split = axpue.io._split_block, []
 
