@@ -10,7 +10,8 @@ that the checkout's ``BENCHMARK.json`` sets.  One record per workload
 is appended: the checkout's commit, the date, the seeds, the median, Q1 and
 Q3 of each end-to-end metric over the seeds, the median ``cpu_slowdown``,
 the number of failed computations, and the Python and numpy versions.
-A checkout with uncommitted changes is recorded as ``<commit>+dirty``.
+A checkout with uncommitted changes, found before the first record is
+written, is recorded as ``<commit>+dirty``.
 """
 
 from __future__ import annotations
@@ -49,12 +50,11 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def record(checkout: Path, workload: str, seeds: list[int], seconds: float) -> dict:
+def record(checkout: Path, commit: str, workload: str, seeds: list[int], seconds: float) -> dict:
     runs = [_run(checkout, workload, seed, seconds) for seed in seeds]
-    dirty = _git(checkout, "status", "--porcelain", "--untracked-files=no")
     env = runs[0][1]["env"]
     return {
-        "commit": _git(checkout, "rev-parse", "HEAD") + ("+dirty" if dirty else ""),
+        "commit": commit,
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "workload": workload,
         "seeds": seeds,
@@ -81,8 +81,11 @@ def main() -> int:
     checkout = args.checkout.resolve()
     seconds = json.loads((checkout / "BENCHMARK.json").read_text())["run_seconds"]
     records = json.loads(args.out.read_text()) if args.out.exists() else []
+    # Before the first record is written: --out may be a tracked file of the checkout.
+    dirty = _git(checkout, "status", "--porcelain", "--untracked-files=no")
+    commit = _git(checkout, "rev-parse", "HEAD") + ("+dirty" if dirty else "")
     for workload in WORKLOADS:
-        records.append(record(checkout, workload, args.seeds, seconds))
+        records.append(record(checkout, commit, workload, args.seeds, seconds))
         args.out.write_text(json.dumps(records, indent=1) + "\n")
         print(json.dumps(records[-1]))
     return 0
