@@ -19,11 +19,16 @@ shortest round-tripping float representations.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io as _stdio
 import itertools
 import json
 import math
+import os
+import pickle
+import signal
+import stat
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -88,6 +93,11 @@ def _parse_timestamp(text: str) -> float:
 _BLOCK_CHARS = 1 << 16
 #: Characters asked of the stream by each ``read`` call.
 _READ_CHARS = 8192
+#: Bytes of power CSV per forked range: a file under twice this is parsed in
+#: one process.
+_RANGE_BYTES = 4 << 20
+#: Bytes read at a time when a file is scanned.
+_SCAN_BYTES = 1 << 20
 
 
 def _then_raise(exc: Exception):
@@ -191,6 +201,21 @@ class _Samples:
             column.append(values)
         return True
 
+    def merge(self, names: list[str], columns: tuple[list[np.ndarray], ...], offset: int) -> None:
+        """Append the block columns of another ``_Samples``, in place.
+
+        ``names`` are its device ids in code order, and ``offset`` is added
+        to its line numbers.
+        """
+        remap = np.array([self.ids.setdefault(name, len(self.ids)) for name in names], np.intp)
+        codes, _, _, lines = columns
+        for block in codes:
+            np.take(remap, block, out=block, mode="clip")
+        for block in lines:
+            block += offset
+        for column, blocks in zip(self.columns, columns):
+            column.extend(blocks)
+
     def traces(self) -> list[PowerTrace]:
         """One trace per device in device-id order; rejects duplicate samples.
 
@@ -241,7 +266,8 @@ def _read_block(stream: IO[str]) -> tuple[str, UnicodeDecodeError | None]:
     The block ends where the stream ends a line: its last line is completed
     with ``readline``.  It is shorter only at the end of the stream, or when
     a read meets bytes that do not decode; that error is returned with the
-    complete lines read before it, so that they are still checked.
+    complete lines of the reads before it, so that they are still checked.
+    The text the failed read decoded is lost with it.
     """
     parts, count = [], 0
     try:
@@ -254,7 +280,11 @@ def _read_block(stream: IO[str]) -> tuple[str, UnicodeDecodeError | None]:
             parts.append(stream.readline())
     except UnicodeDecodeError as exc:
         text = "".join(parts)
-        return text[: text.rfind("\n") + 1], exc
+        end = text.rfind("\n")
+        if getattr(stream, "newlines", None) is not None:
+            # A lone \r ends a line where the stream splits lines at it.
+            end = max(end, text.rfind("\r"))
+        return text[: end + 1], exc
     return "".join(parts), None
 
 
@@ -284,23 +314,8 @@ def _csv_rows(
     return rows, failure
 
 
-def parse_power_csv(stream: IO[str]) -> list[PowerTrace]:
-    """Parse power samples into one trace per device, sorted by device_id.
-
-    Rows may arrive in any order; each device's samples are sorted by time.
-    Duplicate (device, timestamp) pairs, malformed rows, and negative watt
-    readings are rejected with the offending 1-based line number (the row's
-    record number when a quoted field spans lines).
-
-    ``stream`` is a text stream (a text file, ``StringIO``).  After the
-    header, it is read in blocks of whole lines of about ``_BLOCK_CHARS``
-    characters.  A plain block is split with string methods; any other
-    block, and one longer than ``csv.field_size_limit()``, is tokenized by
-    ``csv.reader``, with the lines of the stream that close a quoted record
-    it leaves open.  Each block is converted and checked column-wise; one
-    that fails is re-checked row by row to report its first bad row.  Lines
-    read before bytes that do not decode are checked first.
-    """
+def _read_header(stream: IO[str]) -> None:
+    """Read the header record of ``stream`` and check it."""
     try:
         header = next(csv.reader(stream))
     except StopIteration:
@@ -310,7 +325,14 @@ def parse_power_csv(stream: IO[str]) -> list[PowerTrace]:
             f"expected header {','.join(POWER_CSV_HEADER)!r}, got {','.join(header)!r}",
             line=1,
         )
-    samples, line = _Samples(), 2
+
+
+def _parse_rows(stream: IO[str], samples: _Samples, line: int) -> int:
+    """Check and add the rows of ``stream`` to ``samples``, block by block.
+
+    ``line`` is the number of the first line read; returns the number of the
+    line after the last one.
+    """
     while True:
         block, failure = _read_block(stream)
         columns = _split_block(block) if len(block) <= csv.field_size_limit() else None
@@ -333,7 +355,279 @@ def parse_power_csv(stream: IO[str]) -> list[PowerTrace]:
         if failure is not None:
             raise failure
         if not block:
-            return samples.traces()
+            return line
+
+
+class _ByteRange(_stdio.RawIOBase):
+    """Bytes ``start`` up to ``end`` of the open file ``fd``, read with ``pread``."""
+
+    def __init__(self, fd: int, start: int, end: int):
+        super().__init__()
+        self.fd, self.pos, self.end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = os.pread(self.fd, min(len(buffer), self.end - self.pos), self.pos)
+        buffer[: len(data)] = data
+        self.pos += len(data)
+        return len(data)
+
+
+def _range_text(fd: int, start: int, end: int) -> IO[str]:
+    """Bytes ``start`` up to ``end`` of the file ``fd``, decoded as UTF-8."""
+    raw = _stdio.BufferedReader(_ByteRange(fd, start, end))
+    return _stdio.TextIOWrapper(raw, encoding="utf-8", newline="")
+
+
+class _FailingAtEnd:
+    """A text stream that raises ``failure`` where ``stream`` ends.
+
+    So ends a stream whose next read meets undecodable bytes, once all the
+    text before them has been read.
+    """
+
+    def __init__(self, stream: IO[str], failure: UnicodeDecodeError):
+        self.stream, self.failure = stream, failure
+
+    def read(self, size: int = -1) -> str:
+        return self._or_fail(self.stream.read(size))
+
+    def readline(self, size: int = -1) -> str:
+        return self._or_fail(self.stream.readline(size))
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        return self.readline()
+
+    def _or_fail(self, text: str) -> str:
+        if not text:
+            raise self.failure
+        return text
+
+
+def _file_descriptor(stream: IO[str]) -> int | None:
+    """The descriptor of the regular file ``stream`` decodes as strict UTF-8
+    from its first byte, or None."""
+    try:
+        fd = stream.fileno()
+        if (
+            stat.S_ISREG(os.fstat(fd).st_mode)
+            and stream.tell() == 0
+            and codecs.lookup(stream.encoding).name == "utf-8"
+            and stream.errors == "strict"
+        ):
+            return fd
+    except (AttributeError, LookupError, OSError, TypeError, ValueError):
+        pass
+    return None
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _line_start(fd: int, offset: int) -> int:
+    """The offset of the first line of the file ``fd`` that starts at or after ``offset``."""
+    offset -= 1
+    while chunk := os.pread(fd, _SCAN_BYTES, offset):
+        if (newline := chunk.find(b"\n")) >= 0:
+            return offset + newline + 1
+        offset += len(chunk)
+    return offset
+
+
+def _range_cuts(fd: int) -> list[int] | None:
+    """Offsets that cut the file ``fd`` into byte ranges of whole lines, one per CPU.
+
+    The first range holds the header.  None when ``os.fork`` is missing, when
+    there are not two ranges of ``_RANGE_BYTES`` and two CPUs, and when the
+    file holds a ``"`` or a ``\\r``: a quoted record could cross a cut, and
+    whether a lone ``\\r`` ends a line depends on the stream.
+    """
+    size = os.fstat(fd).st_size
+    count = min(_cpu_count(), size // _RANGE_BYTES)
+    if count < 2 or not hasattr(os, "fork"):
+        return None
+    body = None
+    for offset in range(0, size, _SCAN_BYTES):
+        chunk = os.pread(fd, _SCAN_BYTES, offset)
+        if b'"' in chunk or b"\r" in chunk:
+            return None
+        if body is None and (newline := chunk.find(b"\n")) >= 0:
+            body = offset + newline + 1
+    if body is None:
+        return None
+    cuts = [0]
+    for i in range(1, count):
+        cut = _line_start(fd, body + (size - body) * i // count)
+        if cuts[-1] < cut < size:
+            cuts.append(cut)
+    return [*cuts, size] if len(cuts) > 1 else None
+
+
+def _fork_range(fd: int, start: int, end: int) -> tuple[int, IO[bytes]] | None:
+    """A child that parses bytes ``start`` up to ``end`` of the file ``fd``.
+
+    It counts lines from 0 and pickles its device ids, line count and block
+    columns into a pipe; it sends nothing if the range fails.  Returns the
+    child's pid and the pipe's read end, or None if no child could start.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            samples = _Samples()
+            count = _parse_rows(_range_text(fd, start, end), samples, 0)
+            with open(write_end, "wb") as out:
+                pickle.dump((list(samples.ids), count, samples.columns), out, protocol=5)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _child_result(child: tuple[int, IO[bytes]] | None) -> tuple | None:
+    """What a range's child sent, or None if it failed; the child is reaped."""
+    if child is None:
+        return None
+    pid, pipe = child
+    with pipe:
+        try:
+            result = pickle.load(pipe)
+        except Exception:  # a child that died mid-write leaves any partial pickle
+            result = None
+    _, status = os.waitpid(pid, 0)
+    return result if status == 0 else None
+
+
+def _parse_ranges(fd: int, cuts: list[int]) -> _Samples:
+    """Parse the byte ranges between ``cuts``, one forked child per range
+    after the first, which this process parses itself.
+
+    Children's columns are merged in file order.  A range whose child failed
+    is parsed again here, with its right first line, so that it raises the
+    error the one-process parse raises.  No child is left unreaped.
+    """
+    ranges = list(zip(cuts[1:-1], cuts[2:]))
+    children = []
+    try:
+        for start, end in ranges:
+            children.append(_fork_range(fd, start, end))
+        samples = _Samples()
+        stream = _range_text(fd, 0, cuts[1])
+        _read_header(stream)
+        line = _parse_rows(stream, samples, 2)
+        for start, end in ranges:
+            result = _child_result(children[0])
+            del children[0]
+            if result is None:
+                line = _parse_rows(_range_text(fd, start, end), samples, line)
+            else:
+                names, count, columns = result
+                samples.merge(names, columns, line)
+                line += count
+        return samples
+    finally:
+        for child in children:
+            if child is not None:
+                pid, pipe = child
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pipe.close()
+
+
+def _lines_before_undecodable(fd: int) -> tuple[int, UnicodeDecodeError] | None:
+    """The end of the whole lines before the first undecodable byte of the
+    file ``fd``, and the error that byte raises.
+
+    None if every byte decodes, or if a ``\\r`` comes first: whether it ends
+    a line depends on the stream.
+    """
+    data, offset, end = b"", 0, 0  # data: the bytes from offset not yet decoded
+    while True:
+        chunk = os.pread(fd, _SCAN_BYTES, offset + len(data))
+        data += chunk
+        try:
+            used, failure = codecs.utf_8_decode(data, "strict", not chunk)[1], None
+        except UnicodeDecodeError as exc:
+            used, failure = exc.start, exc
+        if data.find(b"\r", 0, used) >= 0:
+            return None
+        if (newline := data.rfind(b"\n", 0, used)) >= 0:
+            end = offset + newline + 1
+        if failure is not None:
+            return end, failure
+        if not chunk:
+            return None
+        offset, data = offset + used, data[used:]
+
+
+def _raise_before_undecodable(fd: int | None, failure: UnicodeDecodeError) -> NoReturn:
+    """Raise the first bad row before the first undecodable byte, else ``failure``."""
+    found = None if fd is None else _lines_before_undecodable(fd)
+    if found is None:
+        raise failure
+    end, failure = found
+    stream = _FailingAtEnd(_range_text(fd, 0, end), failure)
+    _read_header(stream)
+    _parse_rows(stream, _Samples(), 2)
+    raise failure
+
+
+def parse_power_csv(stream: IO[str]) -> list[PowerTrace]:
+    """Parse power samples into one trace per device, sorted by device_id.
+
+    Rows may arrive in any order; each device's samples are sorted by time.
+    Duplicate (device, timestamp) pairs, malformed rows, and negative watt
+    readings are rejected with the offending 1-based line number (the row's
+    record number when a quoted field spans lines).
+
+    ``stream`` is a text stream (a text file, ``StringIO``).  After the
+    header, it is read in blocks of whole lines of about ``_BLOCK_CHARS``
+    characters.  A plain block is split with string methods; any other
+    block, and one longer than ``csv.field_size_limit()``, is tokenized by
+    ``csv.reader``, with the lines of the stream that close a quoted record
+    it leaves open.  Each block is converted and checked column-wise; one
+    that fails is re-checked row by row to report its first bad row.
+
+    A regular file read as strict UTF-8 from its start, with no ``"`` or
+    ``\\r``, of at least two ranges of ``_RANGE_BYTES`` bytes, is cut into
+    one range of whole lines per available CPU, and each range after the
+    first is parsed by a forked child (see :func:`_parse_ranges`); results
+    and errors do not depend on the number of ranges.  Python 3.12 and
+    later warn on ``os.fork`` in a process with threads, as numpy's OpenBLAS
+    pool is; it registers ``pthread_atfork`` handlers.  In such a file
+    without a ``\\r`` before its first undecodable byte, every whole line
+    before that byte is checked first; in other streams, the lines of the
+    reads before the one that met it.
+    """
+    fd = _file_descriptor(stream)
+    try:
+        cuts = None if fd is None else _range_cuts(fd)
+        if cuts is None:
+            samples = _Samples()
+            _read_header(stream)
+            _parse_rows(stream, samples, 2)
+        else:
+            samples = _parse_ranges(fd, cuts)
+    except UnicodeDecodeError as exc:
+        failure = exc
+    else:
+        return samples.traces()
+    _raise_before_undecodable(fd, failure)
 
 
 def write_power_csv(blocks: Iterable[tuple[str, np.ndarray, np.ndarray]]) -> bytes:
@@ -657,7 +951,9 @@ def load_bundle(
 
     Only the files themselves are checked here.  Whether devices resolve
     against the inventory and whether telemetry covers every window is
-    checked once, by :func:`~axpue.engine.analyze`.
+    checked once, by :func:`~axpue.engine.analyze`.  The power CSV is
+    handed to :func:`parse_power_csv` as an open file, so a large one is
+    parsed in byte ranges by forked children, one per available CPU.
     """
     inventory = _parse_file(lambda f: Inventory(parse_inventory_json(f)), inventory_path)
     traces = _parse_file(parse_power_csv, power_path, newline="")

@@ -529,6 +529,24 @@ class TestBadInputBytes:
         assert main(["compute", *args]) == 2
         assert capsys.readouterr().err == f"error: {path}: not valid UTF-8 ({reason})\n"
 
+    # The byte falls in the text read with the header (1,000 and 5,000), in
+    # the next read (9,000), and two reads later (20,000).
+    @pytest.mark.parametrize(
+        "ending, gap",
+        [("\n", 1000), ("\n", 5000), ("\n", 9000), ("\n", 20000), ("\r", 20000)],
+        ids=["lf-1000", "lf-5000", "lf-9000", "lf-20000", "cr-20000"],
+    )
+    def test_rows_before_an_undecodable_byte_are_checked_first(
+        self, tmp_path, capsys, ending, gap
+    ):
+        rows = "".join(f"s1,{60 * i},100\n" for i in range(3, 3000))[:gap]
+        text = HEADER + "s1,0,1\ns1,60,bad\n" + rows[: rows.rfind("\n") + 1]
+        args = write_inputs(tmp_path, VALID_POWER, run_line())
+        path = tmp_path / "power.csv"
+        path.write_bytes(text.replace("\n", ending).encode() + b"\xff,0,1" + ending.encode())
+        assert main(["compute", *args]) == 2
+        assert capsys.readouterr().err == f"error: {path}:3: bad watts value 'bad'\n"
+
     def test_invalid_utf8_in_manifest(self, tmp_path, capsys):
         manifest = simulated_manifest(tmp_path)
         manifest.write_bytes(manifest.read_bytes().replace(b"grep", b"gr\xe9p", 1))

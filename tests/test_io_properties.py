@@ -14,11 +14,14 @@ import contextlib
 import csv
 import io
 import math
+import os
+import pickle
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import axpue.io
@@ -126,7 +129,8 @@ def quoted(field: str) -> str:
 
 
 @st.composite
-def csv_texts(draw):
+def csv_texts(draw, plain=False):
+    """Power CSV texts; ``plain`` ones have ``\n`` endings and no quoted records."""
     header = draw(
         st.sampled_from(
             ["device_id,timestamp,watts"] * 4
@@ -134,10 +138,11 @@ def csv_texts(draw):
         )
     )
     lines = [header]
+    kinds = ["row"] * 10 + ["blank", "space", "short", "long", "quoted", "pair"]
+    if plain:
+        kinds.remove("quoted")
     for _ in range(draw(st.integers(0, 16))):
-        kind = draw(
-            st.sampled_from(["row"] * 10 + ["blank", "space", "short", "long", "quoted", "pair"])
-        )
+        kind = draw(st.sampled_from(kinds))
         if kind == "blank":
             lines.append("")
         elif kind == "space":
@@ -154,7 +159,7 @@ def csv_texts(draw):
                 if draw(st.booleans()):
                     fields[0] = quoted(draw(DEVICES) + "\nz")  # a field spanning two lines
             lines.append(",".join(fields))
-    ending = draw(st.sampled_from(["\n"] * 5 + ["\r\n"] * 2 + ["\r"]))
+    ending = "\n" if plain else draw(st.sampled_from(["\n"] * 5 + ["\r\n"] * 2 + ["\r"]))
     text = ending.join(lines)
     if draw(st.booleans()):
         text += ending
@@ -299,6 +304,163 @@ def test_lines_before_an_undecodable_byte_are_checked_first(tmp_path, watts, err
         with pytest.raises(error) as caught:
             parse_power_csv(f)
     assert getattr(caught.value, "line", None) == line
+
+
+@contextlib.contextmanager
+def ranges(cpus, range_bytes=1):
+    """The parser with ``cpus`` CPUs and ranges of ``range_bytes`` bytes or more."""
+    with mock.patch.multiple(axpue.io, _RANGE_BYTES=range_bytes, _cpu_count=lambda: cpus):
+        yield
+
+
+def file_outcome(parse, path, **sizes):
+    with parser_sizes(**sizes), open(path, encoding="utf-8", newline="") as f:
+        return outcome(parse, lambda: f)
+
+
+def ranged_outcome(path, cpus, range_bytes=1, **sizes):
+    """The ranged parse's outcome and the byte ranges it forked children for.
+
+    Afterwards, no child of this process is left, reaped or not.
+    """
+    forked, fork_range = [], axpue.io._fork_range
+
+    def spy(fd, start, end):
+        forked.append((start, end))
+        return fork_range(fd, start, end)
+
+    with ranges(cpus, range_bytes), mock.patch.object(axpue.io, "_fork_range", spy):
+        result = file_outcome(parse_power_csv, path, **sizes)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return result, forked
+
+
+def range_cuts(path, cpus):
+    """The offsets where the parser cuts the file at ``path`` into ranges."""
+    with ranges(cpus), open(path, "rb") as f:
+        return axpue.io._range_cuts(f.fileno())
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    text=csv_texts(plain=True),
+    cpus=st.integers(2, 4),
+    range_bytes=st.integers(1, 64),
+    block=BLOCKS,
+)
+def test_ranged_parse_matches_row_loop(tmp_path, text, cpus, range_bytes, block):
+    path = tmp_path / "power.csv"
+    path.write_bytes(text.encode())
+    expected = file_outcome(reference_parse_power_csv, path)
+    assert ranged_outcome(path, cpus, range_bytes, block=block)[0] == expected
+
+
+def rows(*times, device="s1", watts="1"):
+    return "".join(f"{device},{t},{watts}\n" for t in times)
+
+
+@pytest.mark.parametrize(
+    "cpus, text, where",
+    [
+        # Bad rows in the ranges of two children: the first one's error wins.
+        (3, HEADER + rows(0, 60, 120) + "s1,180,x\n" + rows(240) + "s1,300,y\n", ["", "x", "y"]),
+        # A bad row in this process's range, and one in a child's.
+        (2, HEADER + "s1,0,x\n" + rows(60, 120) + "s1,180,y\n", ["x", "y"]),
+        # The same sample in two ranges: the later line is reported.
+        (2, HEADER + rows(0, 60, 120, 180, 60, 240), ["s1,60,", "s1,60,"]),
+        # A device seen only in the last range.
+        (3, HEADER + rows(0, 60, 120, 180, 240, 300) + rows(0, 60, device="s0"), ["", "", "s0"]),
+        # A cut just before a blank line.
+        (2, HEADER + rows(*range(100, 150, 10)) + "\n" + rows(*range(150, 200, 10)), ["", "^\n"]),
+    ],
+    ids=[
+        "bad-rows-in-two-children",
+        "bad-rows-here-and-in-a-child",
+        "duplicate-across-ranges",
+        "device-in-last-range",
+        "cut-at-blank-line",
+    ],
+)
+def test_ranged_parse_pinned_cases(tmp_path, cpus, text, where):
+    """Each range's text matches its pattern in ``where``."""
+    path = tmp_path / "power.csv"
+    path.write_bytes(text.encode())
+    cuts = range_cuts(path, cpus)
+    assert len(cuts) == cpus + 1
+    data = path.read_bytes()
+    pieces = [data[start:end].decode() for start, end in zip(cuts, cuts[1:])]
+    assert all(re.search(pattern, piece) for pattern, piece in zip(where, pieces))
+    expected = file_outcome(reference_parse_power_csv, path)
+    assert ranged_outcome(path, cpus) == (expected, list(zip(cuts[1:-1], cuts[2:])))
+
+
+def test_quoted_file_is_parsed_in_one_process(tmp_path):
+    path = tmp_path / "power.csv"
+    path.write_bytes((HEADER + rows(0, 60, 120) + '"s1",180,1\n' + rows(240, 300)).encode())
+    expected = file_outcome(reference_parse_power_csv, path)
+    assert ranged_outcome(path, 4) == (expected, [])
+
+
+PARENT = os.getpid()
+
+
+def _crash(stream, samples, line, parse_rows=axpue.io._parse_rows):
+    """``_parse_rows`` that kills a child with its range read, and sends nothing."""
+    line = parse_rows(stream, samples, line)
+    if os.getpid() != PARENT:
+        os._exit(0)
+    return line
+
+
+def _bad_result(obj, out, protocol):
+    """``pickle.dump`` that sends a broken pickle, from a child that then exits 0."""
+    out.write(b"\x80\x05junk")
+
+
+def _result_then_error(obj, out, protocol):
+    """``pickle.dump`` that sends a whole result without samples, then fails."""
+    out.write(pickle.dumps(([], 0, ([], [], [], [])), protocol=protocol))
+    raise OSError("the child fails after sending")
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [("_parse_rows", _crash), ("pickle.dump", _bad_result), ("pickle.dump", _result_then_error)],
+    ids=["crash", "bad-result", "result-then-error"],
+)
+@pytest.mark.parametrize("bad", ["", "s1,130,x\n"], ids=["good-file", "bad-row"])
+def test_failed_children_are_not_trusted(tmp_path, patch, bad):
+    """Ranges whose children send no result are parsed again in this process."""
+    path = tmp_path / "power.csv"
+    path.write_bytes((HEADER + rows(0, 60, 120) + bad + rows(180, 240, 300, device="s2")).encode())
+    expected = file_outcome(reference_parse_power_csv, path)
+    name, fake = patch
+    target = axpue.io.pickle if name == "pickle.dump" else axpue.io
+    with mock.patch.object(target, name.rpartition(".")[2], fake):
+        result, forked = ranged_outcome(path, 3)
+    assert forked and result == expected
+
+
+@pytest.mark.parametrize(
+    "watts, error, line",
+    [("x", ParseError, 10), ("1", UnicodeDecodeError, None)],
+    ids=["bad-row-first", "only-the-byte"],
+)
+def test_undecodable_byte_in_a_child_range(tmp_path, watts, error, line):
+    """Results and errors do not depend on the CPU count."""
+    path = tmp_path / "power.csv"
+    text = HEADER + rows(*range(0, 480, 60)) + f"s1,480,{watts}\n"
+    path.write_bytes(text.encode() + b"s1,\xff,1\n" + rows(540, 600).encode())
+    with ranges(cpus=1):
+        expected = file_outcome(parse_power_csv, path)
+    assert expected[1::2] == (error, line)
+    result, forked = ranged_outcome(path, 2)
+    # The child's range holds line 10 and the byte.
+    assert len(forked) == 1 and forked[0][0] <= text.index("s1,480,")
+    assert result == expected
 
 
 DEVICE_IDS = st.text(
