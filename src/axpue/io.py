@@ -20,6 +20,7 @@ shortest round-tripping float representations.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
 import io as _stdio
 import itertools
@@ -29,6 +30,7 @@ import os
 import pickle
 import signal
 import stat
+import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -441,17 +443,31 @@ def _line_start(fd: int, offset: int) -> int:
     return offset
 
 
+def _may_fork() -> bool:
+    """Whether a forked child can be trusted to run and to be waited for.
+
+    Not in a process with other threads, where a child could block forever
+    on a lock one of them held at the fork, and not where ``SIGCHLD`` is
+    ignored or handled, which reaps children before ``waitpid`` can.
+    """
+    return (
+        hasattr(os, "fork")
+        and threading.active_count() == 1
+        and signal.getsignal(signal.SIGCHLD) == signal.SIG_DFL
+    )
+
+
 def _range_cuts(fd: int) -> list[int] | None:
     """Offsets that cut the file ``fd`` into byte ranges of whole lines, one per CPU.
 
-    The first range holds the header.  None when ``os.fork`` is missing, when
-    there are not two ranges of ``_RANGE_BYTES`` and two CPUs, and when the
-    file holds a ``"`` or a ``\\r``: a quoted record could cross a cut, and
-    whether a lone ``\\r`` ends a line depends on the stream.
+    The first range holds the header.  None when :func:`_may_fork` says no,
+    when there are not two ranges of ``_RANGE_BYTES`` and two CPUs, and when
+    the file holds a ``"`` or a ``\\r``: a quoted record could cross a cut,
+    and whether a lone ``\\r`` ends a line depends on the stream.
     """
     size = os.fstat(fd).st_size
     count = min(_cpu_count(), size // _RANGE_BYTES)
-    if count < 2 or not hasattr(os, "fork"):
+    if count < 2 or not _may_fork():
         return None
     body = None
     for offset in range(0, size, _SCAN_BYTES):
@@ -509,7 +525,10 @@ def _child_result(child: tuple[int, IO[bytes]] | None) -> tuple | None:
             result = pickle.load(pipe)
         except Exception:  # a child that died mid-write leaves any partial pickle
             result = None
-    _, status = os.waitpid(pid, 0)
+    try:
+        _, status = os.waitpid(pid, 0)
+    except ChildProcessError:  # reaped elsewhere: how it ended is unknown
+        return None
     return result if status == 0 else None
 
 
@@ -544,9 +563,10 @@ def _parse_ranges(fd: int, cuts: list[int]) -> _Samples:
         for child in children:
             if child is not None:
                 pid, pipe = child
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
                 pipe.close()
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
 
 
 def _lines_before_undecodable(fd: int) -> tuple[int, UnicodeDecodeError] | None:

@@ -17,6 +17,8 @@ import math
 import os
 import pickle
 import re
+import signal
+import threading
 from unittest import mock
 
 import numpy as np
@@ -442,6 +444,59 @@ def test_failed_children_are_not_trusted(tmp_path, patch, bad):
     with mock.patch.object(target, name.rpartition(".")[2], fake):
         result, forked = ranged_outcome(path, 3)
     assert forked and result == expected
+
+
+def _reaped_elsewhere(pid, options, waitpid=os.waitpid):
+    """``os.waitpid`` on a child that another waiter reaps first."""
+    status = waitpid(pid, options)
+    if pid < 0:
+        return status
+    raise ChildProcessError(pid)
+
+
+@pytest.mark.parametrize("bad", ["", "s1,0,x\n"], ids=["good-file", "bad-row-here"])
+def test_children_reaped_elsewhere_are_not_trusted(tmp_path, bad):
+    """A child whose exit status is lost is not trusted, nor killed twice."""
+    path = tmp_path / "power.csv"
+    path.write_bytes((HEADER + bad + rows(60, 120, 180) + rows(240, 300, device="s2")).encode())
+    expected = file_outcome(reference_parse_power_csv, path)
+    with mock.patch.object(os, "waitpid", _reaped_elsewhere):
+        result, forked = ranged_outcome(path, 3)
+    assert forked and result == expected
+
+
+@contextlib.contextmanager
+def sigchld_ignored():
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+
+
+@contextlib.contextmanager
+def another_thread():
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        done.set()
+        thread.join()
+
+
+@pytest.mark.parametrize("context", [sigchld_ignored, another_thread])
+@pytest.mark.parametrize("bad", ["", "s1,0,x\n"], ids=["good-file", "bad-row"])
+def test_no_fork_where_children_could_hang_or_vanish(tmp_path, context, bad):
+    """Ignored ``SIGCHLD`` reaps children before ``waitpid``; a child forked
+    beside other threads could wait forever on a lock one of them held."""
+    path = tmp_path / "power.csv"
+    path.write_bytes((HEADER + bad + rows(60, 120, 180) + rows(240, 300, device="s2")).encode())
+    expected = file_outcome(reference_parse_power_csv, path)
+    assert ranged_outcome(path, 3)[1]
+    with context():
+        assert ranged_outcome(path, 3) == (expected, [])
 
 
 @pytest.mark.parametrize(
