@@ -96,7 +96,9 @@ _BLOCK_CHARS = 1 << 16
 #: Characters asked of the stream by each ``read`` call.
 _READ_CHARS = 8192
 #: Bytes of power CSV per forked range: a file under twice this is parsed in
-#: one process.
+#: one process.  A child costs a few milliseconds, so two ranges lose to one
+#: process on files of a MiB or so; ranges of 4 MiB keep that cost small
+#: next to a range's parse.
 _RANGE_BYTES = 4 << 20
 #: Bytes read at a time when a file is scanned.
 _SCAN_BYTES = 1 << 20
@@ -626,13 +628,14 @@ def parse_power_csv(stream: IO[str]) -> list[PowerTrace]:
     A regular file read as strict UTF-8 from its start, with no ``"`` or
     ``\\r``, of at least two ranges of ``_RANGE_BYTES`` bytes, is cut into
     one range of whole lines per available CPU, and each range after the
-    first is parsed by a forked child (see :func:`_parse_ranges`); results
-    and errors do not depend on the number of ranges.  Python 3.12 and
-    later warn on ``os.fork`` in a process with threads, as numpy's OpenBLAS
-    pool is; it registers ``pthread_atfork`` handlers.  In such a file
-    without a ``\\r`` before its first undecodable byte, every whole line
-    before that byte is checked first; in other streams, the lines of the
-    reads before the one that met it.
+    first is parsed by a forked child (see :func:`_parse_ranges`), unless
+    the process runs other Python threads or has ``SIGCHLD`` ignored or
+    handled; results and errors do not depend on the number of ranges.
+    Python 3.12 and later warn on ``os.fork`` in a process with threads, as
+    numpy's OpenBLAS pool is; it registers ``pthread_atfork`` handlers.  In
+    a regular file without a ``\\r`` before its first undecodable byte,
+    every whole line before that byte is checked first; in other streams,
+    the lines of the reads before the one that met it.
     """
     fd = _file_descriptor(stream)
     try:
