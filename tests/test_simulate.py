@@ -26,6 +26,7 @@ from axpue import (
     simulate,
     sort_comparison_scenarios,
 )
+from axpue.cli import main
 from axpue.errors import ModelError
 from axpue.simulate import paper_scenarios, scenario_from_manifest, scenario_to_manifest
 from conftest import run_pipeline
@@ -324,6 +325,108 @@ def test_simulated_bytes_are_pinned(name):
     out = simulate(scenario)
     files = (out.power_csv, out.runs_jsonl, out.inventory_json, out.manifest_json)
     assert tuple(hashlib.sha256(data).hexdigest() for data in files) == PINNED_DIGESTS[name]
+
+
+def many_runs_scenario(seed: int = 31) -> SimScenario:
+    """Three servers, 5 s samples, 120 back-to-back runs on each of {srv-a, srv-b} and {srv-c}.
+
+    Each run edge sits on a sample or, half of the time, between two samples,
+    so windows with and without interior samples and with either kind of edge
+    all occur.
+    """
+    rng = random.Random(seed)
+    period, steps, runs_per_group = 5.0, 1200, 120
+    ids = ("srv-a", "srv-b", "srv-c")
+
+    def profile():
+        inner = sorted(rng.sample(range(1, steps), 10))
+        return tuple((i * period, rng.random()) for i in (0, *inner, steps))
+
+    def edge(step):
+        return step * period + (rng.uniform(0.1, 4.9) if rng.random() < 0.5 else 0.0)
+
+    runs = []
+    for group in (frozenset(ids[:2]), frozenset(ids[2:])):
+        cuts = sorted(rng.sample(range(steps), 2 * runs_per_group))
+        for k in range(runs_per_group):
+            runs.append(
+                ApplicationRun(
+                    run_id=f"req-{min(group)}-{k:03d}",
+                    category=ApplicationCategory.SERVICE,
+                    start=edge(cuts[2 * k]),
+                    end=edge(cuts[2 * k + 1]),
+                    work=WorkMeasure(WorkKind.REQUESTS_ANSWERED, rng.randrange(1, 10**6)),
+                    attributed_devices=group,
+                )
+            )
+    return SimScenario(
+        name="many-runs",
+        duration=steps * period,
+        sample_period=period,
+        devices=tuple(
+            (DeviceRecord(d, DeviceCategory.IT_EQUIPMENT, "server"), DevicePowerModel.server())
+            for d in ids
+        ),
+        utilization_profiles={d: profile() for d in ids},
+        runs=tuple(runs),
+        overhead=FacilityOverheadModel(250.0, 0.35, 0.04),
+    )
+
+
+# SHA-256 of the JSON and CSV reports that `axpue compute` writes for each
+# scenario, in that order.  They pin every report byte, down to the last bit
+# of each integrated energy.
+PINNED_REPORT_DIGESTS = {
+    "paper:bigdatabench": (
+        "ad2d9f3f10408b07ad34c3c30450f8a79cb614bcb250ef8472eadb1470055a75",
+        "3efce3592f7090d29f4a998162b2061eaf774b0e88e8c5722b90d4fb91eb05d3",
+    ),
+    "paper:grep": (
+        "8be74cc06ad2eb5f1f205e97dd82688dfcc921ee916ed59901f2caedf16b6f3c",
+        "55c38175c8488c7c57f23e3c17bbead6d239b697ccbc8f9c1c9574173a1f9783",
+    ),
+    "paper:linpack": (
+        "b918d59fd47c59de6e814cd7c38b3a53985907e97a94253bfaf02bdf5e34edf7",
+        "cc45f9e34db39fb7f46c3b8092f4f3220616fc65ee061dc43adf9da7dae897b0",
+    ),
+    "paper:sort": (
+        "a054011615537696ea7e4a8847d95697dd4758a307c530f3f371ad3a75ffcefb",
+        "1ee520249cd7dae73eadc7003c57cca9b1c66572c70cbaccc05f6bf08cc08f1e",
+    ),
+    "paper:sort1": (
+        "1bae6f392f4b6ece43538cf25e804fbde908b52753a584ee6d8f29a03c48cb67",
+        "054d85da1c0ed86405bc4696697ba8281f2b051fc9ae3df8fff09cd82281512f",
+    ),
+    "paper:sort2": (
+        "c1a1de61bad5d1d734eb6f5e0238485571fef56a3db6f9dc106204ee19672aeb",
+        "b32292270c32c8731df1dcaad214fd2dff3abd54c9e1125c877cbd41e632695d",
+    ),
+    "paper:svm": (
+        "fe3da2af5141b53d2323c842107611b20c9d5c8e0e193587ccc2c6b778352389",
+        "a9b2ed78e51aabe9ac559b7b369cb6e10979f95551bad057a45c056570dde3a4",
+    ),
+    "many-runs": (
+        "0a0066bdc74278bc761abeeef091647f5b061b2488ebea7807d6abb17246578a",
+        "be22d1d77f7cc22a07e0d4e2485ecd5ce3d2f2113f59c2761cb53272acde69ef",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORT_DIGESTS))
+def test_report_bytes_are_pinned(name, tmp_path):
+    if name.startswith("paper:"):
+        assert main(["simulate", name, "--out", str(tmp_path)]) == 0
+    else:
+        simulate(many_runs_scenario()).write_to(tmp_path)
+    digests = []
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"report.{fmt}"
+        args = ["compute", "--format", fmt, "--out", str(out)]
+        for kind, file in (("power", "power.csv"), ("runs", "runs.jsonl"), ("inventory", "inventory.json")):
+            args += [f"--{kind}", str(tmp_path / file)]
+        assert main(args) == 0
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert tuple(digests) == PINNED_REPORT_DIGESTS[name]
 
 
 class TestReferenceScenarios:
