@@ -39,8 +39,8 @@ from .integrate import (
     PowerTrace,
     _check_max_gap,
     _check_window,
+    _integrate_windows,
     category_energy,
-    integrate_power,
 )
 from .model import (
     RATE_UNIT_FOR_CATEGORY,
@@ -294,12 +294,30 @@ def analyze(
                 f"the report window [{start}, {end}]"
             )
     energy_window = category_energy(traces, inventory, start, end, max_gap)
-    # category_energy has checked that every inventory device has a trace.
+    # category_energy has checked that every inventory device has a trace,
+    # and each run lies inside the window it integrated: one kernel call per
+    # device covers all of that device's run windows.
     trace_by_device = {t.device_id: t for t in traces}
+    runs_by_device: dict[str, list[ApplicationRun]] = {}
+    for run in runs:
+        for device_id in run.attributed_devices:
+            runs_by_device.setdefault(device_id, []).append(run)
+    # Each device's energies come back in run order, and are taken so.
+    joules_by_device = {
+        device_id: iter(
+            _integrate_windows(
+                trace_by_device[device_id],
+                [run.start for run in device_runs],
+                [run.end for run in device_runs],
+                max_gap,
+            )
+        )
+        for device_id, device_runs in sorted(runs_by_device.items())
+    }
     run_inputs = []
     for run in runs:
         joules = [
-            integrate_power(trace_by_device[device_id], run.start, run.end, max_gap)
+            next(joules_by_device[device_id])
             for device_id in sorted(run.attributed_devices)
         ]
         run_inputs.append(

@@ -106,8 +106,8 @@ def integrate_power(
     Boundary values come from linear interpolation between the bracketing
     samples, or from constant extension when the window edge lies beyond the
     first/last sample by at most ``max_gap``.  Only the window's samples and
-    the nearest one beyond each edge are read, so the cost does not grow
-    with the length of the trace.
+    the nearest one beyond each edge are read, so the work grows with the
+    span the window covers, not with the length of the trace.
 
     Raises :class:`ValidationError` when ``max_gap`` is NaN or not positive
     (``inf`` turns the gap check off), :class:`NoSamplesError` on an empty
@@ -122,25 +122,100 @@ def integrate_power(
             f"device {trace.device_id!r}: trace holds no samples",
             device_id=trace.device_id,
         )
+    return _integrate_windows(trace, [float(start)], [float(end)], max_gap)[0]
+
+
+def _integrate_windows(
+    trace: PowerTrace, starts: Sequence[float], ends: Sequence[float], max_gap: float
+) -> list[float]:
+    """Energy of a non-empty trace over each window [starts[j], ends[j]].
+
+    Windows are checked (finite, ``end > start``) by the caller and may
+    overlap.  The result is bit for bit what one window at a time gives:
+    window j's terms are ``(P[1:] + P[:-1]) * (T[1:] - T[:-1])`` over
+    ``T = [start, times[i0:i1], end]`` and its powers ``P``, laid out in that
+    order in one array per call, and each window's sum runs over its own
+    contiguous slice, so numpy's pairwise summation adds the same values in
+    the same order.  The edge powers come from ``np.interp`` over the span
+    the windows cover, which reads the same bracketing pair of samples as
+    an interpolation over the window's own samples.  So the work grows with
+    the covered span and the number of windows, not with the trace.
+
+    A window fails when any stretch it needs is wider than ``max_gap``, and
+    the first failing window in input order raises its
+    :class:`CoverageGapError`.  ``analyze`` passes run windows that lie
+    inside a report window this trace has already passed, so every stretch
+    they need has passed too and they cannot fail; ``integrate_power``
+    relies on the check.
+    """
     times, watts = trace.times, trace.watts
-    start, end = float(start), float(end)
-    # times[i0:i1] lies strictly inside the window.
-    i0 = int(times.searchsorted(start, side="right"))
-    i1 = int(times.searchsorted(end, side="left"))
-    lo, hi = max(i0 - 1, 0), min(i1 + 1, times.size)
-    gap = _coverage_gap(times, lo, hi, start, end, float(max_gap))
-    if gap is not None:
-        gap_start, gap_end = gap
-        raise CoverageGapError(
-            f"device {trace.device_id!r}: no samples across [{gap_start}, {gap_end}] "
-            f"({gap_end - gap_start:.3f} s > max_gap {max_gap} s)",
-            gap=gap,
-            device_id=trace.device_id,
-        )
-    p_start, p_end = np.interp((start, end), times[lo:hi], watts[lo:hi]).tolist()
-    ts = np.concatenate(([start], times[i0:i1], [end]))
-    ps = np.concatenate(([p_start], watts[i0:i1], [p_end]))
-    return 0.5 * float(((ps[1:] + ps[:-1]) * (ts[1:] - ts[:-1])).sum())
+    limit = float(max_gap)
+    # times[i0[j]:i1[j]] lies strictly inside window j, which needs the
+    # stretches from times[k] to times[k + 1] with i0[j] - 1 <= k < i1[j].
+    # The span holds them all.
+    i0 = times.searchsorted(starts, side="right")
+    i1 = times.searchsorted(ends, side="left")
+    span_lo = max(min(i0.tolist()) - 1, 0)
+    span_hi = min(max(i1.tolist()) + 1, times.size)
+    span = times[span_lo:span_hi]
+    wide = ((span[1:] - span[:-1]) > limit).nonzero()[0]
+    # Subtraction rounds monotonically, so the earliest start and the latest
+    # end are the ones that can reach too far past the trace.
+    if wide.size or times[0] - min(starts) > limit or max(ends) - times[-1] > limit:
+        _raise_first_gap(trace, starts, ends, i0, i1, span_lo + wide, max_gap)
+    edges = np.interp(np.concatenate((starts, ends)), span, watts[span_lo:span_hi])
+    p_starts, p_ends = edges[: i0.size], edges[i0.size :]
+    if i0.size == 1:
+        # One window's samples are one slice: no gather.
+        j0, j1 = int(i0[0]), int(i1[0])
+        ts = np.concatenate((starts, times[j0:j1], ends))
+        ps = np.concatenate((p_starts, watts[j0:j1], p_ends))
+        bounds = [(0, ts.size - 1)]
+    else:
+        # Window j takes ts[first[j]:last[j] + 1]: its start, its i1 - i0
+        # samples and its end.  Gathering times[i0 - 1 .. i1] fills the
+        # samples; the two edge slots are then overwritten.
+        sizes = i1 - i0 + 2
+        last = sizes.cumsum() - 1
+        first = last - sizes + 1
+        index = np.arange(int(last[-1]) + 1) + np.repeat(i0 - 1 - first, sizes)
+        ts = times.take(index, mode="clip")
+        ps = watts.take(index, mode="clip")
+        ts[first], ts[last], ps[first], ps[last] = starts, ends, p_starts, p_ends
+        bounds = zip(first.tolist(), last.tolist())
+    terms = (ps[1:] + ps[:-1]) * (ts[1:] - ts[:-1])
+    return [0.5 * float(terms[a:b].sum()) for a, b in bounds]
+
+
+def _raise_first_gap(
+    trace: PowerTrace,
+    starts: Sequence[float],
+    ends: Sequence[float],
+    i0: np.ndarray,
+    i1: np.ndarray,
+    wide: np.ndarray,
+    max_gap: float,
+) -> None:
+    """Raise the first window's :class:`CoverageGapError`, if any window fails.
+
+    ``wide`` holds, in order, each k whose stretch from ``times[k]`` to
+    ``times[k + 1]`` is wider than ``max_gap`` within the windows' span.
+    """
+    times, limit = trace.times, float(max_gap)
+    starts, ends = np.asarray(starts, dtype=np.float64), np.asarray(ends, dtype=np.float64)
+    failing = (times[0] - starts > limit) | (ends - times[-1] > limit)
+    failing |= np.append(wide, times.size)[wide.searchsorted(i0 - 1)] < i1
+    if not failing.any():
+        return
+    j = int(failing.argmax())
+    lo, hi = max(int(i0[j]) - 1, 0), min(int(i1[j]) + 1, times.size)
+    gap_start, gap_end = _coverage_gap(times, lo, hi, float(starts[j]), float(ends[j]), limit)
+    raise CoverageGapError(
+        f"device {trace.device_id!r}: no samples across [{gap_start}, {gap_end}] "
+        f"({gap_end - gap_start:.3f} s > max_gap {max_gap} s)",
+        gap=(gap_start, gap_end),
+        device_id=trace.device_id,
+    )
 
 
 def category_energy(

@@ -25,12 +25,15 @@ from axpue import (
     analyze,
     build_report,
     builtin_scenario,
+    integrate_power,
     parse_inventory_json,
     parse_power_csv,
     parse_runs_jsonl,
     simulate,
 )
+from axpue import engine, integrate
 from axpue.engine import aggregate_appue, compute_weights
+from axpue.integrate import category_energy
 from axpue.errors import (
     InvalidWindowError,
     NoRunsError,
@@ -408,6 +411,51 @@ class TestAnalyze:
         assert report.per_run == ()
         assert report.weighted_appue is None
         assert report.pue == pytest.approx(1.5, rel=1e-12)
+
+    @staticmethod
+    def count_kernel_calls(monkeypatch):
+        """Record (device, window count) for every call of the integration kernel."""
+        calls = []
+
+        def counted(trace, starts, ends, max_gap):
+            calls.append((trace.device_id, len(starts)))
+            return kernel(trace, starts, ends, max_gap)
+
+        kernel = integrate._integrate_windows
+        monkeypatch.setattr(integrate, "_integrate_windows", counted)
+        monkeypatch.setattr(engine, "_integrate_windows", counted)
+        return calls
+
+    def test_one_kernel_call_per_device_with_runs(self, monkeypatch):
+        runs = [
+            data_run("a", 0.0, 210.0, 1e5, devices={"it-00", "it-01"}),
+            data_run("b", 260.0, 400.0, 1e5, devices={"it-00"}),
+            data_run("c", 400.0, 725.5, 1e5, devices={"it-00", "it-01"}),
+            data_run("d", 800.0, 1000.0, 1e5, devices={"it-01"}),
+        ]
+        traces = [
+            PowerTrace(t.device_id, t.times, t.watts + np.arange(t.times.size))
+            for t in self.traces()
+        ]
+        calls = self.count_kernel_calls(monkeypatch)
+        report = analyze(traces, self.inventory(), runs)
+        # One report window per trace (category_energy), then one call per
+        # device that has runs, not one per (run, device) pair.
+        assert calls == [("cool", 1), ("it-00", 1), ("it-01", 1), ("it-00", 3), ("it-01", 3)]
+        by_id = {t.device_id: t for t in traces}
+        for run, row in zip(runs, report.per_run):
+            joules = math.fsum(
+                integrate_power(by_id[d], run.start, run.end) for d in sorted(run.attributed_devices)
+            )
+            assert row.it_power_kw.hex() == (joules / run.duration / 1000.0).hex()
+
+    def test_no_runs_makes_no_run_window_call(self, monkeypatch):
+        window = category_energy(self.traces(), self.inventory(), 0.0, 1000.0)
+        calls = self.count_kernel_calls(monkeypatch)
+        report = analyze(self.traces(), self.inventory(), [], window=(0.0, 1000.0))
+        assert calls == [("cool", 1), ("it-00", 1), ("it-01", 1)]
+        assert report.window == window
+        assert report.per_run == ()
 
     def test_many_runs_one_late_conflict_named(self):
         devices = [f"d{i}" for i in range(8)]

@@ -1,10 +1,12 @@
-"""Property test: window integration against the whole-trace rule it replaced.
+"""Property tests: window integration against the whole-trace rule it replaced.
 
 ``reference_integrate_power`` scans every sample of the trace for gaps and
 interpolates over the whole trace, as ``integrate_power`` did before it read
 only the samples a window needs.  It is kept here only as the reference: on
-every generated trace and window both must return the same energy, bit for
-bit, or raise the same error with the same message and gap.
+every generated trace and window ``integrate_power`` must return the same
+energy, bit for bit, or raise the same error with the same message and gap.
+The batched kernel must do the same for every window of a list, and raise
+the error of the first window that fails.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from axpue import PowerTrace, integrate_power
 from axpue.errors import CoverageGapError, NoSamplesError
-from axpue.integrate import _check_window
+from axpue.integrate import _check_window, _integrate_windows
 
 
 def reference_coverage_gap(times, start, end, max_gap):
@@ -69,27 +71,54 @@ def outcome(integrate, trace, start, end, max_gap):
 
 
 @st.composite
-def cases(draw):
-    """A trace with short and wide gaps, and a window that may pass its ends."""
+def traces(draw, allow_empty=True):
+    """Sample times with short and wide gaps, and their watts."""
     steps = draw(
         st.lists(
             st.one_of(st.floats(0.25, 20.0), st.floats(20.0, 300.0)), max_size=40
         )
     )
     origin = draw(st.floats(-1e6, 1e6))
-    empty = not steps and draw(st.booleans())
+    empty = allow_empty and not steps and draw(st.booleans())
     times = [] if empty else (origin + np.cumsum([0.0, *steps])).tolist()
     watts = draw(st.lists(st.floats(0.0, 1e4), min_size=len(times), max_size=len(times)))
+    return origin, times, watts
+
+
+def windows(draw, origin, times, max_gap):
+    """A window that may pass the trace's ends, sit on samples or between two."""
     lo = (times[0] if times else origin) - 200.0
     hi = (times[-1] if times else origin) + 200.0
     point = st.floats(lo, hi)
     if times:
-        point = st.one_of(point, st.sampled_from(times))
+        point = st.one_of(
+            point,
+            st.sampled_from(times),
+            # Beyond an end by less than max_gap: extended, not a gap.
+            st.floats(times[0] - max_gap, times[0]),
+            st.floats(times[-1], times[-1] + max_gap),
+        )
     a, b = draw(point), draw(point)
+    if times and draw(st.booleans()):
+        # Both edges inside one stretch: no interior sample.
+        k = draw(st.integers(0, len(times) - 1))
+        left, right = times[k], times[k + 1] if k + 1 < len(times) else times[k] + 30.0
+        a, b = draw(st.floats(left, right)), draw(st.floats(left, right))
     start, end = min(a, b), max(a, b)
     if start == end:
         end = start + draw(st.floats(0.5, 100.0))
-    max_gap = draw(st.sampled_from([5.0, 30.0, 60.0, 150.0]))
+    return start, end
+
+
+MAX_GAPS = st.sampled_from([5.0, 30.0, 60.0, 150.0])
+
+
+@st.composite
+def cases(draw):
+    """A trace with short and wide gaps, and a window that may pass its ends."""
+    origin, times, watts = draw(traces())
+    max_gap = draw(MAX_GAPS)
+    start, end = windows(draw, origin, times, max_gap)
     return times, watts, start, end, max_gap
 
 
@@ -111,3 +140,36 @@ def test_window_integration_matches_the_whole_trace_rule(case):
     assert outcome(integrate_power, trace, start, end, max_gap) == outcome(
         reference_integrate_power, trace, start, end, max_gap
     )
+
+
+@st.composite
+def window_lists(draw):
+    """A non-empty trace and 1-8 windows, which may overlap one another."""
+    origin, times, watts = draw(traces(allow_empty=False))
+    max_gap = draw(MAX_GAPS)
+    count = draw(st.integers(1, 8))
+    return times, watts, [windows(draw, origin, times, max_gap) for _ in range(count)], max_gap
+
+
+@settings(max_examples=500, deadline=None)
+# Overlapping and nested windows; edges on samples; no interior sample;
+# edges beyond both ends by less than max_gap; a trace of one sample.
+@example(([0.0, 10.0, 20.0], [1.0, 2.0, 3.0], [(-5.0, 15.0), (5.0, 25.0), (0.0, 20.0)], 60.0))
+@example(([0.0, 10.0, 20.0], [1.0, 2.0, 3.0], [(11.0, 12.0), (10.0, 20.0), (12.5, 20.0)], 60.0))
+@example(([0.0], [3.0], [(-30.0, 30.0), (-1.0, 0.0)], 60.0))
+# The second and third windows fail; the second one's error is raised.
+@example(([0.0, 10.0, 200.0, 210.0], [1.0, 2.0, 3.0, 4.0], [(0.0, 10.0), (5.0, 205.0), (-100.0, 5.0)], 60.0))
+@example(([0.0, 10.0, 200.0, 210.0], [1.0, 2.0, 3.0, 4.0], [(200.0, 210.0), (0.0, 300.0)], 60.0))
+@given(window_lists())
+def test_kernel_matches_the_reference_window_by_window(case):
+    times, watts, spans, max_gap = case
+    trace = PowerTrace("dev", times, watts)
+    expected = [outcome(reference_integrate_power, trace, a, b, max_gap) for a, b in spans]
+    failed = [o for o in expected if o[0] == "error"]
+    try:
+        starts, ends = zip(*spans)
+        energies = _integrate_windows(trace, starts, ends, max_gap)
+        got = ("ok", [joules.hex() for joules in energies])
+    except Exception as exc:
+        got = ("error", type(exc), str(exc), getattr(exc, "gap", None))
+    assert got == (failed[0] if failed else ("ok", [o[1] for o in expected]))
