@@ -444,9 +444,8 @@ class TestAnalyze:
         assert calls == [("cool", 1), ("it-00", 1), ("it-01", 1), ("it-00", 3), ("it-01", 3)]
         by_id = {t.device_id: t for t in traces}
         for run, row in zip(runs, report.per_run):
-            joules = math.fsum(
-                integrate_power(by_id[d], run.start, run.end) for d in sorted(run.attributed_devices)
-            )
+            devices = sorted(run.attributed_devices)
+            joules = math.fsum(integrate_power(by_id[d], run.start, run.end) for d in devices)
             assert row.it_power_kw.hex() == (joules / run.duration / 1000.0).hex()
 
     def test_no_runs_makes_no_run_window_call(self, monkeypatch):

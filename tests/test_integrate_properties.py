@@ -158,7 +158,9 @@ def window_lists(draw):
 @example(([0.0, 10.0, 20.0], [1.0, 2.0, 3.0], [(11.0, 12.0), (10.0, 20.0), (12.5, 20.0)], 60.0))
 @example(([0.0], [3.0], [(-30.0, 30.0), (-1.0, 0.0)], 60.0))
 # The second and third windows fail; the second one's error is raised.
-@example(([0.0, 10.0, 200.0, 210.0], [1.0, 2.0, 3.0, 4.0], [(0.0, 10.0), (5.0, 205.0), (-100.0, 5.0)], 60.0))
+@example(
+    ([0.0, 10.0, 200.0, 210.0], [1.0, 2.0, 3.0, 4.0], [(0.0, 10.0), (5.0, 205.0), (-100.0, 5.0)], 60.0)
+)
 @example(([0.0, 10.0, 200.0, 210.0], [1.0, 2.0, 3.0, 4.0], [(200.0, 210.0), (0.0, 300.0)], 60.0))
 @given(window_lists())
 def test_kernel_matches_the_reference_window_by_window(case):

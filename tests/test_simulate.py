@@ -421,8 +421,9 @@ def test_report_bytes_are_pinned(name, tmp_path):
     digests = []
     for fmt in ("json", "csv"):
         out = tmp_path / f"report.{fmt}"
+        inputs = {"power": "power.csv", "runs": "runs.jsonl", "inventory": "inventory.json"}
         args = ["compute", "--format", fmt, "--out", str(out)]
-        for kind, file in (("power", "power.csv"), ("runs", "runs.jsonl"), ("inventory", "inventory.json")):
+        for kind, file in inputs.items():
             args += [f"--{kind}", str(tmp_path / file)]
         assert main(args) == 0
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
