@@ -158,33 +158,31 @@ def _integrate_windows(
     span_lo = max(min(i0.tolist()) - 1, 0)
     span_hi = min(max(i1.tolist()) + 1, times.size)
     span = times[span_lo:span_hi]
-    wide = ((span[1:] - span[:-1]) > limit).nonzero()[0]
     # Subtraction rounds monotonically, so the earliest start and the latest
     # end are the ones that can reach too far past the trace.
-    if wide.size or times[0] - min(starts) > limit or max(ends) - times[-1] > limit:
-        _raise_first_gap(trace, starts, ends, i0, i1, span_lo + wide, max_gap)
+    if (
+        ((span[1:] - span[:-1]) > limit).any()
+        or times[0] - min(starts) > limit
+        or max(ends) - times[-1] > limit
+    ):
+        _raise_first_gap(trace, starts, ends, i0, i1, max_gap)
     edges = np.interp(np.concatenate((starts, ends)), span, watts[span_lo:span_hi])
-    p_starts, p_ends = edges[: i0.size], edges[i0.size :]
-    if i0.size == 1:
-        # One window's samples are one slice: no gather.
-        j0, j1 = int(i0[0]), int(i1[0])
-        ts = np.concatenate((starts, times[j0:j1], ends))
-        ps = np.concatenate((p_starts, watts[j0:j1], p_ends))
-        bounds = [(0, ts.size - 1)]
-    else:
-        # Window j takes ts[first[j]:last[j] + 1]: its start, its i1 - i0
-        # samples and its end.  Gathering times[i0 - 1 .. i1] fills the
-        # samples; the two edge slots are then overwritten.
-        sizes = i1 - i0 + 2
-        last = sizes.cumsum() - 1
-        first = last - sizes + 1
-        index = np.arange(int(last[-1]) + 1) + np.repeat(i0 - 1 - first, sizes)
-        ts = times.take(index, mode="clip")
-        ps = watts.take(index, mode="clip")
-        ts[first], ts[last], ps[first], ps[last] = starts, ends, p_starts, p_ends
-        bounds = zip(first.tolist(), last.tolist())
+    # Window j takes ts[first[j]:last[j] + 1]: its start, its i1 - i0 samples
+    # and its end.  Gathering times[i0 - 1 .. i1] fills the samples; the two
+    # edge slots are then overwritten.
+    sizes = i1 - i0 + 2
+    last = sizes.cumsum() - 1
+    first = last - sizes + 1
+    index = np.arange(int(last[-1]) + 1) + np.repeat(i0 - 1 - first, sizes)
+    ts = times.take(index, mode="clip")
+    ps = watts.take(index, mode="clip")
+    # Freed before the terms are built, so at most four arrays of the
+    # gathered length are alive at once, as with one np.concatenate per side.
+    del index
+    ts[first], ts[last] = starts, ends
+    ps[first], ps[last] = edges[: i0.size], edges[i0.size :]
     terms = (ps[1:] + ps[:-1]) * (ts[1:] - ts[:-1])
-    return [0.5 * float(terms[a:b].sum()) for a, b in bounds]
+    return [0.5 * float(terms[a:b].sum()) for a, b in zip(first.tolist(), last.tolist())]
 
 
 def _raise_first_gap(
@@ -193,29 +191,21 @@ def _raise_first_gap(
     ends: Sequence[float],
     i0: np.ndarray,
     i1: np.ndarray,
-    wide: np.ndarray,
     max_gap: float,
 ) -> None:
-    """Raise the first window's :class:`CoverageGapError`, if any window fails.
-
-    ``wide`` holds, in order, each k whose stretch from ``times[k]`` to
-    ``times[k + 1]`` is wider than ``max_gap`` within the windows' span.
-    """
-    times, limit = trace.times, float(max_gap)
-    starts, ends = np.asarray(starts, dtype=np.float64), np.asarray(ends, dtype=np.float64)
-    failing = (times[0] - starts > limit) | (ends - times[-1] > limit)
-    failing |= np.append(wide, times.size)[wide.searchsorted(i0 - 1)] < i1
-    if not failing.any():
-        return
-    j = int(failing.argmax())
-    lo, hi = max(int(i0[j]) - 1, 0), min(int(i1[j]) + 1, times.size)
-    gap_start, gap_end = _coverage_gap(times, lo, hi, float(starts[j]), float(ends[j]), limit)
-    raise CoverageGapError(
-        f"device {trace.device_id!r}: no samples across [{gap_start}, {gap_end}] "
-        f"({gap_end - gap_start:.3f} s > max_gap {max_gap} s)",
-        gap=(gap_start, gap_end),
-        device_id=trace.device_id,
-    )
+    """Raise the first window's :class:`CoverageGapError`, if any window fails."""
+    times = trace.times
+    for j, (start, end) in enumerate(zip(starts, ends)):
+        lo, hi = max(int(i0[j]) - 1, 0), min(int(i1[j]) + 1, times.size)
+        gap = _coverage_gap(times, lo, hi, float(start), float(end), float(max_gap))
+        if gap is not None:
+            gap_start, gap_end = gap
+            raise CoverageGapError(
+                f"device {trace.device_id!r}: no samples across [{gap_start}, {gap_end}] "
+                f"({gap_end - gap_start:.3f} s > max_gap {max_gap} s)",
+                gap=(gap_start, gap_end),
+                device_id=trace.device_id,
+            )
 
 
 def category_energy(
