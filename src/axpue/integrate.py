@@ -139,7 +139,11 @@ def _integrate_windows(
     the same order.  The edge powers come from ``np.interp`` over the span
     the windows cover, which reads the same bracketing pair of samples as
     an interpolation over the window's own samples.  So the work grows with
-    the covered span and the number of windows, not with the trace.
+    the covered span and the number of windows, not with the trace.  Memory
+    grows with the gathered length, the windows' samples plus two slots
+    each: at most four arrays of it are alive at once.  Runs that share a
+    device cannot overlap, so ``analyze``'s call for a device gathers no
+    more than its report window holds plus two slots per run.
 
     A window fails when any stretch it needs is wider than ``max_gap``, and
     the first failing window in input order raises its

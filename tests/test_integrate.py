@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from axpue.errors import (
     UnknownDeviceError,
     ValidationError,
 )
-from axpue.integrate import category_energy
+from axpue.integrate import _integrate_windows, category_energy
 from conftest import interior_window, random_trace, riemann_energy
 
 
@@ -138,6 +140,22 @@ class TestIntegratePower:
         assert str(excinfo.value) == (
             "device 'dev': no samples across [10.0, 500.0] (490.000 s > max_gap 60.0 s)"
         )
+
+    @pytest.mark.parametrize("n_windows", [1, 100])
+    def test_memory_is_four_arrays_of_the_gathered_length(self, n_windows):
+        # Windows tiling a long trace gather about one trace's worth of
+        # samples; the kernel keeps at most four such arrays alive at once.
+        n = 250_000
+        times = np.arange(float(n))
+        trace = PowerTrace("dev", times, np.full(n, 100.0))
+        edges = np.linspace(0.0, n - 1.0, n_windows + 1)
+        tracemalloc.start()
+        try:
+            _integrate_windows(trace, edges[:-1], edges[1:], 60.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * times.nbytes
 
     def test_edge_beyond_max_gap_rejected(self):
         trace = PowerTrace("dev", [100.0, 200.0], [50.0, 50.0])
