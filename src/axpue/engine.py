@@ -171,15 +171,15 @@ def build_report(
     if window.it_energy == 0:
         raise ZeroITEnergyError("window holds no IT equipment energy")
     pue = window.total_facility_energy / window.it_energy
-    weights = (
-        compute_weights([r.it_power_kw for r in inputs.runs]) if inputs.runs else []
-    )
+    it_kws = [r.it_power_kw for r in inputs.runs]
+    reported = [r.rate.reported() for r in inputs.runs]
+    weights = compute_weights(it_kws) if inputs.runs else []
     rows = []
-    for run_input, weight in zip(inputs.runs, weights):
-        it_kw = run_input.it_power_kw
+    for run_input, it_kw, (magnitude, _), weight in zip(
+        inputs.runs, it_kws, reported, weights
+    ):
         if it_kw <= 0:
             raise ZeroITPowerError(f"IT power must be > 0 kW, got {it_kw!r}")
-        magnitude, _ = run_input.rate.reported()
         facility_kw = it_kw * pue
         appue = magnitude / it_kw
         aopue = magnitude / facility_kw
@@ -201,7 +201,7 @@ def build_report(
         weighted_appue = aggregate_appue(
             [r.appue for r in rows],
             weights,
-            units=[r.performance.reported()[1] for r in rows],
+            units=[unit for _, unit in reported],
         )
         aggregated_aopue = weighted_appue / pue
     base_provenance: dict[str, object] = {

@@ -33,6 +33,7 @@ import stat
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Iterable, NoReturn
 
@@ -815,6 +816,7 @@ def format_appue(value: float) -> str:
 
 
 def _report_to_obj(report: MetricsReport) -> dict:
+    """The report as a JSON object, with ``per_run`` left empty."""
     return {
         "schema": REPORT_SCHEMA,
         "window": {
@@ -826,26 +828,62 @@ def _report_to_obj(report: MetricsReport) -> dict:
             },
         },
         "pue": report.pue,
-        "per_run": [
-            {
-                "run_id": row.run_id,
-                "category": row.category.value,
-                "it_power_kw": row.it_power_kw,
-                "facility_power_kw": row.facility_power_kw,
-                "performance": {
-                    "value": row.performance.value,
-                    "unit": row.performance.unit.value,
-                },
-                "appue": row.appue,
-                "aopue": row.aopue,
-                "weight": row.weight,
-            }
-            for row in report.per_run
-        ],
+        "per_run": [],
         "weighted_appue": report.weighted_appue,
         "aggregated_aopue": report.aggregated_aopue,
         "provenance": dict(report.provenance),
     }
+
+
+def _json_scalar(value: object) -> str:
+    """``value`` spelled as ``json.dump`` spells it inside a document.
+
+    A finite float (a subclass too) is its ``float.__repr__`` and a string
+    its ``encode_basestring_ascii``, which is what ``json`` writes for them.
+    Everything else, ``NaN``, the infinities, ``int``, ``bool`` and ``None``
+    included, goes through ``json.dumps``.
+    """
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
+#: One ``per_run`` element as ``json.dump(sort_keys=True, indent=2)`` lays it
+#: out at its depth in the report.
+_REPORT_ROW = """    {{
+      "aopue": {},
+      "appue": {},
+      "category": {},
+      "facility_power_kw": {},
+      "it_power_kw": {},
+      "performance": {{
+        "unit": {},
+        "value": {}
+      }},
+      "run_id": {},
+      "weight": {}
+    }}"""
+
+
+def _report_row_json(row: RunMetrics) -> str:
+    return _REPORT_ROW.format(
+        *map(
+            _json_scalar,
+            (
+                row.aopue,
+                row.appue,
+                row.category.value,
+                row.facility_power_kw,
+                row.it_power_kw,
+                row.performance.unit.value,
+                row.performance.value,
+                row.run_id,
+                row.weight,
+            ),
+        )
+    )
 
 
 def report_csv_row(row: RunMetrics, pue: float) -> list[str]:
@@ -885,15 +923,24 @@ def _report_to_csv(report: MetricsReport) -> str:
 
 
 def write_report(report: MetricsReport, fmt: str = "json") -> bytes:
-    """Serialize a report deterministically as JSON or a results-table CSV."""
+    """Serialize a report deterministically as JSON or a results-table CSV.
+
+    The JSON bytes are those of ``json.dump(..., sort_keys=True, indent=2)``
+    plus a final newline.  Only the document around ``per_run`` goes through
+    ``json``; each row is written from one fixed template whose every leaf,
+    strings included, is spelled by :func:`_json_scalar` as ``json`` spells
+    it, so the rows need no per-row dict and no pure-Python encoder pass.
+    """
     if fmt == "json":
-        # json.dumps with indent holds every encoded fragment in one list
-        # before joining them; streaming them into a buffer keeps peak
-        # memory near the size of the text.
-        out = _stdio.StringIO()
-        json.dump(_report_to_obj(report), out, sort_keys=True, indent=2)
-        out.write("\n")
-        text = out.getvalue()
+        # The rows go in at the first '"per_run": []': every key sorted
+        # before it is a number or null, so it is the top-level key.
+        head, _, tail = json.dumps(_report_to_obj(report), sort_keys=True, indent=2).partition(
+            '"per_run": []'
+        )
+        rows = ",\n".join(map(_report_row_json, report.per_run))
+        text = "".join(
+            (head, '"per_run": ', f"[\n{rows}\n  ]" if rows else "[]", tail, "\n")
+        )
     elif fmt == "csv":
         text = _report_to_csv(report)
     else:

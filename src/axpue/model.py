@@ -185,12 +185,16 @@ class PerformanceRate:
         """Magnitude and label in reporting units."""
         if self.unit is RateUnit.FLOPS_PER_SECOND:
             return self.value / 1e9, "GFLOPS"
-        labels = {
-            RateUnit.KB_PER_SECOND: "KB/s",
-            RateUnit.REQUESTS_PER_SECOND: "requests/s",
-            RateUnit.TRANSACTIONS_PER_SECOND: "transactions/s",
-        }
-        return self.value, labels[self.unit]
+        return self.value, _REPORTED_LABELS[self.unit]
+
+
+_REPORTED_LABELS: Mapping[RateUnit, str] = MappingProxyType(
+    {
+        RateUnit.KB_PER_SECOND: "KB/s",
+        RateUnit.REQUESTS_PER_SECOND: "requests/s",
+        RateUnit.TRANSACTIONS_PER_SECOND: "transactions/s",
+    }
+)
 
 
 @dataclass(frozen=True)
