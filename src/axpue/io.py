@@ -755,15 +755,24 @@ def _run_from_obj(obj: dict, line: int) -> ApplicationRun:
 
 
 def parse_runs_jsonl(stream: IO[str] | Iterable[str]) -> list[ApplicationRun]:
-    """Parse one JSON object per line into validated runs (blank lines skipped)."""
+    """Parse one JSON object per line into validated runs (blank lines skipped).
+
+    Run ids are unique: a repeated one is a :class:`SchemaError` on its
+    second line.
+    """
     runs = []
+    run_ids = set()
     for line_no, raw in enumerate(stream, start=1):
         if not raw.strip():
             continue
         obj = _load_json(raw, "invalid JSON", line=line_no)
         if not isinstance(obj, dict):
             raise SchemaError("each line must be a JSON object", line=line_no)
-        runs.append(_run_from_obj(obj, line_no))
+        run = _run_from_obj(obj, line_no)
+        if run.run_id in run_ids:
+            raise SchemaError(f"duplicate run_id {run.run_id!r}", line=line_no)
+        run_ids.add(run.run_id)
+        runs.append(run)
     return runs
 
 
@@ -962,7 +971,10 @@ def _json(value: object, *types: type) -> object:
 
 
 def read_report(data: bytes | str) -> MetricsReport:
-    """Parse a JSON report back into a validated :class:`MetricsReport`."""
+    """Parse a JSON report back into a validated :class:`MetricsReport`.
+
+    Its ``per_run`` rows must have unique run ids.
+    """
     obj = _load_json(data, "invalid JSON report")
     if not isinstance(obj, dict) or obj.get("schema") != REPORT_SCHEMA:
         raise SchemaError(f"not a {REPORT_SCHEMA} document")
@@ -993,6 +1005,11 @@ def read_report(data: bytes | str) -> MetricsReport:
             )
             for row in obj["per_run"]
         )
+        run_ids = set()
+        for row in per_run:
+            if row.run_id in run_ids:
+                raise SchemaError(f"duplicate run_id {row.run_id!r}")
+            run_ids.add(row.run_id)
         return MetricsReport(
             window=window,
             pue=_json(obj["pue"], *number),

@@ -91,6 +91,15 @@ RATE_UNIT_FOR_CATEGORY: Mapping[ApplicationCategory, RateUnit] = MappingProxyTyp
     }
 )
 
+#: Report labels of the units that :meth:`PerformanceRate.reported` keeps as is.
+_REPORTED_LABELS: Mapping[RateUnit, str] = MappingProxyType(
+    {
+        RateUnit.KB_PER_SECOND: "KB/s",
+        RateUnit.REQUESTS_PER_SECOND: "requests/s",
+        RateUnit.TRANSACTIONS_PER_SECOND: "transactions/s",
+    }
+)
+
 
 @dataclass(frozen=True)
 class DeviceRecord:
@@ -186,15 +195,6 @@ class PerformanceRate:
         if self.unit is RateUnit.FLOPS_PER_SECOND:
             return self.value / 1e9, "GFLOPS"
         return self.value, _REPORTED_LABELS[self.unit]
-
-
-_REPORTED_LABELS: Mapping[RateUnit, str] = MappingProxyType(
-    {
-        RateUnit.KB_PER_SECOND: "KB/s",
-        RateUnit.REQUESTS_PER_SECOND: "requests/s",
-        RateUnit.TRANSACTIONS_PER_SECOND: "transactions/s",
-    }
-)
 
 
 @dataclass(frozen=True)

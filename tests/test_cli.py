@@ -151,8 +151,17 @@ class TestComputeCommand:
                 2,
                 "run 'late': end (50.0) must be > start (100.0)",
             ),
+            (
+                "runs.jsonl",
+                VALID_POWER,
+                run_line(end=50.0) + run_line(start=50.0),
+                2,
+                "duplicate run_id 'job'",
+            ),
         ],
-        ids=["short-row", "duplicate-sample", "negative-watts", "inverted-run"],
+        ids=[
+            "short-row", "duplicate-sample", "negative-watts", "inverted-run", "duplicate-run-id",
+        ],
     )
     def test_errors_name_file_and_line(self, tmp_path, capsys, target, power, runs, where, message):
         args = write_inputs(tmp_path, power, runs)
@@ -416,6 +425,18 @@ class TestReportCommand:
         path.write_text(json.dumps(doc))
         assert main(["report", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: pue must be finite and >= 1, got 0.5\n"
+
+    def test_duplicate_run_id_exits_2(self, tmp_path, capsys):
+        doc = json.loads(single_run_report("a", 1.0))
+        row = doc["per_run"][0]
+        row["weight"] = 0.5
+        doc["per_run"].append({**row, "run_id": "b"})
+        read_report(json.dumps(doc))  # two distinct rows read back
+        doc["per_run"][1]["run_id"] = "a"
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: duplicate run_id 'a'\n"
 
     def test_number_beyond_float_range_exits_2(self, tmp_path, capsys):
         path = tmp_path / "big.json"

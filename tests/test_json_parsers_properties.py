@@ -4,7 +4,8 @@ Every input either parses or raises an ``AxpueError``; never a bare
 ``KeyError``, ``TypeError``, ``ValueError`` or ``AttributeError``.  What a
 parser accepts can be written back, and what a writer produces parses back
 to the original.  Inputs are arbitrary JSON, arbitrary text, and valid
-documents with a few values replaced or keys dropped.
+documents with a few values replaced or keys dropped.  The report writer's
+JSON bytes are also compared with ``json.dump`` of the same report.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import copy
 import io
 import json
+import math
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -22,6 +24,11 @@ from axpue import (
     ApplicationRun,
     DeviceCategory,
     DeviceRecord,
+    EnergyWindow,
+    MetricsReport,
+    PerformanceRate,
+    RateUnit,
+    RunMetrics,
     WorkMeasure,
     build_report,
     parse_inventory_json,
@@ -142,7 +149,7 @@ def application_runs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(runs=st.lists(application_runs(), max_size=5))
+@given(runs=st.lists(application_runs(), max_size=5, unique_by=lambda run: run.run_id))
 def test_runs_write_then_parse_round_trips(runs):
     text = write_runs_jsonl(runs).decode("utf-8")
     assert parse_runs_jsonl(io.StringIO(text)) == runs
@@ -238,3 +245,135 @@ def test_report_reads_or_raises_axpue_error(data):
 def test_report_write_then_read_round_trips(seed):
     data = report_bytes(seed)
     assert write_report(read_report(data)) == data
+
+
+
+# --- report JSON writer against json.dump -----------------------------------
+
+#: Floats whose spelling is easy to get wrong: integer-valued, signed zero,
+#: subnormal, and ones whose repr has an exponent.
+AWKWARD_FLOATS = st.sampled_from(
+    [0.0, -0.0, 1.0, 2.0, 123456789.0, 1e16, 1e22, 1e-7, 1.5e300, 2.2250738585072014e-308, 5e-324]
+)
+#: The JSON numbers a report field can hold; ``read_report`` keeps integers.
+NUMBERS = st.one_of(
+    AWKWARD_FLOATS,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**20), 10**20),
+)
+#: Strings that need escaping: quote, backslash, control characters,
+#: non-ASCII, a lone surrogate and astral-plane characters.
+ESCAPED_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\xe9", "\u2028", "\ud800", "\U0001f600"]),
+        st.characters(),
+    ),
+    max_size=8,
+)
+
+
+def report_as_dict(report: MetricsReport) -> dict:
+    """A report's JSON object, built here and not by ``axpue.io``."""
+    return {
+        "schema": "axpue-report/1",
+        "window": {
+            "start": report.window.start,
+            "end": report.window.end,
+            "energy_joules_by_category": {
+                cat.value: joules for cat, joules in report.window.energy_by_category.items()
+            },
+        },
+        "pue": report.pue,
+        "per_run": [
+            {
+                "run_id": row.run_id,
+                "category": row.category.value,
+                "it_power_kw": row.it_power_kw,
+                "facility_power_kw": row.facility_power_kw,
+                "performance": {"value": row.performance.value, "unit": row.performance.unit.value},
+                "appue": row.appue,
+                "aopue": row.aopue,
+                "weight": row.weight,
+            }
+            for row in report.per_run
+        ],
+        "weighted_appue": report.weighted_appue,
+        "aggregated_aopue": report.aggregated_aopue,
+        "provenance": dict(report.provenance),
+    }
+
+
+@st.composite
+def metrics_reports(draw):
+    """A valid report with zero to five rows and awkward numbers and strings."""
+    start, end = sorted(draw(st.lists(NUMBERS, min_size=2, max_size=2, unique=True)))
+    it_energy = draw(st.one_of(AWKWARD_FLOATS, st.floats(0, 1e300)).filter(lambda j: j > 0))
+    window = EnergyWindow(
+        start=start,
+        end=end,
+        energy_by_category={
+            DeviceCategory.IT_EQUIPMENT: it_energy,
+            DeviceCategory.COOLING: it_energy * draw(st.sampled_from([0, 0.5, 3])),
+            DeviceCategory.OTHER: it_energy * draw(st.sampled_from([0, 1e-7])),
+        },
+    )
+    pue = window.total_facility_energy / window.it_energy
+    if pue == 1 and draw(st.booleans()):
+        pue = 1
+    n_rows = draw(st.integers(0, 5))
+    # One row carries the weight; the others' tiny weights keep the sum at 1.
+    heavy = draw(st.integers(0, max(n_rows - 1, 0)))
+    rows = []
+    for i in range(n_rows):
+        # IT power is the one row field that a valid report may hold infinite.
+        it_power_kw = draw(st.one_of(NUMBERS, st.sampled_from([math.inf, -math.inf])))
+        appue = draw(NUMBERS)
+        rows.append(
+            RunMetrics(
+                run_id=draw(ESCAPED_TEXT),
+                category=draw(st.sampled_from(list(ApplicationCategory))),
+                it_power_kw=it_power_kw,
+                facility_power_kw=it_power_kw * pue,
+                performance=PerformanceRate(
+                    value=draw(NUMBERS.filter(lambda v: v >= 0)),
+                    unit=draw(st.sampled_from(list(RateUnit))),
+                ),
+                appue=appue,
+                aopue=appue / pue,
+                weight=draw(
+                    st.sampled_from([1, 1.0] if i == heavy else [0, 0.0, -0.0, 5e-324, 1e-15])
+                ),
+            )
+        )
+    return MetricsReport(
+        window=window,
+        pue=pue,
+        per_run=rows,
+        weighted_appue=draw(st.one_of(st.none(), NUMBERS)),
+        aggregated_aopue=draw(st.one_of(st.none(), NUMBERS)),
+        provenance=draw(
+            st.dictionaries(
+                st.one_of(st.sampled_from(["per_run", '"per_run": []', "window"]), ESCAPED_TEXT),
+                st.one_of(NUMBERS, ESCAPED_TEXT, st.lists(NUMBERS, max_size=2)),
+                max_size=3,
+            )
+        ),
+    )
+
+
+EMPTY_REPORT = MetricsReport(
+    window=EnergyWindow(start=0, end=1, energy_by_category={DeviceCategory.IT_EQUIPMENT: 1.0}),
+    pue=1,
+    per_run=(),
+    weighted_appue=None,
+    aggregated_aopue=None,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(report=metrics_reports())
+@example(report=EMPTY_REPORT)
+def test_report_writer_matches_json_dump(report):
+    out = io.StringIO()
+    json.dump(report_as_dict(report), out, sort_keys=True, indent=2)
+    assert write_report(report) == (out.getvalue() + "\n").encode("utf-8")
