@@ -1,8 +1,8 @@
-"""Append perfbench results for one checkout to ``BENCH_perfbench.json``.
+"""Append perfbench results for one checkout, or a pair, to ``BENCH_perfbench.json``.
 
 Usage, from the root of a checkout::
 
-    python3 benchmarks/record.py --seeds 1 2 3 4 5 [--checkout DIR]
+    python3 benchmarks/record.py --seeds 1 2 3 4 5 [--checkout DIR] [--baseline DIR]
 
 For each workload, ``perfbench/run.py`` of ``--checkout`` (default: this
 checkout) runs once per seed, one after the other, for the ``run_seconds``
@@ -12,6 +12,15 @@ Q3 of each end-to-end metric over the seeds, the median ``cpu_slowdown``,
 the number of failed computations, and the Python and numpy versions.
 A checkout with uncommitted changes, found before the first record is
 written, is recorded as ``<commit>+dirty``.
+
+With ``--baseline``, a second checkout (say, the parent commit) runs each
+seed back to back with ``--checkout``, the two alternating which goes
+first, and each gets its own record per workload, baseline first.  A slow
+spell of a shared host then falls on both sides of a pair, where records
+made one after the other can differ by more than the change does.  Both
+checkouts must commit the same ``perfbench/`` and ``BENCHMARK.json``.
+Each run also prints one JSON line with its seed and metric values, so
+the pairs can be compared one by one.
 """
 
 from __future__ import annotations
@@ -50,8 +59,8 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def record(checkout: Path, commit: str, workload: str, seeds: list[int], seconds: float) -> dict:
-    runs = [_run(checkout, workload, seed, seconds) for seed in seeds]
+def record(commit: str, workload: str, seeds: list[int], seconds: float, runs: list[tuple[dict, dict]]) -> dict:
+    """One record from the ``_run`` results of ``seeds``, in order."""
     env = runs[0][1]["env"]
     return {
         "commit": commit,
@@ -70,24 +79,43 @@ def record(checkout: Path, commit: str, workload: str, seeds: list[int], seconds
     }
 
 
+def _commit(checkout: Path) -> str:
+    dirty = _git(checkout, "status", "--porcelain", "--untracked-files=no")
+    return _git(checkout, "rev-parse", "HEAD") + ("+dirty" if dirty else "")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description="record perfbench results in BENCH_perfbench.json")
     ap.add_argument("--seeds", type=int, nargs="+", required=True, help="two or more seeds")
     ap.add_argument("--checkout", type=Path, default=ROOT, help="checkout whose perfbench to run")
+    ap.add_argument(
+        "--baseline", type=Path, help="a second checkout to run back to back with --checkout, seed by seed"
+    )
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_perfbench.json")
     args = ap.parse_args()
     if len(args.seeds) < 2:
         ap.error("--seeds needs two or more seeds for the quartiles")
     checkout = args.checkout.resolve()
+    sides = [checkout] if args.baseline is None else [args.baseline.resolve(), checkout]
+    benchmark = {_git(side, "rev-parse", "HEAD:perfbench", "HEAD:BENCHMARK.json") for side in sides}
+    if len(benchmark) > 1:
+        ap.error("--baseline commits another perfbench/ or BENCHMARK.json than --checkout")
     seconds = json.loads((checkout / "BENCHMARK.json").read_text())["run_seconds"]
     records = json.loads(args.out.read_text()) if args.out.exists() else []
-    # Before the first record is written: --out may be a tracked file of the checkout.
-    dirty = _git(checkout, "status", "--porcelain", "--untracked-files=no")
-    commit = _git(checkout, "rev-parse", "HEAD") + ("+dirty" if dirty else "")
+    # Before the first record is written: --out may be a tracked file of a checkout.
+    commits = [_commit(side) for side in sides]
     for workload in WORKLOADS:
-        records.append(record(checkout, commit, workload, args.seeds, seconds))
-        args.out.write_text(json.dumps(records, indent=1) + "\n")
-        print(json.dumps(records[-1]))
+        runs: list[list[tuple[dict, dict]]] = [[] for _ in sides]
+        for i, seed in enumerate(args.seeds):
+            for k in range(len(sides))[:: 1 if i % 2 == 0 else -1]:
+                summary, result = _run(sides[k], workload, seed, seconds)
+                runs[k].append((summary, result))
+                values = {name: metric["value"] for name, metric in summary["metrics"].items()}
+                print(json.dumps({"commit": commits[k], "workload": workload, "seed": seed, **values}))
+        for commit, side_runs in zip(commits, runs):
+            records.append(record(commit, workload, args.seeds, seconds, side_runs))
+            args.out.write_text(json.dumps(records, indent=1) + "\n")
+            print(json.dumps(records[-1]))
     return 0
 
 
