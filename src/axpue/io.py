@@ -19,7 +19,6 @@ shortest round-tripping float representations.
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import csv
 import io as _stdio
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Iterable, NoReturn
+from typing import IO, Callable, Iterable, NoReturn
 
 import numpy as np
 
@@ -92,10 +91,8 @@ def _parse_timestamp(text: str) -> float:
     return moment.timestamp()
 
 
-#: Characters of power CSV read before a block's last line is completed.
-_BLOCK_CHARS = 1 << 16
-#: Characters asked of the stream by each ``read`` call.
-_READ_CHARS = 8192
+#: Bytes of power CSV read before a block's last line is completed.
+_BLOCK_BYTES = 1 << 16
 #: Bytes of power CSV per forked range: a file under twice this is parsed in
 #: one process.  A child costs a few milliseconds, so two ranges lose to one
 #: process on files of a MiB or so; ranges of 4 MiB keep that cost small
@@ -103,12 +100,6 @@ _READ_CHARS = 8192
 _RANGE_BYTES = 4 << 20
 #: Bytes read at a time when a file is scanned.
 _SCAN_BYTES = 1 << 20
-
-
-def _then_raise(exc: Exception):
-    """An iterator that raises ``exc`` when asked for its first item."""
-    raise exc
-    yield
 
 
 def _split_block(text: str) -> tuple[list, list, list] | None:
@@ -265,66 +256,86 @@ def _join(blocks: list[np.ndarray]) -> np.ndarray:
     return column
 
 
-def _read_block(stream: IO[str]) -> tuple[str, UnicodeDecodeError | None]:
-    """Whole lines of about ``_BLOCK_CHARS`` characters, read from ``stream``.
+def _line_end(data: bytes, start: int) -> int:
+    """The offset after the first line end in ``data`` at or after ``start``, or 0.
 
-    The block ends where the stream ends a line: its last line is completed
-    with ``readline``.  It is shorter only at the end of the stream, or when
-    a read meets bytes that do not decode; that error is returned with the
-    complete lines of the reads before it, so that they are still checked.
-    The text the failed read decoded is lost with it.
+    A ``\\r`` that ends ``data`` is not known to end a line until the next
+    byte shows that it is not the start of a ``\\r\\n``.
     """
-    parts, count = [], 0
-    try:
-        while count < _BLOCK_CHARS and (
-            piece := stream.read(min(_READ_CHARS, _BLOCK_CHARS - count))
+    newline = data.find(b"\n", start) + 1
+    cr = data.find(b"\r", start, newline or len(data)) + 1
+    if not cr or cr == newline - 1:
+        return newline
+    return cr if cr < len(data) else 0
+
+
+class _Lines:
+    """The UTF-8 text of a binary source, handed out in whole lines.
+
+    ``read(size)`` returns up to ``size`` bytes, and ``b""`` at the end.  A
+    line ends where ``csv`` ends one in a file opened with ``newline=""``:
+    after a ``\\n``, and after a ``\\r`` that no ``\\n`` follows.  Iterating
+    gives one line at a time.
+    """
+
+    def __init__(self, read: Callable[[int], bytes]):
+        self.read = read
+        self.data, self.start = b"", 0  # bytes read, and the first not handed out
+
+    def block(self, size: int) -> str:
+        """The next lines, through the one that holds their byte number
+        ``size``, or all that is left; "" at the end of the source.
+
+        Before an undecodable byte, the block is only the whole lines in
+        front of it, so that they are checked before the next call raises
+        the byte's ``UnicodeDecodeError``.
+        """
+        data, start = self.data, self.start
+        while not (cut := _line_end(data, start + size - 1)) and (
+            chunk := self.read(max(_BLOCK_BYTES, len(data) - start))
         ):
-            parts.append(piece)
-            count += len(piece)
-        if parts and not parts[-1].endswith("\n"):
-            parts.append(stream.readline())
-    except UnicodeDecodeError as exc:
-        text = "".join(parts)
-        end = text.rfind("\n")
-        if getattr(stream, "newlines", None) is not None:
-            # A lone \r ends a line where the stream splits lines at it.
-            end = max(end, text.rfind("\r"))
-        return text[: end + 1], exc
-    return "".join(parts), None
+            data, start = data[start:] + chunk, 0
+        cut = cut or len(data)
+        try:
+            text = data[start:cut].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            bad = start + exc.start
+            cut = max(data.rfind(b"\n", start, bad), data.rfind(b"\r", start, bad)) + 1
+            if not cut:
+                raise
+            text = data[start:cut].decode("utf-8")
+        self.data, self.start = data, cut
+        return text
+
+    def __iter__(self):
+        return iter(lambda: self.block(1), "")
 
 
-def _csv_rows(
-    block: str, stream: IO[str], failure: UnicodeDecodeError | None
-) -> tuple[list[list[str]], Exception | None]:
+def _csv_rows(block: str, lines: _Lines) -> tuple[list[list[str]], Exception | None]:
     """The records of ``block`` as ``csv.reader`` gives them.
 
-    A quoted record left open at the end of the block is closed with lines
-    of the stream, or of nothing but ``failure`` when that cut the block
-    short.  Returns the records, and the exception to raise once they are
-    checked: one that stopped ``csv.reader``, or else ``failure``.
+    A quoted record left open at the end of the block is closed with the
+    next of ``lines``.  Returns the records, and the exception that stopped
+    ``csv.reader``, to raise once they are checked.
     """
-    # A lone \r ends a line only where the stream splits lines at it too.
-    newline = "\n" if getattr(stream, "newlines", None) is None else ""
-    lines = _stdio.StringIO(block, newline=newline).readlines()
-    rest = stream if failure is None else _then_raise(failure)
-    reader = csv.reader(itertools.chain(lines, rest))
+    block_lines = _stdio.StringIO(block, newline="").readlines()
+    reader = csv.reader(itertools.chain(block_lines, lines))
     rows = []
     try:
         for row in reader:
             rows.append(row)
-            if reader.line_num >= len(lines):
+            if reader.line_num >= len(block_lines):
                 break
     except (csv.Error, UnicodeDecodeError) as exc:
         return rows, exc
-    return rows, failure
+    return rows, None
 
 
-def _read_header(stream: IO[str]) -> None:
-    """Read the header record of ``stream`` and check it."""
-    try:
-        header = next(csv.reader(stream))
-    except StopIteration:
-        raise ParseError("empty power CSV: missing header", line=1) from None
+def _read_header(lines: _Lines) -> None:
+    """Read the header record of ``lines`` and check it."""
+    header = next(csv.reader(lines), None)
+    if header is None:
+        raise ParseError("empty power CSV: missing header", line=1)
     if tuple(h.strip() for h in header) != POWER_CSV_HEADER:
         raise ParseError(
             f"expected header {','.join(POWER_CSV_HEADER)!r}, got {','.join(header)!r}",
@@ -332,22 +343,21 @@ def _read_header(stream: IO[str]) -> None:
         )
 
 
-def _parse_rows(stream: IO[str], samples: _Samples, line: int) -> int:
-    """Check and add the rows of ``stream`` to ``samples``, block by block.
+def _parse_rows(lines: _Lines, samples: _Samples, line: int) -> int:
+    """Check and add the rows of ``lines`` to ``samples``, block by block.
 
     ``line`` is the number of the first line read; returns the number of the
     line after the last one.
     """
-    while True:
-        block, failure = _read_block(stream)
+    while block := lines.block(_BLOCK_BYTES):
         columns = _split_block(block) if len(block) <= csv.field_size_limit() else None
         if columns is not None:
             count = len(columns[0])
             if not samples.add(columns, np.arange(line, line + count)):
                 _raise_first_bad_row(zip(*columns), line)
             line += count
-        elif block:
-            rows, failure = _csv_rows(block, stream, failure)
+        else:
+            rows, failure = _csv_rows(block, lines)
             # Blank rows are skipped, but they count as lines.
             numbers = [number for number, row in enumerate(rows, start=line) if row]
             full = [row for row in rows if row]
@@ -356,78 +366,30 @@ def _parse_rows(stream: IO[str], samples: _Samples, line: int) -> int:
                 and samples.add(tuple(zip(*full)), np.array(numbers, dtype=np.intp))
             ):
                 _raise_first_bad_row(rows, line)
+            if failure is not None:
+                raise failure
             line += len(rows)
-        if failure is not None:
-            raise failure
-        if not block:
-            return line
+    return line
 
 
-class _ByteRange(_stdio.RawIOBase):
-    """Bytes ``start`` up to ``end`` of the open file ``fd``, read with ``pread``."""
+def _range_lines(fd: int, start: int, end: int) -> _Lines:
+    """The lines of bytes ``start`` up to ``end`` of the file ``fd``, read with ``pread``."""
 
-    def __init__(self, fd: int, start: int, end: int):
-        super().__init__()
-        self.fd, self.pos, self.end = fd, start, end
+    def read(size: int) -> bytes:
+        nonlocal start
+        data = os.pread(fd, min(size, end - start), start)
+        start += len(data)
+        return data
 
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        data = os.pread(self.fd, min(len(buffer), self.end - self.pos), self.pos)
-        buffer[: len(data)] = data
-        self.pos += len(data)
-        return len(data)
+    return _Lines(read)
 
 
-def _range_text(fd: int, start: int, end: int) -> IO[str]:
-    """Bytes ``start`` up to ``end`` of the file ``fd``, decoded as UTF-8."""
-    raw = _stdio.BufferedReader(_ByteRange(fd, start, end))
-    return _stdio.TextIOWrapper(raw, encoding="utf-8", newline="")
-
-
-class _FailingAtEnd:
-    """A text stream that raises ``failure`` where ``stream`` ends.
-
-    So ends a stream whose next read meets undecodable bytes, once all the
-    text before them has been read.
-    """
-
-    def __init__(self, stream: IO[str], failure: UnicodeDecodeError):
-        self.stream, self.failure = stream, failure
-
-    def read(self, size: int = -1) -> str:
-        return self._or_fail(self.stream.read(size))
-
-    def readline(self, size: int = -1) -> str:
-        return self._or_fail(self.stream.readline(size))
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> str:
-        return self.readline()
-
-    def _or_fail(self, text: str) -> str:
-        if not text:
-            raise self.failure
-        return text
-
-
-def _file_descriptor(stream: IO[str]) -> int | None:
-    """The descriptor of the regular file ``stream`` decodes as strict UTF-8
-    from its first byte, or None."""
-    try:
+def _file_descriptor(stream: IO[bytes]) -> int | None:
+    """The descriptor of the regular file ``stream`` reads from its first byte, or None."""
+    with contextlib.suppress(AttributeError, OSError, ValueError):
         fd = stream.fileno()
-        if (
-            stat.S_ISREG(os.fstat(fd).st_mode)
-            and stream.tell() == 0
-            and codecs.lookup(stream.encoding).name == "utf-8"
-            and stream.errors == "strict"
-        ):
+        if stat.S_ISREG(os.fstat(fd).st_mode) and stream.tell() == 0:
             return fd
-    except (AttributeError, LookupError, OSError, TypeError, ValueError):
-        pass
     return None
 
 
@@ -463,10 +425,10 @@ def _may_fork() -> bool:
 def _range_cuts(fd: int) -> list[int] | None:
     """Offsets that cut the file ``fd`` into byte ranges of whole lines, one per CPU.
 
-    The first range holds the header.  None when :func:`_may_fork` says no,
-    when there are not two ranges of ``_RANGE_BYTES`` and two CPUs, and when
-    the file holds a ``"`` or a ``\\r``: a quoted record could cross a cut,
-    and whether a lone ``\\r`` ends a line depends on the stream.
+    The first range holds the header, and every cut falls after a ``\\n``.
+    None when :func:`_may_fork` says no, when there are not two ranges of
+    ``_RANGE_BYTES`` and two CPUs, and when the file holds a ``"``: a quoted
+    record could cross a cut.
     """
     size = os.fstat(fd).st_size
     count = min(_cpu_count(), size // _RANGE_BYTES)
@@ -475,7 +437,7 @@ def _range_cuts(fd: int) -> list[int] | None:
     body = None
     for offset in range(0, size, _SCAN_BYTES):
         chunk = os.pread(fd, _SCAN_BYTES, offset)
-        if b'"' in chunk or b"\r" in chunk:
+        if b'"' in chunk:
             return None
         if body is None and (newline := chunk.find(b"\n")) >= 0:
             body = offset + newline + 1
@@ -508,7 +470,7 @@ def _fork_range(fd: int, start: int, end: int) -> tuple[int, IO[bytes]] | None:
         try:
             os.close(read_end)
             samples = _Samples()
-            count = _parse_rows(_range_text(fd, start, end), samples, 0)
+            count = _parse_rows(_range_lines(fd, start, end), samples, 0)
             with open(write_end, "wb") as out:
                 pickle.dump((list(samples.ids), count, samples.columns), out, protocol=5)
             status = 0
@@ -535,28 +497,26 @@ def _child_result(child: tuple[int, IO[bytes]] | None) -> tuple | None:
     return result if status == 0 else None
 
 
-def _parse_ranges(fd: int, cuts: list[int]) -> _Samples:
-    """Parse the byte ranges between ``cuts``, one forked child per range
-    after the first, which this process parses itself.
+def _parse_ranges(lines: _Lines, fd: int | None, ranges: list[tuple[int, int]]) -> _Samples:
+    """Parse ``lines``, the header and the rows before the first of ``ranges``,
+    here, and each byte range of the file ``fd`` in a forked child.
 
     Children's columns are merged in file order.  A range whose child failed
     is parsed again here, with its right first line, so that it raises the
     error the one-process parse raises.  No child is left unreaped.
     """
-    ranges = list(zip(cuts[1:-1], cuts[2:]))
     children = []
     try:
         for start, end in ranges:
             children.append(_fork_range(fd, start, end))
         samples = _Samples()
-        stream = _range_text(fd, 0, cuts[1])
-        _read_header(stream)
-        line = _parse_rows(stream, samples, 2)
+        _read_header(lines)
+        line = _parse_rows(lines, samples, 2)
         for start, end in ranges:
             result = _child_result(children[0])
             del children[0]
             if result is None:
-                line = _parse_rows(_range_text(fd, start, end), samples, line)
+                line = _parse_rows(_range_lines(fd, start, end), samples, line)
             else:
                 names, count, columns = result
                 samples.merge(names, columns, line)
@@ -572,45 +532,7 @@ def _parse_ranges(fd: int, cuts: list[int]) -> _Samples:
                     os.waitpid(pid, 0)
 
 
-def _lines_before_undecodable(fd: int) -> tuple[int, UnicodeDecodeError] | None:
-    """The end of the whole lines before the first undecodable byte of the
-    file ``fd``, and the error that byte raises.
-
-    None if every byte decodes, or if a ``\\r`` comes first: whether it ends
-    a line depends on the stream.
-    """
-    data, offset, end = b"", 0, 0  # data: the bytes from offset not yet decoded
-    while True:
-        chunk = os.pread(fd, _SCAN_BYTES, offset + len(data))
-        data += chunk
-        try:
-            used, failure = codecs.utf_8_decode(data, "strict", not chunk)[1], None
-        except UnicodeDecodeError as exc:
-            used, failure = exc.start, exc
-        if data.find(b"\r", 0, used) >= 0:
-            return None
-        if (newline := data.rfind(b"\n", 0, used)) >= 0:
-            end = offset + newline + 1
-        if failure is not None:
-            return end, failure
-        if not chunk:
-            return None
-        offset, data = offset + used, data[used:]
-
-
-def _raise_before_undecodable(fd: int | None, failure: UnicodeDecodeError) -> NoReturn:
-    """Raise the first bad row before the first undecodable byte, else ``failure``."""
-    found = None if fd is None else _lines_before_undecodable(fd)
-    if found is None:
-        raise failure
-    end, failure = found
-    stream = _FailingAtEnd(_range_text(fd, 0, end), failure)
-    _read_header(stream)
-    _parse_rows(stream, _Samples(), 2)
-    raise failure
-
-
-def parse_power_csv(stream: IO[str]) -> list[PowerTrace]:
+def parse_power_csv(stream: IO[bytes]) -> list[PowerTrace]:
     """Parse power samples into one trace per device, sorted by device_id.
 
     Rows may arrive in any order; each device's samples are sorted by time.
@@ -618,40 +540,35 @@ def parse_power_csv(stream: IO[str]) -> list[PowerTrace]:
     readings are rejected with the offending 1-based line number (the row's
     record number when a quoted field spans lines).
 
-    ``stream`` is a text stream (a text file, ``StringIO``).  After the
-    header, it is read in blocks of whole lines of about ``_BLOCK_CHARS``
-    characters.  A plain block is split with string methods; any other
-    block, and one longer than ``csv.field_size_limit()``, is tokenized by
-    ``csv.reader``, with the lines of the stream that close a quoted record
-    it leaves open.  Each block is converted and checked column-wise; one
-    that fails is re-checked row by row to report its first bad row.
+    ``stream`` is a binary stream (a file opened with ``"rb"``, ``BytesIO``)
+    of UTF-8 text, whose lines end as ``csv`` ends them: at ``\\n``,
+    ``\\r\\n`` or a lone ``\\r``.  After the header, it is read in blocks of
+    whole lines of about ``_BLOCK_BYTES`` bytes.  A plain block is split with
+    string methods; any other block, and one longer than
+    ``csv.field_size_limit()``, is tokenized by ``csv.reader``, with the
+    lines after it that close a quoted record it leaves open.  Each block is
+    converted and checked column-wise; one that fails is re-checked row by
+    row to report its first bad row.  Every whole line before the first
+    undecodable byte is checked before that byte's ``UnicodeDecodeError`` is
+    raised.
 
-    A regular file read as strict UTF-8 from its start, with no ``"`` or
-    ``\\r``, of at least two ranges of ``_RANGE_BYTES`` bytes, is cut into
-    one range of whole lines per available CPU, and each range after the
-    first is parsed by a forked child (see :func:`_parse_ranges`), unless
-    the process runs other Python threads or has ``SIGCHLD`` ignored or
-    handled; results and errors do not depend on the number of ranges.
-    Python 3.12 and later warn on ``os.fork`` in a process with threads, as
-    numpy's OpenBLAS pool is; it registers ``pthread_atfork`` handlers.  In
-    a regular file without a ``\\r`` before its first undecodable byte,
-    every whole line before that byte is checked first; in other streams,
-    the lines of the reads before the one that met it.
+    A regular file read from its start, with no ``"``, of at least two
+    ranges of ``_RANGE_BYTES`` bytes, is cut into one range of whole lines
+    per available CPU, and each range after the first is parsed by a forked
+    child (see :func:`_parse_ranges`), unless the process runs other Python
+    threads or has ``SIGCHLD`` ignored or handled; results and errors do not
+    depend on the number of ranges.  Python 3.12 and later warn on
+    ``os.fork`` in a process with threads, as numpy's OpenBLAS pool is; it
+    registers ``pthread_atfork`` handlers.
     """
+    if isinstance(stream, _stdio.TextIOBase):
+        raise TypeError("parse_power_csv needs a binary stream, such as a file opened 'rb'")
     fd = _file_descriptor(stream)
-    try:
-        cuts = None if fd is None else _range_cuts(fd)
-        if cuts is None:
-            samples = _Samples()
-            _read_header(stream)
-            _parse_rows(stream, samples, 2)
-        else:
-            samples = _parse_ranges(fd, cuts)
-    except UnicodeDecodeError as exc:
-        failure = exc
-    else:
-        return samples.traces()
-    _raise_before_undecodable(fd, failure)
+    cuts = None if fd is None else _range_cuts(fd)
+    if cuts is None:
+        return _parse_ranges(_Lines(stream.read), fd, []).traces()
+    ranges = list(zip(cuts[1:-1], cuts[2:]))
+    return _parse_ranges(_range_lines(fd, 0, cuts[1]), fd, ranges).traces()
 
 
 def write_power_csv(blocks: Iterable[tuple[str, np.ndarray, np.ndarray]]) -> bytes:
@@ -1039,22 +956,24 @@ def load_bundle(
     Only the files themselves are checked here.  Whether devices resolve
     against the inventory and whether telemetry covers every window is
     checked once, by :func:`~axpue.engine.analyze`.  The power CSV is
-    handed to :func:`parse_power_csv` as an open file, so a large one is
-    parsed in byte ranges by forked children, one per available CPU.
+    handed to :func:`parse_power_csv` as a file opened with ``"rb"``, so a
+    large one is parsed in byte ranges by forked children, one per
+    available CPU.
     """
     inventory = _parse_file(lambda f: Inventory(parse_inventory_json(f)), inventory_path)
-    traces = _parse_file(parse_power_csv, power_path, newline="")
+    traces = _parse_file(parse_power_csv, power_path, "rb")
     runs = _parse_file(parse_runs_jsonl, runs_path)
     return ScenarioBundle(inventory=inventory, traces=tuple(traces), runs=tuple(runs))
 
 
-def _parse_file(parse, path: str | Path, newline: str | None = None):
-    """``parse`` an open UTF-8 text file; its errors carry the ``path``.
+def _parse_file(parse, path: str | Path, mode: str = "r"):
+    """``parse`` the file at ``path``, opened with ``mode`` (a text one as
+    UTF-8); its errors carry the ``path``.
 
     Undecodable bytes, and a CSV field longer than ``csv.field_size_limit()``,
     are a :class:`ParseError`.
     """
-    with open(path, "r", encoding="utf-8", newline=newline) as f:
+    with open(path, mode, encoding=None if "b" in mode else "utf-8") as f:
         try:
             try:
                 return parse(f)

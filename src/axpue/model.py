@@ -290,8 +290,9 @@ class MetricsReport:
 
     Construction re-checks the report-level invariants: PUE >= 1 and equals
     the window's total facility energy over its IT energy, weights sum to
-    one, and every row satisfies facility power = IT power * PUE and
-    AoPUE = ApPUE / PUE.  The equalities hold within ``IDENTITY_REL_TOL``.
+    one, and every row has a finite IT power above zero and satisfies
+    facility power = IT power * PUE and AoPUE = ApPUE / PUE.  The
+    equalities hold within ``IDENTITY_REL_TOL``.
     """
 
     window: EnergyWindow
@@ -316,6 +317,11 @@ class MetricsReport:
             if abs(total - 1.0) > WEIGHT_SUM_TOL:
                 raise ValidationError(f"weights sum to {total!r}, expected 1")
         for row in self.per_run:
+            if not (math.isfinite(row.it_power_kw) and row.it_power_kw > 0):
+                raise ValidationError(
+                    f"run {row.run_id!r}: it_power_kw must be finite and > 0, "
+                    f"got {row.it_power_kw!r}"
+                )
             facility_kw = row.it_power_kw * self.pue
             if not math.isclose(row.facility_power_kw, facility_kw, rel_tol=IDENTITY_REL_TOL):
                 raise ValidationError(

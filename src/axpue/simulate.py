@@ -177,7 +177,11 @@ class SimScenario:
         it_ids = {
             r.device_id for r, _ in self.devices if r.category is DeviceCategory.IT_EQUIPMENT
         }
+        run_ids = set()
         for run in self.runs:
+            if run.run_id in run_ids:
+                raise ModelError(f"duplicate run_id {run.run_id!r}")
+            run_ids.add(run.run_id)
             if not (0 <= run.start and run.end <= self.duration):
                 raise ModelError(
                     f"run {run.run_id!r} window [{run.start}, {run.end}] exceeds "

@@ -83,7 +83,7 @@ def interior_window(rng: np.random.Generator, trace: PowerTrace) -> tuple[float,
 def run_pipeline(scenario: SimScenario, max_gap: float = 60.0) -> MetricsReport:
     """simulate -> parse -> analyze, exactly as the CLI wires it."""
     out = simulate(scenario)
-    traces = parse_power_csv(io.StringIO(out.power_csv.decode("utf-8")))
+    traces = parse_power_csv(io.BytesIO(out.power_csv))
     runs = parse_runs_jsonl(io.StringIO(out.runs_jsonl.decode("utf-8")))
     inventory = Inventory(parse_inventory_json(out.inventory_json.decode("utf-8")))
     return analyze(traces, inventory, runs, max_gap=max_gap)

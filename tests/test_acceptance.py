@@ -161,7 +161,7 @@ def _parsed_pipeline(scenario):
     import io
 
     out = simulate(scenario)
-    traces = parse_power_csv(io.StringIO(out.power_csv.decode("utf-8")))
+    traces = parse_power_csv(io.BytesIO(out.power_csv))
     runs = parse_runs_jsonl(io.StringIO(out.runs_jsonl.decode("utf-8")))
     inventory = Inventory(
         parse_inventory_json(out.inventory_json.decode("utf-8"))

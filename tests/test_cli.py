@@ -6,6 +6,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -268,6 +269,19 @@ class TestSimulateCommand:
             main(["simulate", "paper:grep", "--out", str(tmp_path), "--seed", "1"])
         assert info.value.code == 2
 
+    def test_duplicate_run_id_in_manifest_exits_2(self, tmp_path, capsys):
+        manifest = simulated_manifest(tmp_path)
+        obj = json.loads(manifest.read_text())
+        obj["runs"].append({**obj["runs"][0], "run_id": "Grep-again"})
+        manifest.write_text(json.dumps(obj))
+        assert main(["simulate", str(manifest), "--out", str(tmp_path / "two")]) == 0
+        obj["runs"][1]["run_id"] = obj["runs"][0]["run_id"]
+        manifest.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["simulate", str(manifest), "--out", str(tmp_path / "twice")]) == 2
+        assert capsys.readouterr().err == "error: duplicate run_id 'Grep'\n"
+        assert not (tmp_path / "twice").exists()
+
     def test_data_gb_override_for_sort(self, tmp_path):
         assert main(
             ["simulate", "paper:sort2", "--data-gb", "50", "--out", str(tmp_path / "s")]
@@ -383,14 +397,12 @@ class TestReportCommand:
         assert lines[-1] == "(aggregate),184.453,277.117,,1.502,143.6958,95.694"
 
     @pytest.mark.parametrize(
-        "it_powers, error",
-        [
-            ((2.0, -1.0), "IT power must be finite and >= 0, got -1.0"),
-            ((0.0, 0.0), "all runs have zero IT power"),
-        ],
+        "it_powers, bad",
+        [((2.0, -1.0), "b"), ((0.0, 0.0), "a")],
         ids=["negative", "zero-total"],
     )
-    def test_bad_it_power_exits_2(self, tmp_path, capsys, it_powers, error):
+    def test_bad_it_power_exits_2(self, tmp_path, capsys, it_powers, bad):
+        """A report row's IT power is checked when the report is read."""
         files = []
         for run_id, it_power_kw in zip("ab", it_powers):
             path = tmp_path / f"{run_id}.json"
@@ -399,7 +411,27 @@ class TestReportCommand:
         assert main(["report", *files]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {error}\n"
+        it_power_kw = dict(zip("ab", it_powers))[bad]
+        assert captured.err == (
+            f"error: {tmp_path / bad}.json: run {bad!r}: it_power_kw must be finite and > 0, "
+            f"got {it_power_kw!r}\n"
+        )
+
+    @pytest.mark.parametrize("it_power_kw", [math.inf, -1.0], ids=["infinite", "negative"])
+    def test_edited_it_power_exits_2(self, tmp_path, capsys, it_power_kw):
+        path = simulate_and_compute(tmp_path, "paper:grep")
+        doc = json.loads(path.read_text())
+        row = doc["per_run"][0]
+        row["it_power_kw"] = it_power_kw
+        row["facility_power_kw"] = it_power_kw * doc["pue"]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: run 'Grep': it_power_kw must be finite and > 0, got {it_power_kw!r}\n"
+        )
 
     def test_schema_mismatch_exits_2(self, tmp_path):
         bogus = tmp_path / "bogus.json"
@@ -550,12 +582,18 @@ class TestBadInputBytes:
         assert main(["compute", *args]) == 2
         assert capsys.readouterr().err == f"error: {path}: not valid UTF-8 ({reason})\n"
 
-    # The byte falls in the text read with the header (1,000 and 5,000), in
-    # the next read (9,000), and two reads later (20,000).
+    # The byte falls 1,000 to 20,000 bytes after the bad row, with \n or lone
+    # \r line endings.
     @pytest.mark.parametrize(
         "ending, gap",
-        [("\n", 1000), ("\n", 5000), ("\n", 9000), ("\n", 20000), ("\r", 20000)],
-        ids=["lf-1000", "lf-5000", "lf-9000", "lf-20000", "cr-20000"],
+        [
+            ("\n", 1000), ("\n", 5000), ("\n", 9000), ("\n", 20000),
+            ("\r", 1000), ("\r", 5000), ("\r", 9000), ("\r", 20000),
+        ],
+        ids=[
+            "lf-1000", "lf-5000", "lf-9000", "lf-20000",
+            "cr-1000", "cr-5000", "cr-9000", "cr-20000",
+        ],
     )
     def test_rows_before_an_undecodable_byte_are_checked_first(
         self, tmp_path, capsys, ending, gap

@@ -518,7 +518,7 @@ class TestAnalyze:
 
     def test_inverted_window_rejected_before_runs_are_placed(self):
         out = simulate(builtin_scenario("grep"))
-        traces = parse_power_csv(io.StringIO(out.power_csv.decode("utf-8")))
+        traces = parse_power_csv(io.BytesIO(out.power_csv))
         runs = parse_runs_jsonl(io.StringIO(out.runs_jsonl.decode("utf-8")))
         inventory = Inventory(parse_inventory_json(out.inventory_json.decode("utf-8")))
         with pytest.raises(InvalidWindowError) as excinfo:

@@ -42,7 +42,7 @@ HEADER = "device_id,timestamp,watts\n"
 
 
 def parse_csv(text: str):
-    return parse_power_csv(io.StringIO(text))
+    return parse_power_csv(io.BytesIO(text.encode()))
 
 
 class TestParsePowerCsv:
@@ -135,12 +135,12 @@ def trace_values(traces):
 
 
 class TestPowerCsvChunks:
-    """The parser reads blocks of whole lines of ``_BLOCK_CHARS`` characters
-    and more; here, of ten, so that most blocks hold one or two rows."""
+    """The parser reads blocks of whole lines of ``_BLOCK_BYTES`` bytes and
+    more; here, of ten, so that most blocks hold one or two rows."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(axpue.io, "_BLOCK_CHARS", 10)
+        monkeypatch.setattr(axpue.io, "_BLOCK_BYTES", 10)
 
     def test_duplicate_across_chunks_reports_later_line(self):
         with pytest.raises(DuplicateSampleError) as excinfo:
@@ -170,7 +170,7 @@ class TestPowerCsvChunks:
         rows = ["s1,0,100", "s2,0,50", "s1,60,110", "s2,60,55", "s1,120,120"]
         lf = HEADER + "".join(r + "\n" for r in rows)
         crlf = lf.replace("\n", "\r\n")
-        from_file = parse_power_csv(io.StringIO(crlf, newline=""))
+        from_file = parse_csv(crlf)
         assert trace_values(from_file) == trace_values(parse_csv(lf))
 
     def test_padded_device_ids_merge(self):
@@ -187,7 +187,7 @@ class TestPowerCsvChunks:
 
         monkeypatch.setattr(axpue.io, "_split_block", spy)
         traces = parse_csv(HEADER + '"s1",0,100\ns1,60,100\n')
-        assert split == [('"s1",0,100\n', False), ("s1,60,100\n", True), ("", False)]
+        assert split == [('"s1",0,100\n', False), ("s1,60,100\n", True)]
         assert trace_values(traces) == [("s1", [0.0, 60.0], [100.0, 100.0])]
 
     def test_last_line_without_newline(self):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import math
 import os
 import pickle
@@ -82,11 +83,16 @@ def reference_parse_power_csv(stream):
 
 
 def outcome(parse, make_stream):
-    """The traces a parser returns, or the (type, message, line) it raises."""
+    """The traces a parser returns, or the (type, message, line) it raises.
+
+    A ``UnicodeDecodeError``'s message is its reason: its offsets count from
+    wherever its decoder started.
+    """
     try:
         traces = parse(make_stream())
     except Exception as exc:
-        return ("error", type(exc), str(exc), getattr(exc, "line", None))
+        message = exc.reason if isinstance(exc, UnicodeDecodeError) else str(exc)
+        return ("error", type(exc), message, getattr(exc, "line", None))
     return ("ok", [(t.device_id, t.times.tolist(), t.watts.tolist()) for t in traces])
 
 
@@ -131,8 +137,9 @@ def quoted(field: str) -> str:
 
 
 @st.composite
-def csv_texts(draw, plain=False):
-    """Power CSV texts; ``plain`` ones have ``\n`` endings and no quoted records."""
+def csv_texts(draw, quotes=True):
+    """Power CSV texts with ``\n``, ``\r\n`` or lone ``\r`` line endings,
+    and quoted records unless ``quotes`` is false."""
     header = draw(
         st.sampled_from(
             ["device_id,timestamp,watts"] * 4
@@ -141,7 +148,7 @@ def csv_texts(draw, plain=False):
     )
     lines = [header]
     kinds = ["row"] * 10 + ["blank", "space", "short", "long", "quoted", "pair"]
-    if plain:
+    if not quotes:
         kinds.remove("quoted")
     for _ in range(draw(st.integers(0, 16))):
         kind = draw(st.sampled_from(kinds))
@@ -161,41 +168,47 @@ def csv_texts(draw, plain=False):
                 if draw(st.booleans()):
                     fields[0] = quoted(draw(DEVICES) + "\nz")  # a field spanning two lines
             lines.append(",".join(fields))
-    ending = "\n" if plain else draw(st.sampled_from(["\n"] * 5 + ["\r\n"] * 2 + ["\r"]))
+    ending = draw(st.sampled_from(["\n"] * 5 + ["\r\n"] * 2 + ["\r"]))
     text = ending.join(lines)
     if draw(st.booleans()):
         text += ending
     return text
 
 
-#: A text file's newline modes: as read by csv, universal, and \n only.
-NEWLINES = ("", None, "\n")
-
-
 HEADER = "device_id,timestamp,watts\n"
 
 
 #: Block sizes that put block edges inside short inputs, and the default.
-BLOCKS = st.integers(5, 20) | st.just(axpue.io._BLOCK_CHARS)
+BLOCKS = st.integers(5, 20) | st.just(axpue.io._BLOCK_BYTES)
 
 
 @contextlib.contextmanager
-def parser_sizes(block=axpue.io._BLOCK_CHARS, reads=axpue.io._READ_CHARS, field_limit=None):
-    """The parser with small blocks and reads, and a csv field limit."""
+def parser_sizes(block=axpue.io._BLOCK_BYTES, field_limit=None):
+    """The parser with small blocks, which it also reads in, and a csv field limit."""
     old_limit = csv.field_size_limit(field_limit or csv.field_size_limit())
     try:
-        with mock.patch.multiple(axpue.io, _BLOCK_CHARS=block, _READ_CHARS=reads):
+        with mock.patch.object(axpue.io, "_BLOCK_BYTES", block):
             yield
     finally:
         csv.field_size_limit(old_limit)
 
 
-#: ``parser_sizes`` arguments: block, read size and csv field limit.
-SIZES = st.tuples(BLOCKS, st.integers(1, 8), st.none() | st.integers(8, 40))
+#: ``parser_sizes`` arguments: block and csv field limit.
+SIZES = st.tuples(BLOCKS, st.none() | st.integers(8, 40))
 
 
-def sizes(block=axpue.io._BLOCK_CHARS, reads=axpue.io._READ_CHARS, field_limit=None):
-    return block, reads, field_limit
+def sizes(block=axpue.io._BLOCK_BYTES, field_limit=None):
+    return block, field_limit
+
+
+def parse_bytes(text):
+    """The parser's outcome on ``text``, read as UTF-8 bytes."""
+    return outcome(parse_power_csv, lambda: io.BytesIO(text.encode()))
+
+
+def reference(text):
+    """The reference's outcome on ``text``, read as ``csv`` reads a file."""
+    return outcome(reference_parse_power_csv, lambda: io.StringIO(text, newline=""))
 
 
 @settings(max_examples=500, deadline=None)
@@ -213,8 +226,8 @@ def sizes(block=axpue.io._BLOCK_CHARS, reads=axpue.io._READ_CHARS, field_limit=N
 # A blank line, then a last line without a newline, in the next block.
 @example(text=HEADER + "s1,0,1\n\ns2,0,100", sizes=sizes(block=7))
 # A \r\n split between two reads, where a block's last line is completed.
-@example(text=HEADER + "s1,0,1\r\ns1,60,1\r\n", sizes=sizes(block=7, reads=3))
-# A lone \r ends a line only where the stream has universal newlines.
+@example(text=HEADER + "s1,0,1\r\ns1,60,1\r\n", sizes=sizes(block=7))
+# A lone \r ends a line, as in csv.
 @example(text=HEADER + "s1,0,1\rs1,60,1\n", sizes=sizes())
 # A line longer than the block.
 @example(text=HEADER + "s1,0,1\nsensor-a,60.0,100.5\ns1,60,1\n", sizes=sizes(block=10))
@@ -224,71 +237,25 @@ def sizes(block=axpue.io._BLOCK_CHARS, reads=axpue.io._READ_CHARS, field_limit=N
 )
 # A quoted record that opens in one block and closes in the next.
 @example(text=HEADER + 's1,0,1\n"s2\nz",0,1\ns1,60,1\n', sizes=sizes(block=8))
-@example(text=HEADER + 's1,0,1\n"s2\n\nz",0,1\ns1,60,1\n', sizes=sizes(block=8, reads=2))
+@example(text=HEADER + 's1,0,1\n"s2\n\nz",0,1\ns1,60,1\n', sizes=sizes(block=8))
 # A quoted row in the first block, and a bad watts value two blocks later.
 @example(text=HEADER + '"s1",0,1\ns1,60,1\ns1,120,x\ns1,180,1\n', sizes=sizes(block=8))
 def test_chunked_parser_matches_row_loop(text, sizes):
     with parser_sizes(*sizes):
-        for newline in NEWLINES:
-            def make_stream():
-                return io.StringIO(text, newline=newline)
-
-            expected = outcome(reference_parse_power_csv, make_stream)
-            assert outcome(parse_power_csv, make_stream) == expected, newline
+        assert parse_bytes(text) == reference(text)
 
 
-class UndecodableAfter(io.StringIO):
-    """Text whose reads raise ``UnicodeDecodeError`` once it is used up."""
-
-    def _check(self):
-        if self.tell() >= len(self.getvalue()):
-            raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
-
-    def read(self, size=-1):
-        self._check()
-        return super().read(size)
-
-    def readline(self, size=-1):
-        self._check()
-        return super().readline(size)
-
-    def __next__(self):
-        self._check()
-        return super().__next__()
-
-
-@settings(max_examples=100, deadline=None)
-@given(text=csv_texts(), newline=st.sampled_from(NEWLINES), sizes=SIZES)
-# The stream fails inside a quoted record that is still open.
-@example(text=HEADER + '"s1\nz",0,100', newline="", sizes=sizes())
-# ... in the block after the one that opened it.
-@example(text=HEADER + 's1,0,1\n"s2\nz",0,1\n', newline="", sizes=sizes(block=8))
-def test_stream_failure_is_reported_after_earlier_rows(text, newline, sizes):
-    # A failed read loses the line it cuts, so the text ends with a whole line.
-    text = text[: text.rfind("\n") + 1]
-    with parser_sizes(*sizes):
-        def make_stream():
-            return UndecodableAfter(text, newline=newline)
-
-        expected = outcome(reference_parse_power_csv, make_stream)
-        assert outcome(parse_power_csv, make_stream) == expected
-
-
-def test_bytes_lines_raise_like_csv():
-    def make_stream():
-        return io.BytesIO(b"device_id,timestamp,watts\ns1,0,1\n")
-
-    expected = outcome(reference_parse_power_csv, make_stream)
-    assert expected[0] == "error"
-    assert outcome(parse_power_csv, make_stream) == expected
+def test_text_stream_is_rejected():
+    with pytest.raises(TypeError, match="needs a binary stream"):
+        parse_power_csv(io.StringIO(HEADER + "s1,0,1\n"))
 
 
 def test_field_over_csv_limit_raises_like_csv():
     text = "device_id,timestamp,watts\ns1,0,1\n" + "s" * 40 + ",0,1\n"
     with parser_sizes(field_limit=20):
-        expected = outcome(reference_parse_power_csv, lambda: io.StringIO(text))
+        expected = reference(text)
         assert expected[0] == "error"
-        assert outcome(parse_power_csv, lambda: io.StringIO(text)) == expected
+        assert parse_bytes(text) == expected
 
 
 @pytest.mark.parametrize(
@@ -302,7 +269,7 @@ def test_lines_before_an_undecodable_byte_are_checked_first(tmp_path, watts, err
     assert len(rows) > 20_000
     path = tmp_path / "power.csv"
     path.write_bytes((HEADER + f"s1,0,1\ns1,60,{watts}\n" + rows).encode() + b"\xff,0,1\n")
-    with open(path, encoding="utf-8", newline="") as f:
+    with open(path, "rb") as f:
         with pytest.raises(error) as caught:
             parse_power_csv(f)
     assert getattr(caught.value, "line", None) == line
@@ -315,9 +282,16 @@ def ranges(cpus, range_bytes=1):
         yield
 
 
-def file_outcome(parse, path, **sizes):
-    with parser_sizes(**sizes), open(path, encoding="utf-8", newline="") as f:
-        return outcome(parse, lambda: f)
+def file_outcome(path, **sizes):
+    """The parser's outcome on the file at ``path``."""
+    with parser_sizes(**sizes), open(path, "rb") as f:
+        return outcome(parse_power_csv, lambda: f)
+
+
+def reference_file_outcome(path):
+    """The reference's outcome on the file at ``path``, read as ``csv`` reads a file."""
+    with open(path, encoding="utf-8", newline="") as f:
+        return outcome(reference_parse_power_csv, lambda: f)
 
 
 def ranged_outcome(path, cpus, range_bytes=1, **sizes):
@@ -332,7 +306,7 @@ def ranged_outcome(path, cpus, range_bytes=1, **sizes):
         return fork_range(fd, start, end)
 
     with ranges(cpus, range_bytes), mock.patch.object(axpue.io, "_fork_range", spy):
-        result = file_outcome(parse_power_csv, path, **sizes)
+        result = file_outcome(path, **sizes)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     return result, forked
@@ -348,7 +322,7 @@ def range_cuts(path, cpus):
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(
-    text=csv_texts(plain=True),
+    text=csv_texts(quotes=False),
     cpus=st.integers(2, 4),
     range_bytes=st.integers(1, 64),
     block=BLOCKS,
@@ -356,7 +330,7 @@ def range_cuts(path, cpus):
 def test_ranged_parse_matches_row_loop(tmp_path, text, cpus, range_bytes, block):
     path = tmp_path / "power.csv"
     path.write_bytes(text.encode())
-    expected = file_outcome(reference_parse_power_csv, path)
+    expected = reference_file_outcome(path)
     assert ranged_outcome(path, cpus, range_bytes, block=block)[0] == expected
 
 
@@ -395,14 +369,14 @@ def test_ranged_parse_pinned_cases(tmp_path, cpus, text, where):
     data = path.read_bytes()
     pieces = [data[start:end].decode() for start, end in zip(cuts, cuts[1:])]
     assert all(re.search(pattern, piece) for pattern, piece in zip(where, pieces))
-    expected = file_outcome(reference_parse_power_csv, path)
+    expected = reference_file_outcome(path)
     assert ranged_outcome(path, cpus) == (expected, list(zip(cuts[1:-1], cuts[2:])))
 
 
 def test_quoted_file_is_parsed_in_one_process(tmp_path):
     path = tmp_path / "power.csv"
     path.write_bytes((HEADER + rows(0, 60, 120) + '"s1",180,1\n' + rows(240, 300)).encode())
-    expected = file_outcome(reference_parse_power_csv, path)
+    expected = reference_file_outcome(path)
     assert ranged_outcome(path, 4) == (expected, [])
 
 
@@ -438,7 +412,7 @@ def test_failed_children_are_not_trusted(tmp_path, patch, bad):
     """Ranges whose children send no result are parsed again in this process."""
     path = tmp_path / "power.csv"
     path.write_bytes((HEADER + rows(0, 60, 120) + bad + rows(180, 240, 300, device="s2")).encode())
-    expected = file_outcome(reference_parse_power_csv, path)
+    expected = reference_file_outcome(path)
     name, fake = patch
     target = axpue.io.pickle if name == "pickle.dump" else axpue.io
     with mock.patch.object(target, name.rpartition(".")[2], fake):
@@ -459,7 +433,7 @@ def test_children_reaped_elsewhere_are_not_trusted(tmp_path, bad):
     """A child whose exit status is lost is not trusted, nor killed twice."""
     path = tmp_path / "power.csv"
     path.write_bytes((HEADER + bad + rows(60, 120, 180) + rows(240, 300, device="s2")).encode())
-    expected = file_outcome(reference_parse_power_csv, path)
+    expected = reference_file_outcome(path)
     with mock.patch.object(os, "waitpid", _reaped_elsewhere):
         result, forked = ranged_outcome(path, 3)
     assert forked and result == expected
@@ -493,7 +467,7 @@ def test_no_fork_where_children_could_hang_or_vanish(tmp_path, context, bad):
     beside other threads could wait forever on a lock one of them held."""
     path = tmp_path / "power.csv"
     path.write_bytes((HEADER + bad + rows(60, 120, 180) + rows(240, 300, device="s2")).encode())
-    expected = file_outcome(reference_parse_power_csv, path)
+    expected = reference_file_outcome(path)
     assert ranged_outcome(path, 3)[1]
     with context():
         assert ranged_outcome(path, 3) == (expected, [])
@@ -510,12 +484,56 @@ def test_undecodable_byte_in_a_child_range(tmp_path, watts, error, line):
     text = HEADER + rows(*range(0, 480, 60)) + f"s1,480,{watts}\n"
     path.write_bytes(text.encode() + b"s1,\xff,1\n" + rows(540, 600).encode())
     with ranges(cpus=1):
-        expected = file_outcome(parse_power_csv, path)
+        expected = file_outcome(path)
     assert expected[1::2] == (error, line)
     result, forked = ranged_outcome(path, 2)
     # The child's range holds line 10 and the byte.
     assert len(forked) == 1 and forked[0][0] <= text.index("s1,480,")
     assert result == expected
+
+
+def raising(failure):
+    """An iterator that raises ``failure`` when asked for its first item."""
+    raise failure
+    yield
+
+
+#: A power CSV text and the offset of its encoding where a 0xff byte goes in.
+WITH_A_BAD_BYTE = csv_texts().flatmap(
+    lambda text: st.tuples(st.just(text), st.integers(0, len(text.encode())))
+)
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=WITH_A_BAD_BYTE, block=BLOCKS, cpus=st.integers(2, 3))
+# The byte in a quoted record that is still open.
+@example(case=(HEADER + '"s1\nz",0,100', len(HEADER) + 4), block=axpue.io._BLOCK_BYTES, cpus=2)
+# ... in the block after the one that opened it.
+@example(case=(HEADER + 's1,0,1\n"s2\nz",0,1\n', len(HEADER) + 11), block=8, cpus=2)
+# Between the \r and the \n of a line end, and inside a two-byte character.
+@example(case=(HEADER + "s1,0,x\r\ns1,60,1\r\n", len(HEADER) + 7), block=8, cpus=2)
+@example(case=(HEADER + "s1,0,1\n\u00e9,60,1\n", len(HEADER) + 8), block=5, cpus=2)
+def test_undecodable_byte_is_raised_after_the_lines_before_it(tmp_path, case, block, cpus):
+    """Both the one-process and the ranged parse check every whole line
+    before the byte, as the reference does, and then raise its error."""
+    text, at = case
+    data = text.encode()
+    data = data[:at] + b"\xff" + data[at:]
+    with pytest.raises(UnicodeDecodeError) as caught:
+        data.decode("utf-8")
+    failure = caught.value
+    # The whole lines before the byte, split as csv splits a file.
+    lines = io.StringIO(data[: failure.start].decode("utf-8"), newline="").readlines()
+    if lines and not lines[-1].endswith(("\n", "\r")):
+        del lines[-1]
+    expected = outcome(reference_parse_power_csv, lambda: itertools.chain(lines, raising(failure)))
+    with parser_sizes(block):
+        assert outcome(parse_power_csv, lambda: io.BytesIO(data)) == expected
+    path = tmp_path / "power.csv"
+    path.write_bytes(data)
+    assert ranged_outcome(path, cpus, block=block)[0] == expected
 
 
 DEVICE_IDS = st.text(
@@ -538,9 +556,9 @@ SAMPLES = st.lists(
 @given(samples=SAMPLES, block=BLOCKS)
 def test_write_then_parse_round_trips(samples, block):
     # One-sample blocks keep the rows in their drawn, arbitrary order.
-    text = write_power_csv([(d, [t], [w]) for d, t, w in samples]).decode("utf-8")
+    data = write_power_csv([(d, [t], [w]) for d, t, w in samples])
     with parser_sizes(block):
-        traces = parse_power_csv(io.StringIO(text, newline=""))
+        traces = parse_power_csv(io.BytesIO(data))
     expected = {}
     for device_id, timestamp, watts in sorted(samples, key=lambda s: (s[0], s[1])):
         times, powers = expected.setdefault(device_id, ([], []))

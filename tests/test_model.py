@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -229,6 +230,25 @@ class TestMetricsReport:
                 aggregated_aopue=5.0 / pue,
             )
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("it_power_kw", [math.inf, math.nan, -1.0, 0.0])
+    def test_it_power_must_be_finite_and_positive(self, it_power_kw):
+        row = dataclasses.replace(
+            _row(appue=5.0, aopue=5.0 / 1.5, weight=1.0),
+            it_power_kw=it_power_kw,
+            facility_power_kw=it_power_kw * 1.5,
+        )
+        with pytest.raises(ValidationError) as excinfo:
+            MetricsReport(
+                window=self.WINDOW,
+                pue=1.5,
+                per_run=(row,),
+                weighted_appue=5.0,
+                aggregated_aopue=5.0 / 1.5,
+            )
+        assert str(excinfo.value) == (
+            f"run 'r': it_power_kw must be finite and > 0, got {it_power_kw!r}"
+        )
 
     def test_valid_report_passes(self):
         report = MetricsReport(

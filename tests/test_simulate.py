@@ -99,7 +99,7 @@ def one_server_scenario(profile, overhead=None, duration=600.0, period=60.0):
 
 def traces_by_device(scenario):
     out = simulate(scenario)
-    traces = parse_power_csv(io.StringIO(out.power_csv.decode("utf-8")))
+    traces = parse_power_csv(io.BytesIO(out.power_csv))
     return {t.device_id: t for t in traces}
 
 
