@@ -21,6 +21,12 @@ made one after the other can differ by more than the change does.  Both
 checkouts must commit the same ``perfbench/`` and ``BENCHMARK.json``.
 Each run also prints one JSON line with its seed and metric values, so
 the pairs can be compared one by one.
+
+Each checkout's runs get their own new, empty ``PYTHONPYCACHEPREFIX``
+directory, so bytecode left in a checkout's ``__pycache__`` is not used:
+with ``PYTHONDONTWRITEBYTECODE`` set, a stale cache there would make every
+process of that side compile every module it imports, and the other side
+not.  Both sides compile the same way, whatever their checkouts hold.
 """
 
 from __future__ import annotations
@@ -28,9 +34,11 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,11 +49,12 @@ def _git(checkout: Path, *args: str) -> str:
     return subprocess.run(["git", "-C", str(checkout), *args], check=True, capture_output=True, text=True).stdout.strip()
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One perfbench run: (its final JSON line, its full result record)."""
+def _run(checkout: Path, pycache: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One perfbench run, with bytecode cached under ``pycache`` only:
+    (its final JSON line, its full result record)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=checkout, capture_output=True, text=True,
+        cwd=checkout, capture_output=True, text=True, env=dict(os.environ, PYTHONPYCACHEPREFIX=pycache),
     )
     if proc.returncode not in (0, 1):  # 1 means some computations failed; that is recorded
         raise SystemExit(f"perfbench {workload} seed {seed} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
@@ -104,18 +113,20 @@ def main() -> int:
     records = json.loads(args.out.read_text()) if args.out.exists() else []
     # Before the first record is written: --out may be a tracked file of a checkout.
     commits = [_commit(side) for side in sides]
-    for workload in WORKLOADS:
-        runs: list[list[tuple[dict, dict]]] = [[] for _ in sides]
-        for i, seed in enumerate(args.seeds):
-            for k in range(len(sides))[:: 1 if i % 2 == 0 else -1]:
-                summary, result = _run(sides[k], workload, seed, seconds)
-                runs[k].append((summary, result))
-                values = {name: metric["value"] for name, metric in summary["metrics"].items()}
-                print(json.dumps({"commit": commits[k], "workload": workload, "seed": seed, **values}))
-        for commit, side_runs in zip(commits, runs):
-            records.append(record(commit, workload, args.seeds, seconds, side_runs))
-            args.out.write_text(json.dumps(records, indent=1) + "\n")
-            print(json.dumps(records[-1]))
+    with tempfile.TemporaryDirectory(prefix="pycache-") as pycache:
+        pycaches = [str(Path(pycache) / str(k)) for k in range(len(sides))]
+        for workload in WORKLOADS:
+            runs: list[list[tuple[dict, dict]]] = [[] for _ in sides]
+            for i, seed in enumerate(args.seeds):
+                for k in range(len(sides))[:: 1 if i % 2 == 0 else -1]:
+                    summary, result = _run(sides[k], pycaches[k], workload, seed, seconds)
+                    runs[k].append((summary, result))
+                    values = {name: metric["value"] for name, metric in summary["metrics"].items()}
+                    print(json.dumps({"commit": commits[k], "workload": workload, "seed": seed, **values}))
+            for commit, side_runs in zip(commits, runs):
+                records.append(record(commit, workload, args.seeds, seconds, side_runs))
+                args.out.write_text(json.dumps(records, indent=1) + "\n")
+                print(json.dumps(records[-1]))
     return 0
 
 

@@ -49,7 +49,7 @@ class PowerTrace:
             raise ValidationError("times and watts must be 1-d arrays of equal length")
         if not np.all(np.isfinite(times)):
             raise ValidationError(f"trace {self.device_id!r}: non-finite timestamp")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
+        if not np.all(times[1:] > times[:-1]):
             raise ValidationError(
                 f"trace {self.device_id!r}: timestamps must be strictly increasing"
             )

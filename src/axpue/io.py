@@ -162,15 +162,21 @@ class _Samples:
     def __init__(self):
         self.ids: dict[str, int] = {}  # stripped device id -> code
         self.codes_by_field: dict[str, int] = {}  # raw device field -> code
-        # Per-block arrays of device codes, times, watts and line numbers.
-        self.columns: tuple[list[np.ndarray], ...] = ([], [], [], [])
+        # Per-block arrays of device codes, times and watts, and each block's
+        # line numbers: the first one's, as an int, when its rows are
+        # consecutive lines, or else an array of each row's.
+        self.columns: tuple[list, ...] = ([], [], [], [])
 
-    def add(self, columns: tuple, lines: np.ndarray) -> bool:
-        """Convert and check one block's columns; False if any row is bad."""
-        count = len(lines)
-        if not count:
+    def add(self, columns: tuple, lines: int | np.ndarray) -> bool:
+        """Convert and check one block's columns; False if any row is bad.
+
+        ``lines`` is the block's first line number when its rows are
+        consecutive lines, or else each row's line number.
+        """
+        if not columns:
             return True
         devices, stamps, watts = columns
+        count = len(devices)
         codes_by_field = self.codes_by_field
         for field in set(devices).difference(codes_by_field):
             device_id = field.strip()
@@ -197,7 +203,7 @@ class _Samples:
             column.append(values)
         return True
 
-    def merge(self, names: list[str], columns: tuple[list[np.ndarray], ...], offset: int) -> None:
+    def merge(self, names: list[str], columns: tuple[list, ...], offset: int) -> None:
         """Append the block columns of another ``_Samples``, in place.
 
         ``names`` are its device ids in code order, and ``offset`` is added
@@ -207,22 +213,52 @@ class _Samples:
         codes, _, _, lines = columns
         for block in codes:
             np.take(remap, block, out=block, mode="clip")
-        for block in lines:
-            block += offset
+        lines[:] = [first + offset for first in lines]
         for column, blocks in zip(self.columns, columns):
             column.extend(blocks)
 
     def traces(self) -> list[PowerTrace]:
         """One trace per device in device-id order; rejects duplicate samples.
 
-        Peak memory stays near a few columns: each column's blocks are
-        released as soon as it is joined, line numbers are joined only to
-        report a duplicate, and each device's samples are gathered on their
-        own instead of sorting whole columns.
+        When each device's rows are one run of the file with strictly rising
+        times, as a writer that goes one device at a time leaves them, each
+        trace is its run's slices of consecutive blocks: the device codes are
+        dropped after :func:`_device_runs` finds the runs, and each block of
+        times and watts is released once the last run in it is built, so
+        the parse holds little more than the samples, 24 bytes a row, at its
+        peak.  Otherwise, as with time-major rows, the columns are joined,
+        sorted stably by device and time, and each device's samples gathered
+        and checked for duplicates, which holds a few joined columns at once,
+        about 40 bytes a row.  Line numbers are joined only to report a
+        duplicate.
         """
         codes, times, watts, lines = self.columns
         if not codes:
             return []
+        runs = _device_runs(codes, times, len(self.ids))
+        if runs is None:
+            return self._sorted_traces()
+        codes.clear()
+        lines.clear()
+        names = list(self.ids)  # in code order
+        built = {}
+        ends = [*runs[1:], (None, len(times) - 1, len(times[-1]))]
+        for (code, k0, i0), (_, k1, i1) in zip(runs, ends):
+            parts = [
+                column[k0][i0:i1]
+                if k0 == k1
+                else np.concatenate([column[k0][i0:], *column[k0 + 1 : k1], column[k1][:i1]])
+                for column in (times, watts)
+            ]
+            built[names[code]] = PowerTrace(names[code], *parts)
+            # Every row of the blocks before the next run's has been built.
+            times[k0:k1] = watts[k0:k1] = [None] * (k1 - k0)
+        return [built[name] for name in sorted(built)]
+
+    def _sorted_traces(self) -> list[PowerTrace]:
+        """The traces of :meth:`traces`, from sorted joined columns."""
+        codes, times, watts, lines = self.columns
+        counts = list(map(len, codes))
         names = sorted(self.ids)
         rank = np.empty(len(names), dtype=np.intp)
         rank[[self.ids[name] for name in names]] = np.arange(len(names))
@@ -240,13 +276,47 @@ class _Samples:
             duplicate = np.flatnonzero(device_times[1:] == device_times[:-1])
             if duplicate.size:
                 i = int(duplicate[0])
-                lines = _join(lines)
+                lines = np.concatenate(
+                    [
+                        first if isinstance(first, np.ndarray) else np.arange(first, first + count)
+                        for first, count in zip(lines, counts)
+                    ]
+                )
                 raise DuplicateSampleError(
                     f"device {name!r}: duplicate timestamp {float(device_times[i])!r}",
                     line=int(max(lines[rows[i]], lines[rows[i + 1]])),
                 )
             traces.append(PowerTrace(name, device_times, watts[rows]))
         return traces
+
+
+def _device_runs(
+    codes: list[np.ndarray], times: list[np.ndarray], devices: int
+) -> list[tuple[int, int, int]] | None:
+    """Where each device's one run of rows with strictly rising times starts.
+
+    Returns, in file order, each run's device code, block and row in the
+    block; None, at the first block that shows it, if some device's rows are
+    not one run, or its times do not rise (equal times included).  Only one
+    block's worth of temporaries is alive at a time.
+    """
+    seen = np.zeros(devices, dtype=bool)
+    runs = []
+    code, time = -1, -math.inf
+    for k, (block_codes, block_times) in enumerate(zip(codes, times)):
+        # Each row against the one before it, the last one of the block before included.
+        new = block_codes != np.concatenate(([code], block_codes[:-1]))
+        # Compared, not subtracted: far-apart times must not overflow.
+        if not np.all(new | (block_times > np.concatenate(([time], block_times[:-1])))):
+            return None
+        starts = np.flatnonzero(new)
+        fresh = block_codes[starts]
+        if seen[fresh].any() or np.unique(fresh).size < fresh.size:
+            return None
+        seen[fresh] = True
+        runs.extend(zip(fresh.tolist(), itertools.repeat(k), starts.tolist()))
+        code, time = block_codes[-1], block_times[-1]
+    return runs
 
 
 def _join(blocks: list[np.ndarray]) -> np.ndarray:
@@ -353,9 +423,10 @@ def _parse_rows(lines: _Lines, samples: _Samples, line: int) -> int:
         columns = _split_block(block) if len(block) <= csv.field_size_limit() else None
         if columns is not None:
             count = len(columns[0])
-            if not samples.add(columns, np.arange(line, line + count)):
+            if not samples.add(columns, line):
                 _raise_first_bad_row(zip(*columns), line)
             line += count
+            del columns  # before the next block is split
         else:
             rows, failure = _csv_rows(block, lines)
             # Blank rows are skipped, but they count as lines.
