@@ -22,11 +22,14 @@ checkouts must commit the same ``perfbench/`` and ``BENCHMARK.json``.
 Each run also prints one JSON line with its seed and metric values, so
 the pairs can be compared one by one.
 
-Each checkout's runs get their own new, empty ``PYTHONPYCACHEPREFIX``
-directory, so bytecode left in a checkout's ``__pycache__`` is not used:
-with ``PYTHONDONTWRITEBYTECODE`` set, a stale cache there would make every
-process of that side compile every module it imports, and the other side
-not.  Both sides compile the same way, whatever their checkouts hold.
+Each checkout's runs cache bytecode in their own new, empty
+``PYTHONPYCACHEPREFIX`` directory, and write it there even where
+``PYTHONDONTWRITEBYTECODE`` is set.  So what a checkout's ``__pycache__``
+holds does not matter: a stale one, with writing off, would make every
+process of that side compile the modules it imports, and the other side
+not.  Both sides compile each module once, in their first process.  (With
+an empty prefix and writing off, every process would compile the standard
+library and numpy too: ``import axpue.cli`` takes 0.85 s instead of 0.19 s.)
 """
 
 from __future__ import annotations
@@ -52,9 +55,10 @@ def _git(checkout: Path, *args: str) -> str:
 def _run(checkout: Path, pycache: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """One perfbench run, with bytecode cached under ``pycache`` only:
     (its final JSON line, its full result record)."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONDONTWRITEBYTECODE"}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=checkout, capture_output=True, text=True, env=dict(os.environ, PYTHONPYCACHEPREFIX=pycache),
+        cwd=checkout, capture_output=True, text=True, env={**env, "PYTHONPYCACHEPREFIX": pycache},
     )
     if proc.returncode not in (0, 1):  # 1 means some computations failed; that is recorded
         raise SystemExit(f"perfbench {workload} seed {seed} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
