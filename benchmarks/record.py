@@ -55,10 +55,11 @@ def _git(checkout: Path, *args: str) -> str:
 def _run(checkout: Path, pycache: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """One perfbench run, with bytecode cached under ``pycache`` only:
     (its final JSON line, its full result record)."""
-    env = {name: value for name, value in os.environ.items() if name != "PYTHONDONTWRITEBYTECODE"}
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=pycache)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=checkout, capture_output=True, text=True, env={**env, "PYTHONPYCACHEPREFIX": pycache},
+        cwd=checkout, capture_output=True, text=True, env=env,
     )
     if proc.returncode not in (0, 1):  # 1 means some computations failed; that is recorded
         raise SystemExit(f"perfbench {workload} seed {seed} exited {proc.returncode}:\n{proc.stderr[-2000:]}")

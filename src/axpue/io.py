@@ -222,15 +222,16 @@ class _Samples:
 
         When each device's rows are one run of the file with strictly rising
         times, as a writer that goes one device at a time leaves them, each
-        trace is its run's slices of consecutive blocks: the device codes are
-        dropped after :func:`_device_runs` finds the runs, and each block of
-        times and watts is released once the last run in it is built, so
-        the parse holds little more than the samples, 24 bytes a row, at its
-        peak.  Otherwise, as with time-major rows, the columns are joined,
-        sorted stably by device and time, and each device's samples gathered
-        and checked for duplicates, which holds a few joined columns at once,
-        about 40 bytes a row.  Line numbers are joined only to report a
-        duplicate.
+        trace is its run's slices of consecutive blocks, and no duplicate can
+        exist: the device codes are dropped once :func:`_device_runs` has
+        found the runs, and each block of times and watts is released once
+        the last run in it is built.  A one-process parse then peaks near 30
+        bytes a row: the 24 of the block columns, and one block's strings.
+        Otherwise, as with time-major rows, the columns are joined, sorted
+        stably by device and time, and each device's samples gathered and
+        checked for duplicates, with several joined columns alive at once:
+        about 42 bytes a row.  The finished traces take 16.  Line numbers
+        are joined only to report a duplicate.
         """
         codes, times, watts, lines = self.columns
         if not codes:
@@ -607,6 +608,12 @@ def parse_power_csv(stream: IO[bytes]) -> list[PowerTrace]:
     """Parse power samples into one trace per device, sorted by device_id.
 
     Rows may arrive in any order; each device's samples are sorted by time.
+    When every device's rows form one run of the file with strictly rising
+    times, as when a writer goes one device at a time, no sort is needed:
+    each trace is built from its run's slices of the parsed blocks, which
+    are freed as they are used, and the parse holds about 30 bytes a row at
+    its peak.  Other layouts are sorted, about 42 bytes a row (see
+    :meth:`_Samples.traces`).
     Duplicate (device, timestamp) pairs, malformed rows, and negative watt
     readings are rejected with the offending 1-based line number (the row's
     record number when a quoted field spans lines).

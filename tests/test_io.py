@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +75,36 @@ class TestParsePowerCsv:
         with pytest.raises(DuplicateSampleError) as excinfo:
             parse_csv(HEADER + "s1,60,100\ns1,60,101\n")
         assert excinfo.value.line == 3
+
+    @pytest.mark.parametrize("stamps", [("-1.7e308", "1.7e308"), ("1.7e308", "-1.7e308")])
+    def test_far_apart_timestamps_do_not_overflow(self, stamps):
+        # In file order, and in falling order, which the parser sorts.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [trace] = parse_csv(HEADER + "".join(f"d,{stamp},1\n" for stamp in stamps))
+        assert trace.times.tolist() == [-1.7e308, 1.7e308]
+
+    @pytest.mark.parametrize(
+        "device_major, bound", [(True, 2.2), (False, 3.0)], ids=["device-major", "time-major"]
+    )
+    def test_parse_memory_is_a_few_trace_sizes(self, device_major, bound):
+        # The finished traces take 16 bytes a row.  Device-major rows are
+        # built into traces block by block; time-major ones are sorted.
+        devices, samples = 10, 20_000
+        pairs = [(d, i) for d in range(devices) for i in range(samples)]
+        if not device_major:
+            pairs.sort(key=lambda pair: pair[1])
+        stream = io.BytesIO(
+            (HEADER + "".join(f"s{d},{30 * i}.0,{100 + i % 50 * 0.5}\n" for d, i in pairs)).encode()
+        )
+        tracemalloc.start()
+        try:
+            traces = parse_power_csv(stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(trace) for trace in traces] == [samples] * devices
+        assert peak < bound * devices * samples * 16
 
     def test_bad_header_rejected(self):
         with pytest.raises(ParseError) as excinfo:

@@ -536,6 +536,113 @@ def test_undecodable_byte_is_raised_after_the_lines_before_it(tmp_path, case, bl
     assert ranged_outcome(path, cpus, block=block)[0] == expected
 
 
+def exact(result):
+    """An ``outcome`` whose trace values compare bit for bit: -0.0 is not 0.0."""
+    if result[0] == "error":
+        return result
+    return ("ok", [(d, np.array(t).tobytes(), np.array(w).tobytes()) for d, t, w in result[1]])
+
+
+def one_run_each(text):
+    """Whether each device's rows in ``text`` are one run with strictly rising times."""
+    seen, previous = set(), (None, None)
+    for row in itertools.islice(csv.reader(io.StringIO(text, newline="")), 1, None):
+        if not row:
+            continue
+        device, time = row[0].strip(), float(row[1])
+        if device == previous[0]:
+            if not time > previous[1]:
+                return False
+        elif device in seen:
+            return False
+        seen.add(device)
+        previous = device, time
+    return True
+
+
+@st.composite
+def device_major_texts(draw):
+    """Power CSV texts whose rows go one device at a time, with rising times,
+    or one edit away from that: a row moved, a time repeated, or two rows
+    swapped.  Some have blank lines, a quoted field or ``\r\n`` endings,
+    which ``csv.reader`` blocks take."""
+    rows = []
+    for name in draw(st.lists(st.sampled_from(["s1", "s2", "s3", "é"]), min_size=1, max_size=4, unique=True)):
+        for time in sorted(draw(st.sets(st.integers(-3, 40), min_size=1, max_size=8))):
+            # Padded fields name the same device.
+            field = draw(st.sampled_from([name] * 4 + [f" {name}", f"{name} "]))
+            rows.append([field, time, draw(st.sampled_from(["1", "0", "-0.0", "100.5"]))])
+    edit = draw(st.sampled_from([None] * 3 + ["move", "repeat", "swap"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    if edit == "move":
+        rows.insert(draw(st.integers(0, len(rows) - 1)), rows.pop(i))
+    elif edit == "repeat":
+        j = draw(st.sampled_from([i + 1, draw(st.integers(0, len(rows)))]))
+        rows.insert(j, [rows[i][0], rows[i][1], draw(st.sampled_from(["2", "0"]))])
+    elif edit == "swap" and i + 1 < len(rows):
+        rows[i], rows[i + 1] = rows[i + 1], rows[i]
+    lines = []
+    for field, time, watts in rows:
+        # -0.0 equals 0.0, so after 0.0 it repeats the time.
+        stamp = draw(st.sampled_from([f"{time}.0", str(time)] + ["-0.0"] * (time == 0)))
+        lines.append(f"{field},{stamp},{watts}")
+        if draw(st.integers(0, 15)) == 0:
+            lines.append(draw(st.sampled_from(["", f'"{field}",{stamp},{watts}'])))
+    ending = draw(st.sampled_from(["\n"] * 5 + ["\r\n"]))
+    return HEADER + "".join(line + ending for line in lines)
+
+
+@settings(
+    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    text=device_major_texts(),
+    block=st.integers(5, 30) | st.just(axpue.io._BLOCK_BYTES),
+    cpus=st.integers(2, 3),
+    range_bytes=st.integers(1, 64),
+)
+# An equal time across a block seam, and across a range cut.
+@example(text=HEADER + rows(0, 60) + "s1,60,2\n" + rows(120), block=5, cpus=2, range_bytes=1)
+# -0.0 after 0.0, and 0.0 after -0.0: equal times, not rising ones.
+@example(text=HEADER + "s1,0.0,1\ns1,-0.0,2\n", block=axpue.io._BLOCK_BYTES, cpus=2, range_bytes=1)
+@example(text=HEADER + "s1,-0.0,1\ns1,0.0,2\n", block=5, cpus=2, range_bytes=1)
+# A device split into two runs of one block, and a time that falls at a block seam.
+@example(
+    text=HEADER + rows(0, 60) + rows(0, device="s2") + rows(120),
+    block=axpue.io._BLOCK_BYTES,
+    cpus=2,
+    range_bytes=64,
+)
+@example(text=HEADER + rows(60, 0) + rows(0, device="s2"), block=5, cpus=2, range_bytes=1)
+# Runs that cross block seams and a range cut.
+@example(
+    text=HEADER + rows(*range(0, 300, 30)) + rows(*range(0, 300, 30), device="s2"),
+    block=12,
+    cpus=2,
+    range_bytes=1,
+)
+# A duplicate in a plain block, and in a csv.reader block with a blank line.
+@example(text=HEADER + rows(0, 0, 60), block=axpue.io._BLOCK_BYTES, cpus=2, range_bytes=1)
+@example(text=HEADER + rows(0) + "\n" + rows(0, 60), block=axpue.io._BLOCK_BYTES, cpus=2, range_bytes=1)
+def test_trace_building_matches_row_loop(tmp_path, text, block, cpus, range_bytes):
+    """Traces built from runs and traces built by sorting match the row loop,
+    bit for bit, and duplicates are reported with the same line; the sort
+    is taken exactly when some device's rows are not one rising run."""
+    expected = exact(reference(text))
+    sort = mock.patch.object(
+        axpue.io._Samples,
+        "_sorted_traces",
+        autospec=True,
+        side_effect=axpue.io._Samples._sorted_traces,
+    )
+    with parser_sizes(block), sort as sorted_traces:
+        assert exact(parse_bytes(text)) == expected
+    assert sorted_traces.called != one_run_each(text)
+    path = tmp_path / "power.csv"
+    path.write_bytes(text.encode())
+    assert exact(ranged_outcome(path, cpus, range_bytes, block=block)[0]) == expected
+
+
 DEVICE_IDS = st.text(
     alphabet=st.characters(blacklist_characters=',"\r\n', blacklist_categories=("C", "Z")),
     min_size=1,
