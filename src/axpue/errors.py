@@ -40,7 +40,7 @@ class InvalidPowerError(ValidationError):
 
 
 class InvalidWindowError(AxpueError):
-    """A time window is empty or inverted (end <= start)."""
+    """A time window is empty or inverted (end <= start), or a bound is not finite."""
 
 
 class NoSamplesError(AxpueError):

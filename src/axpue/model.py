@@ -203,6 +203,7 @@ class EnergyWindow:
 
     Total facility energy is always the sum over the four categories (IT
     included), never stored independently, which forces PUE >= 1 downstream.
+    Both bounds are finite, and ``end > start``.
     """
 
     start: float
@@ -210,6 +211,10 @@ class EnergyWindow:
     energy_by_category: Mapping[DeviceCategory, float]
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise InvalidWindowError(
+                f"window start ({self.start}) and end ({self.end}) must be finite"
+            )
         if self.end <= self.start:
             raise InvalidWindowError(
                 f"window end ({self.end}) must be > start ({self.start})"
@@ -314,7 +319,7 @@ class MetricsReport:
             )
         if self.per_run:
             total = math.fsum(row.weight for row in self.per_run)
-            if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # NaN compares false, so it fails
                 raise ValidationError(f"weights sum to {total!r}, expected 1")
         for row in self.per_run:
             if not (math.isfinite(row.it_power_kw) and row.it_power_kw > 0):

@@ -433,6 +433,27 @@ class TestReportCommand:
             f"error: {path}: run 'Grep': it_power_kw must be finite and > 0, got {it_power_kw!r}\n"
         )
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("start", math.nan, "window start (nan) and end ({end}) must be finite"),
+            ("end", math.inf, "window start ({start}) and end (inf) must be finite"),
+            ("weight", math.nan, "weights sum to nan, expected 1"),
+        ],
+        ids=["nan-start", "infinite-end", "nan-weight"],
+    )
+    def test_edited_non_finite_field_exits_2(self, tmp_path, capsys, field, value, message):
+        path = simulate_and_compute(tmp_path, "paper:grep")
+        doc = json.loads(path.read_text())
+        window = dict(doc["window"])
+        (doc["per_run"][0] if field == "weight" else doc["window"])[field] = value
+        path.write_text(json.dumps(doc))  # as NaN or Infinity, which json reads back
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message.format(**window)}\n"
+
     def test_schema_mismatch_exits_2(self, tmp_path):
         bogus = tmp_path / "bogus.json"
         bogus.write_text('{"schema": "other/1"}')
