@@ -20,7 +20,8 @@ spell of a shared host then falls on both sides of a pair, where records
 made one after the other can differ by more than the change does.  Both
 checkouts must commit the same ``perfbench/`` and ``BENCHMARK.json``.
 Each run also prints one JSON line with its seed and metric values, so
-the pairs can be compared one by one.
+the pairs can be compared one by one, and each workload ends with one JSON
+line of pair verdicts (see :func:`pair_verdicts`).
 
 Each checkout's runs cache bytecode in their own new, empty
 ``PYTHONPYCACHEPREFIX`` directory, and write it there even where
@@ -93,6 +94,38 @@ def record(commit: str, workload: str, seeds: list[int], seconds: float, runs: l
     }
 
 
+def pair_verdicts(end_to_end: list[dict], baseline: list[dict], checkout: list[dict]) -> dict:
+    """Each end-to-end metric's verdict on the checkout against the baseline.
+
+    ``end_to_end`` is the ``end_to_end`` list of ``BENCHMARK.json``, whose
+    ``better`` says which way is better; ``baseline`` and ``checkout`` are
+    the two sides' metric values, one dict per seed, paired in order.  Per
+    metric: the pairs the checkout wins, loses and ties, both medians, the
+    baseline's IQR (Q3 - Q1), and ``gate``: whether the checkout wins at
+    least nine tenths of the pairs and its median is better than the
+    baseline's by more than that IQR.
+    """
+    verdicts = {}
+    for metric in end_to_end:
+        name = metric["name"]
+        sign = 1 if metric["better"] == "lower" else -1  # sign * (checkout - baseline) < 0 is a win
+        gaps = [sign * (side[name] - base[name]) for base, side in zip(baseline, checkout, strict=True)]
+        spread = _spread([base[name] for base in baseline])
+        median = statistics.median(side[name] for side in checkout)
+        iqr = spread["q3"] - spread["q1"]
+        wins = sum(gap < 0 for gap in gaps)
+        verdicts[name] = {
+            "wins": wins,
+            "losses": sum(gap > 0 for gap in gaps),
+            "ties": sum(gap == 0 for gap in gaps),
+            "baseline_median": spread["median"],
+            "median": median,
+            "baseline_iqr": iqr,
+            "gate": 10 * wins >= 9 * len(gaps) and sign * (spread["median"] - median) > iqr,
+        }
+    return verdicts
+
+
 def _commit(checkout: Path) -> str:
     dirty = _git(checkout, "status", "--porcelain", "--untracked-files=no")
     return _git(checkout, "rev-parse", "HEAD") + ("+dirty" if dirty else "")
@@ -111,10 +144,11 @@ def main() -> int:
         ap.error("--seeds needs two or more seeds for the quartiles")
     checkout = args.checkout.resolve()
     sides = [checkout] if args.baseline is None else [args.baseline.resolve(), checkout]
-    benchmark = {_git(side, "rev-parse", "HEAD:perfbench", "HEAD:BENCHMARK.json") for side in sides}
-    if len(benchmark) > 1:
+    trees = {_git(side, "rev-parse", "HEAD:perfbench", "HEAD:BENCHMARK.json") for side in sides}
+    if len(trees) > 1:
         ap.error("--baseline commits another perfbench/ or BENCHMARK.json than --checkout")
-    seconds = json.loads((checkout / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((checkout / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     records = json.loads(args.out.read_text()) if args.out.exists() else []
     # Before the first record is written: --out may be a tracked file of a checkout.
     commits = [_commit(side) for side in sides]
@@ -122,16 +156,20 @@ def main() -> int:
         pycaches = [str(Path(pycache) / str(k)) for k in range(len(sides))]
         for workload in WORKLOADS:
             runs: list[list[tuple[dict, dict]]] = [[] for _ in sides]
+            values: list[list[dict]] = [[] for _ in sides]
             for i, seed in enumerate(args.seeds):
                 for k in range(len(sides))[:: 1 if i % 2 == 0 else -1]:
                     summary, result = _run(sides[k], pycaches[k], workload, seed, seconds)
                     runs[k].append((summary, result))
-                    values = {name: metric["value"] for name, metric in summary["metrics"].items()}
-                    print(json.dumps({"commit": commits[k], "workload": workload, "seed": seed, **values}))
+                    values[k].append({name: metric["value"] for name, metric in summary["metrics"].items()})
+                    print(json.dumps({"commit": commits[k], "workload": workload, "seed": seed, **values[k][-1]}))
             for commit, side_runs in zip(commits, runs):
                 records.append(record(commit, workload, args.seeds, seconds, side_runs))
                 args.out.write_text(json.dumps(records, indent=1) + "\n")
                 print(json.dumps(records[-1]))
+            if args.baseline is not None:
+                verdicts = pair_verdicts(benchmark["end_to_end"], *values)
+                print(json.dumps({"workload": workload, "commits": commits, "verdicts": verdicts}))
     return 0
 
 
