@@ -183,7 +183,7 @@ class _Samples:
             if not device_id:
                 return False
             codes_by_field[field] = self.ids.setdefault(device_id, len(self.ids))
-        codes = np.fromiter(map(codes_by_field.__getitem__, devices), np.intp, count)
+        codes = np.fromiter(map(codes_by_field.__getitem__, devices), np.int32, count)
         try:
             times = np.fromiter(map(float, stamps), np.float64, count)
         except ValueError:
@@ -209,7 +209,7 @@ class _Samples:
         ``names`` are its device ids in code order, and ``offset`` is added
         to its line numbers.
         """
-        remap = np.array([self.ids.setdefault(name, len(self.ids)) for name in names], np.intp)
+        remap = np.array([self.ids.setdefault(name, len(self.ids)) for name in names], np.int32)
         codes, _, _, lines = columns
         for block in codes:
             np.take(remap, block, out=block, mode="clip")
@@ -220,41 +220,50 @@ class _Samples:
     def traces(self) -> list[PowerTrace]:
         """One trace per device in device-id order; rejects duplicate samples.
 
-        When each device's rows are one run of the file with strictly rising
-        times, as a writer that goes one device at a time leaves them, each
-        trace is its run's slices of consecutive blocks, and no duplicate can
-        exist: the device codes are dropped once :func:`_device_runs` has
-        found the runs, and each block of times and watts is released once
-        the last run in it is built.  A one-process parse then peaks near 30
-        bytes a row: the 24 of the block columns, and one block's strings.
-        Otherwise, as with time-major rows, the columns are joined, sorted
-        stably by device and time, and each device's samples gathered and
-        checked for duplicates, with several joined columns alive at once:
-        about 42 bytes a row.  The finished traces take 16.  Line numbers
-        are joined only to report a duplicate.
+        When each device's times rise strictly in file order, whatever the
+        interleaving of devices (a writer that goes one device at a time, and
+        a poller that reads every meter once per interval, leave them so),
+        no sort is needed and no duplicate can exist.  Each batch of
+        consecutive blocks is partitioned by device, stably, which keeps each
+        device's rows in file order; each device's slice is copied into its
+        list of pieces, and the batch's blocks are released.  A one-process
+        parse then peaks near 24 bytes a row: the 20 of the block columns
+        (a 4-byte device code, the time and the watts), and one block's
+        strings.  Otherwise the columns are joined, sorted stably by device
+        and time, and each device's samples gathered and checked for
+        duplicates, with several joined columns alive at once: about 42
+        bytes a row.  The finished traces take 16.  Line numbers are joined
+        only to report a duplicate.
         """
-        codes, times, watts, lines = self.columns
+        codes, times, watts, _ = self.columns
         if not codes:
             return []
-        runs = _device_runs(codes, times, len(self.ids))
-        if runs is None:
+        devices = len(self.ids)
+        batches = _batches(codes)
+        if not _rise_per_device(codes, times, batches, devices):
             return self._sorted_traces()
-        codes.clear()
-        lines.clear()
-        names = list(self.ids)  # in code order
-        built = {}
-        ends = [*runs[1:], (None, len(times) - 1, len(times[-1]))]
-        for (code, k0, i0), (_, k1, i1) in zip(runs, ends):
-            parts = [
-                column[k0][i0:i1]
-                if k0 == k1
-                else np.concatenate([column[k0][i0:], *column[k0 + 1 : k1], column[k1][:i1]])
-                for column in (times, watts)
-            ]
-            built[names[code]] = PowerTrace(names[code], *parts)
-            # Every row of the blocks before the next run's has been built.
-            times[k0:k1] = watts[k0:k1] = [None] * (k1 - k0)
-        return [built[name] for name in sorted(built)]
+        time_pieces = [[] for _ in range(devices)]
+        watt_pieces = [[] for _ in range(devices)]
+        for k0, k1 in batches:
+            group, starts, order = _partition(codes[k0:k1], devices)
+            batch_times = np.concatenate(times[k0:k1])[order]
+            batch_watts = np.concatenate(watts[k0:k1])[order]
+            for column in self.columns:
+                column[k0:k1] = [None] * (k1 - k0)
+            ends = [*starts[1:].tolist(), len(order)]
+            # Copies, so that the batch is freed, and later pieces reuse its heap.
+            for code, lo, hi in zip(group.tolist(), starts.tolist(), ends):
+                time_pieces[code].append(batch_times[lo:hi].copy())
+                watt_pieces[code].append(batch_watts[lo:hi].copy())
+            del order, batch_times, batch_watts  # before the next batch's are made
+        # Built in code order, the order each batch's pieces were cut in, so
+        # that the pieces freed as each trace is built merge into holes that
+        # the next traces fit in.
+        traces = [
+            PowerTrace(name, _join(time_pieces[code]), _join(watt_pieces[code]))
+            for name, code in self.ids.items()
+        ]
+        return sorted(traces, key=lambda trace: trace.device_id)
 
     def _sorted_traces(self) -> list[PowerTrace]:
         """The traces of :meth:`traces`, from sorted joined columns."""
@@ -291,38 +300,69 @@ class _Samples:
         return traces
 
 
-def _device_runs(
-    codes: list[np.ndarray], times: list[np.ndarray], devices: int
-) -> list[tuple[int, int, int]] | None:
-    """Where each device's one run of rows with strictly rising times starts.
+#: Rows in a batch of consecutive blocks that :meth:`_Samples.traces`
+#: partitions by device.  A batch's temporaries take a few dozen bytes a row,
+#: so 16K rows keep them under a MB, small next to a large file's columns,
+#: while the dozen numpy calls a batch costs stay a small part of its time.
+_BATCH_ROWS = 1 << 14
 
-    Returns, in file order, each run's device code, block and row in the
-    block; None, at the first block that shows it, if some device's rows are
-    not one run, or its times do not rise (equal times included).  Only one
-    block's worth of temporaries is alive at a time.
+
+def _batches(blocks: list[np.ndarray]) -> list[tuple[int, int]]:
+    """Consecutive ranges ``(start, end)`` of ``blocks`` that each hold
+    ``_BATCH_ROWS`` rows or more, but for the last one."""
+    ends, rows = [], 0
+    for k, block in enumerate(blocks, start=1):
+        rows += len(block)
+        if rows >= _BATCH_ROWS:
+            ends.append(k)
+            rows = 0
+    if rows:
+        ends.append(len(blocks))
+    return list(zip([0, *ends], ends))
+
+
+def _partition(codes: list[np.ndarray], devices: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of a batch of code blocks, ordered stably by device code.
+
+    Returns the batch's device codes in rising order, where each one's rows
+    start in that order, and the order.
     """
-    seen = np.zeros(devices, dtype=bool)
-    runs = []
-    code, time = -1, -math.inf
-    for k, (block_codes, block_times) in enumerate(zip(codes, times)):
-        # Each row against the one before it, the last one of the block before included.
-        new = block_codes != np.concatenate(([code], block_codes[:-1]))
+    # Every code is below ``devices``, so the cast keeps it; numpy's stable
+    # sort is a radix sort for 8- and 16-bit integers.
+    batch = np.concatenate(codes, dtype=np.min_scalar_type(devices), casting="unsafe")
+    order = np.argsort(batch, kind="stable")
+    batch = batch[order]
+    starts = np.flatnonzero(np.concatenate(([True], batch[1:] != batch[:-1])))
+    return batch[starts], starts, order
+
+
+def _rise_per_device(
+    codes: list[np.ndarray], times: list[np.ndarray], batches: list[tuple[int, int]], devices: int
+) -> bool:
+    """Whether each device's times rise strictly in file order.
+
+    In each of ``batches``, each row is compared with the one before it from
+    the same device, the last one of the batches before included.  Equal
+    times fail, ``0.0`` after ``-0.0`` included.  Only one batch's
+    temporaries are alive at a time.
+    """
+    last = np.full(devices, -np.inf)  # each device's last time; parsed times are finite
+    for k0, k1 in batches:
+        group, starts, order = _partition(codes[k0:k1], devices)
+        batch = np.concatenate(times[k0:k1])[order]
         # Compared, not subtracted: far-apart times must not overflow.
-        if not np.all(new | (block_times > np.concatenate(([time], block_times[:-1])))):
-            return None
-        starts = np.flatnonzero(new)
-        fresh = block_codes[starts]
-        if seen[fresh].any() or np.unique(fresh).size < fresh.size:
-            return None
-        seen[fresh] = True
-        runs.extend(zip(fresh.tolist(), itertools.repeat(k), starts.tolist()))
-        code, time = block_codes[-1], block_times[-1]
-    return runs
+        rising = batch[1:] > batch[:-1]
+        rising[starts[1:] - 1] = True  # a device's first row is compared with ``last``
+        if not (rising.all() and (batch[starts] > last[group]).all()):
+            return False
+        last[group] = batch[np.append(starts[1:], len(batch)) - 1]
+        del order, batch, rising  # before the next batch's are made
+    return True
 
 
 def _join(blocks: list[np.ndarray]) -> np.ndarray:
-    """Concatenate and release a column's blocks."""
-    column = np.concatenate(blocks)
+    """Concatenate and release a column's blocks; a lone block is not copied."""
+    column = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     blocks.clear()
     return column
 
@@ -608,12 +648,13 @@ def parse_power_csv(stream: IO[bytes]) -> list[PowerTrace]:
     """Parse power samples into one trace per device, sorted by device_id.
 
     Rows may arrive in any order; each device's samples are sorted by time.
-    When every device's rows form one run of the file with strictly rising
-    times, as when a writer goes one device at a time, no sort is needed:
-    each trace is built from its run's slices of the parsed blocks, which
-    are freed as they are used, and the parse holds about 30 bytes a row at
-    its peak.  Other layouts are sorted, about 42 bytes a row (see
-    :meth:`_Samples.traces`).
+    When each device's times rise strictly in file order, in any
+    interleaving of devices (device-major rows, and time-major ones as a
+    poller that reads every meter once per interval writes them), no sort
+    is needed: batches of parsed blocks are partitioned by device and freed
+    as they are used, and the parse holds about 24 bytes a row at its peak.
+    Rows that go back in time or repeat one are sorted, about 42 bytes a
+    row (see :meth:`_Samples.traces`).
     Duplicate (device, timestamp) pairs, malformed rows, and negative watt
     readings are rejected with the offending 1-based line number (the row's
     record number when a quoted field spans lines).

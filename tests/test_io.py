@@ -84,12 +84,10 @@ class TestParsePowerCsv:
             [trace] = parse_csv(HEADER + "".join(f"d,{stamp},1\n" for stamp in stamps))
         assert trace.times.tolist() == [-1.7e308, 1.7e308]
 
-    @pytest.mark.parametrize(
-        "device_major, bound", [(True, 2.2), (False, 3.0)], ids=["device-major", "time-major"]
-    )
-    def test_parse_memory_is_a_few_trace_sizes(self, device_major, bound):
-        # The finished traces take 16 bytes a row.  Device-major rows are
-        # built into traces block by block; time-major ones are sorted.
+    @pytest.mark.parametrize("device_major", [True, False], ids=["device-major", "time-major"])
+    def test_parse_memory_is_a_few_trace_sizes(self, device_major):
+        # The finished traces take 16 bytes a row.  Both layouts are built
+        # into traces batch by batch, without a sort.
         devices, samples = 10, 20_000
         pairs = [(d, i) for d in range(devices) for i in range(samples)]
         if not device_major:
@@ -104,7 +102,7 @@ class TestParsePowerCsv:
         finally:
             tracemalloc.stop()
         assert [len(trace) for trace in traces] == [samples] * devices
-        assert peak < bound * devices * samples * 16
+        assert peak < 1.8 * devices * samples * 16
 
     def test_bad_header_rejected(self):
         with pytest.raises(ParseError) as excinfo:

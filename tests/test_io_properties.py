@@ -183,11 +183,12 @@ BLOCKS = st.integers(5, 20) | st.just(axpue.io._BLOCK_BYTES)
 
 
 @contextlib.contextmanager
-def parser_sizes(block=axpue.io._BLOCK_BYTES, field_limit=None):
-    """The parser with small blocks, which it also reads in, and a csv field limit."""
+def parser_sizes(block=axpue.io._BLOCK_BYTES, field_limit=None, batch=axpue.io._BATCH_ROWS):
+    """The parser with small blocks, which it also reads in, a csv field
+    limit, and batches of ``batch`` rows or more when traces are built."""
     old_limit = csv.field_size_limit(field_limit or csv.field_size_limit())
     try:
-        with mock.patch.object(axpue.io, "_BLOCK_BYTES", block):
+        with mock.patch.multiple(axpue.io, _BLOCK_BYTES=block, _BATCH_ROWS=batch):
             yield
     finally:
         csv.field_size_limit(old_limit)
@@ -543,35 +544,44 @@ def exact(result):
     return ("ok", [(d, np.array(t).tobytes(), np.array(w).tobytes()) for d, t, w in result[1]])
 
 
-def one_run_each(text):
-    """Whether each device's rows in ``text`` are one run with strictly rising times."""
-    seen, previous = set(), (None, None)
+def rises_per_device(text):
+    """Whether each device's times in ``text`` rise strictly in file order."""
+    last = {}
     for row in itertools.islice(csv.reader(io.StringIO(text, newline="")), 1, None):
         if not row:
             continue
         device, time = row[0].strip(), float(row[1])
-        if device == previous[0]:
-            if not time > previous[1]:
-                return False
-        elif device in seen:
+        if device in last and not time > last[device]:
             return False
-        seen.add(device)
-        previous = device, time
+        last[device] = time
     return True
 
 
 @st.composite
-def device_major_texts(draw):
-    """Power CSV texts whose rows go one device at a time, with rising times,
-    or one edit away from that: a row moved, a time repeated, or two rows
-    swapped.  Some have blank lines, a quoted field or ``\r\n`` endings,
-    which ``csv.reader`` blocks take."""
-    rows = []
+def rising_texts(draw):
+    """Power CSV texts whose rows hold each device's rising times, one
+    device at a time, time-major (every device once per time), or in a
+    random interleaving; or one edit away from that: a row moved, a time
+    repeated, or two rows swapped.  Some have blank lines, a quoted field
+    or ``\r\n`` endings, which ``csv.reader`` blocks take."""
+    per_device = []
     for name in draw(st.lists(st.sampled_from(["s1", "s2", "s3", "é"]), min_size=1, max_size=4, unique=True)):
+        rows = []
         for time in sorted(draw(st.sets(st.integers(-3, 40), min_size=1, max_size=8))):
             # Padded fields name the same device.
             field = draw(st.sampled_from([name] * 4 + [f" {name}", f"{name} "]))
             rows.append([field, time, draw(st.sampled_from(["1", "0", "-0.0", "100.5"]))])
+        per_device.append(rows)
+    layout = draw(st.sampled_from(["device-major", "time-major", "interleaved"]))
+    if layout == "device-major":
+        rows = [row for device in per_device for row in device]
+    elif layout == "time-major":
+        # Stable: at equal times, devices keep their order.
+        rows = sorted((row for device in per_device for row in device), key=lambda row: row[1])
+    else:
+        queues = [iter(device) for device in per_device]
+        order = draw(st.permutations([k for k, device in enumerate(per_device) for _ in device]))
+        rows = [next(queues[k]) for k in order]
     edit = draw(st.sampled_from([None] * 3 + ["move", "repeat", "swap"]))
     i = draw(st.integers(0, len(rows) - 1))
     if edit == "move":
@@ -592,42 +602,65 @@ def device_major_texts(draw):
     return HEADER + "".join(line + ending for line in lines)
 
 
+BATCH = axpue.io._BATCH_ROWS
+
+
 @settings(
     max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(
-    text=device_major_texts(),
+    text=rising_texts(),
     block=st.integers(5, 30) | st.just(axpue.io._BLOCK_BYTES),
+    batch=st.integers(1, 3) | st.just(BATCH),
     cpus=st.integers(2, 3),
     range_bytes=st.integers(1, 64),
 )
 # An equal time across a block seam, and across a range cut.
-@example(text=HEADER + rows(0, 60) + "s1,60,2\n" + rows(120), block=5, cpus=2, range_bytes=1)
+@example(text=HEADER + rows(0, 60) + "s1,60,2\n" + rows(120), block=5, batch=BATCH, cpus=2, range_bytes=1)
+# ... and across a batch seam, time-major.
+@example(text=HEADER + "s1,0,1\ns2,0,1\ns1,60,1\ns2,0,2\n", block=5, batch=1, cpus=2, range_bytes=64)
 # -0.0 after 0.0, and 0.0 after -0.0: equal times, not rising ones.
-@example(text=HEADER + "s1,0.0,1\ns1,-0.0,2\n", block=axpue.io._BLOCK_BYTES, cpus=2, range_bytes=1)
-@example(text=HEADER + "s1,-0.0,1\ns1,0.0,2\n", block=5, cpus=2, range_bytes=1)
-# A device split into two runs of one block, and a time that falls at a block seam.
+@example(text=HEADER + "s1,0.0,1\ns1,-0.0,2\n", block=axpue.io._BLOCK_BYTES, batch=BATCH, cpus=2, range_bytes=1)
+@example(text=HEADER + "s1,-0.0,1\ns1,0.0,2\n", block=5, batch=BATCH, cpus=2, range_bytes=1)
+@example(text=HEADER + "s1,-0.0,1\ns2,0,1\ns1,0.0,2\n", block=5, batch=1, cpus=2, range_bytes=1)
+# A device split into two runs of one block, and across batch seams: both rise.
 @example(
     text=HEADER + rows(0, 60) + rows(0, device="s2") + rows(120),
     block=axpue.io._BLOCK_BYTES,
+    batch=BATCH,
     cpus=2,
     range_bytes=64,
 )
-@example(text=HEADER + rows(60, 0) + rows(0, device="s2"), block=5, cpus=2, range_bytes=1)
-# Runs that cross block seams and a range cut.
+@example(text=HEADER + rows(0, 60) + rows(0, device="s2") + rows(120), block=5, batch=2, cpus=2, range_bytes=1)
+# A time that falls, within a block, and at a block and batch seam.
+@example(text=HEADER + rows(60, 0) + rows(0, device="s2"), block=5, batch=BATCH, cpus=2, range_bytes=1)
+@example(text=HEADER + rows(60) + rows(0, device="s2") + rows(0), block=5, batch=1, cpus=2, range_bytes=64)
+# ... below the last time of the batch before, though above its first.
+@example(text=HEADER + rows(0, 60) + rows(0, device="s2") + rows(30), block=5, batch=2, cpus=2, range_bytes=64)
+# Runs that cross block seams, batch seams and a range cut.
 @example(
     text=HEADER + rows(*range(0, 300, 30)) + rows(*range(0, 300, 30), device="s2"),
     block=12,
+    batch=3,
     cpus=2,
     range_bytes=1,
 )
+# Time-major rows of three devices across every kind of seam.
+@example(
+    text=HEADER + "".join(rows(t, device=d) for t in range(0, 300, 30) for d in ("s3", "s1", "s2")),
+    block=12,
+    batch=2,
+    cpus=3,
+    range_bytes=1,
+)
 # A duplicate in a plain block, and in a csv.reader block with a blank line.
-@example(text=HEADER + rows(0, 0, 60), block=axpue.io._BLOCK_BYTES, cpus=2, range_bytes=1)
-@example(text=HEADER + rows(0) + "\n" + rows(0, 60), block=axpue.io._BLOCK_BYTES, cpus=2, range_bytes=1)
-def test_trace_building_matches_row_loop(tmp_path, text, block, cpus, range_bytes):
-    """Traces built from runs and traces built by sorting match the row loop,
-    bit for bit, and duplicates are reported with the same line; the sort
-    is taken exactly when some device's rows are not one rising run."""
+@example(text=HEADER + rows(0, 0, 60), block=axpue.io._BLOCK_BYTES, batch=BATCH, cpus=2, range_bytes=1)
+@example(text=HEADER + rows(0) + "\n" + rows(0, 60), block=axpue.io._BLOCK_BYTES, batch=BATCH, cpus=2, range_bytes=1)
+def test_trace_building_matches_row_loop(tmp_path, text, block, batch, cpus, range_bytes):
+    """Traces built by partitioning batches and traces built by sorting match
+    the row loop, bit for bit, and duplicates are reported with the same
+    line; the sort is taken exactly when some device's times do not rise
+    strictly in file order."""
     expected = exact(reference(text))
     sort = mock.patch.object(
         axpue.io._Samples,
@@ -635,12 +668,12 @@ def test_trace_building_matches_row_loop(tmp_path, text, block, cpus, range_byte
         autospec=True,
         side_effect=axpue.io._Samples._sorted_traces,
     )
-    with parser_sizes(block), sort as sorted_traces:
+    with parser_sizes(block, batch=batch), sort as sorted_traces:
         assert exact(parse_bytes(text)) == expected
-    assert sorted_traces.called != one_run_each(text)
+    assert sorted_traces.called != rises_per_device(text)
     path = tmp_path / "power.csv"
     path.write_bytes(text.encode())
-    assert exact(ranged_outcome(path, cpus, range_bytes, block=block)[0]) == expected
+    assert exact(ranged_outcome(path, cpus, range_bytes, block=block, batch=batch)[0]) == expected
 
 
 DEVICE_IDS = st.text(
