@@ -224,6 +224,8 @@ def build_report(
 def _check_run_devices(runs: Sequence[ApplicationRun], inventory: Inventory) -> None:
     it_ids = inventory.ids_in(DeviceCategory.IT_EQUIPMENT)
     for run in runs:
+        if it_ids.issuperset(run.attributed_devices):
+            continue
         for device_id in sorted(run.attributed_devices):
             if device_id not in inventory:
                 raise UnknownDeviceError(
@@ -233,11 +235,14 @@ def _check_run_devices(runs: Sequence[ApplicationRun], inventory: Inventory) -> 
                 raise ValidationError(
                     f"run {run.run_id!r} attributes non-IT device {device_id!r}"
                 )
-    _check_shared_devices(runs)
 
 
-def _check_shared_devices(runs: Sequence[ApplicationRun]) -> None:
+def _check_shared_devices(
+    runs: Sequence[ApplicationRun], devices: Sequence[list[str]]
+) -> None:
     """Reject two runs that overlap in time and share a device.
+
+    ``devices[i]`` is ``sorted(runs[i].attributed_devices)``.
 
     One sweep over the runs sorted by (start, input index) keeps, per device,
     the earlier run that ends last; a run starting before that end overlaps
@@ -248,9 +253,9 @@ def _check_shared_devices(runs: Sequence[ApplicationRun]) -> None:
     named in input order, with every device they share.
     """
     latest: dict[str, tuple[float, int]] = {}  # device -> (end, index)
-    for j in sorted(range(len(runs)), key=lambda i: (runs[i].start, i)):
+    for _, j in sorted(zip([run.start for run in runs], range(len(runs)))):
         run = runs[j]
-        for device_id in sorted(run.attributed_devices):
+        for device_id in devices[j]:
             end, i = latest.get(device_id, (-math.inf, -1))
             if end > run.start:
                 a, b = runs[min(i, j)], runs[max(i, j)]
@@ -281,6 +286,8 @@ def analyze(
     """
     _check_max_gap(max_gap)
     _check_run_devices(runs, inventory)
+    devices = [sorted(run.attributed_devices) for run in runs]
+    _check_shared_devices(runs, devices)
     if window is None:
         if not runs:
             raise InvalidWindowError("no runs given; an explicit window is required")
@@ -302,31 +309,28 @@ def analyze(
     for run in runs:
         for device_id in run.attributed_devices:
             runs_by_device.setdefault(device_id, []).append(run)
-    # Each device's energies come back in run order, and are taken so.
-    joules_by_device = {
-        device_id: iter(
-            _integrate_windows(
+    device_ids = sorted(runs_by_device)
+    energies = _integrate_windows(
+        (
+            (
                 trace_by_device[device_id],
-                [run.start for run in device_runs],
-                [run.end for run in device_runs],
-                max_gap,
+                [run.start for run in runs_by_device[device_id]],
+                [run.end for run in runs_by_device[device_id]],
             )
+            for device_id in device_ids
+        ),
+        max_gap,
+    )
+    # Each device's energies come back in run order, and are taken so.
+    joules_by_device = dict(zip(device_ids, map(iter, energies)))
+    run_inputs = [
+        RunInput(
+            run=run,
+            it_energy_joules=math.fsum([next(joules_by_device[d]) for d in run_devices]),
+            rate=compute_performance(run),
         )
-        for device_id, device_runs in sorted(runs_by_device.items())
-    }
-    run_inputs = []
-    for run in runs:
-        joules = [
-            next(joules_by_device[device_id])
-            for device_id in sorted(run.attributed_devices)
-        ]
-        run_inputs.append(
-            RunInput(
-                run=run,
-                it_energy_joules=math.fsum(joules),
-                rate=compute_performance(run),
-            )
-        )
+        for run, run_devices in zip(runs, devices)
+    ]
     inputs = MetricInputs(window=energy_window, runs=tuple(run_inputs))
     return build_report(
         inputs,

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CoverageGapError,
@@ -122,28 +123,30 @@ def integrate_power(
             f"device {trace.device_id!r}: trace holds no samples",
             device_id=trace.device_id,
         )
-    return _integrate_windows(trace, [float(start)], [float(end)], max_gap)[0]
+    # One window's terms are the whole array.
+    terms, _, _ = _window_terms(trace, [float(start)], [float(end)], max_gap)
+    return 0.5 * float(terms.sum())
 
 
-def _integrate_windows(
+def _window_terms(
     trace: PowerTrace, starts: Sequence[float], ends: Sequence[float], max_gap: float
-) -> list[float]:
-    """Energy of a non-empty trace over each window [starts[j], ends[j]].
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trapezoid terms of a non-empty trace over each window [starts[j], ends[j]].
 
-    Windows are checked (finite, ``end > start``) by the caller and may
-    overlap.  The result is bit for bit what one window at a time gives:
-    window j's terms are ``(P[1:] + P[:-1]) * (T[1:] - T[:-1])`` over
-    ``T = [start, times[i0:i1], end]`` and its powers ``P``, laid out in that
-    order in one array per call, and each window's sum runs over its own
-    contiguous slice, so numpy's pairwise summation adds the same values in
-    the same order.  The edge powers come from ``np.interp`` over the span
-    the windows cover, which reads the same bracketing pair of samples as
-    an interpolation over the window's own samples.  So the work grows with
-    the covered span and the number of windows, not with the trace.  Memory
-    grows with the gathered length, the windows' samples plus two slots
-    each: at most four arrays of it are alive at once.  Runs that share a
-    device cannot overlap, so ``analyze``'s call for a device gathers no
-    more than its report window holds plus two slots per run.
+    Returns ``(terms, first, last)``: twice window j's energy is the sum of
+    ``terms[first[j]:last[j]]``, the terms ``(P[1:] + P[:-1]) * (T[1:] -
+    T[:-1])`` over ``T = [start, times[i0:i1], end]`` and its powers ``P``,
+    in that order.  The windows' terms lie one after another in input
+    order, one spare term apart.  Windows are checked (finite, ``end >
+    start``) by the caller and may overlap.  The edge powers come from
+    ``np.interp`` over the span the windows cover, which reads the same
+    bracketing pair of samples as an interpolation over the window's own
+    samples.  So the work grows with the covered span and the number of
+    windows, not with the trace.  Memory grows with the gathered length, the
+    windows' samples plus two slots each: at most four arrays of it are
+    alive at once.  Runs that share a device cannot overlap, so
+    ``analyze``'s call for a device gathers no more than its report window
+    holds plus two slots per run.
 
     A window fails when any stretch it needs is wider than ``max_gap``, and
     the first failing window in input order raises its
@@ -185,8 +188,78 @@ def _integrate_windows(
     del index
     ts[first], ts[last] = starts, ends
     ps[first], ps[last] = edges[: i0.size], edges[i0.size :]
-    terms = (ps[1:] + ps[:-1]) * (ts[1:] - ts[:-1])
-    return [0.5 * float(terms[a:b].sum()) for a, b in zip(first.tolist(), last.tolist())]
+    return (ps[1:] + ps[:-1]) * (ts[1:] - ts[:-1]), first, last
+
+
+#: Windows of one term count that are gathered and summed as rows; fewer
+#: are summed slice by slice, which costs less than the gather.
+_GATHER_MIN = 8
+#: Terms (8 bytes each) that ``_integrate_windows`` sums in one batch.  A
+#: batch and its joined copy are alive together, so it is kept small: the
+#: traces' memory, not the run windows', should set the peak.
+_BATCH_TERMS = 1 << 15
+
+
+def _window_energies(terms: np.ndarray, first: np.ndarray, last: np.ndarray) -> list[float]:
+    """Half the sum of ``terms[first[j]:last[j]]`` for each window j.
+
+    Each sum is bit for bit the slice's own ``.sum()``.  Windows of equal
+    term count, at least ``_GATHER_MIN`` of them, are gathered as the rows
+    of one C-contiguous 2-D array and summed with ``.sum(axis=1)``: numpy
+    reduces each row on its own, with the same pairwise summation in the
+    same order as the 1-D slice (``tests/test_integrate_properties.py`` pins
+    this).  Any other window is summed as its slice, with no gather.  So
+    many windows of a few counts take a few numpy calls, and the gathered
+    copies hold each term once at most.
+    """
+    groups: dict[int, list[int]] = {}
+    for j, count in enumerate((last - first).tolist()):
+        groups.setdefault(count, []).append(j)
+    sums = np.empty(first.size)
+    for count, rows in groups.items():
+        if len(rows) < _GATHER_MIN:
+            for j in rows:
+                sums[j] = terms[first[j] : last[j]].sum()
+        else:
+            sums[rows] = sliding_window_view(terms, count)[first[rows]].sum(axis=1)
+    return (0.5 * sums).tolist()
+
+
+def _integrate_windows(
+    calls: Iterable[tuple[PowerTrace, Sequence[float], Sequence[float]]], max_gap: float
+) -> list[list[float]]:
+    """Energy of each window of each ``(trace, starts, ends)`` call, per call.
+
+    Each call is one :func:`_window_terms` call, whose checks and errors it
+    keeps, and each energy is bit for bit what that call's windows give
+    one at a time.  The calls' terms are summed together, in batches of
+    about ``_BATCH_TERMS`` terms, so that windows of equal term count on
+    different traces share one gather while the joined terms stay small.
+    """
+    energies: list[list[float]] = []
+    batch: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    held = 0
+    for trace, starts, ends in calls:
+        batch.append(_window_terms(trace, starts, ends, max_gap))
+        held += batch[-1][0].size
+        if held >= _BATCH_TERMS:
+            energies += _batch_energies(batch)
+            batch, held = [], 0
+    if batch:
+        energies += _batch_energies(batch)
+    return energies
+
+
+def _batch_energies(batch: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> list[list[float]]:
+    """:func:`_window_energies` of several calls' terms, joined, split per call."""
+    offsets = np.cumsum([0] + [terms.size for terms, _, _ in batch[:-1]])
+    energies = _window_energies(
+        batch[0][0] if len(batch) == 1 else np.concatenate([terms for terms, _, _ in batch]),
+        np.concatenate([first + offset for (_, first, _), offset in zip(batch, offsets)]),
+        np.concatenate([last + offset for (_, _, last), offset in zip(batch, offsets)]),
+    )
+    bounds = np.cumsum([0] + [first.size for _, first, _ in batch]).tolist()
+    return [energies[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _raise_first_gap(

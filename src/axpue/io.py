@@ -25,6 +25,7 @@ import io as _stdio
 import itertools
 import json
 import math
+import operator
 import os
 import pickle
 import signal
@@ -739,47 +740,54 @@ def _run_to_obj(run: ApplicationRun) -> dict:
     }
 
 
+#: Enum members by their JSON spelling, found with no enum call.
+_CATEGORIES = {category.value: category for category in ApplicationCategory}
+_WORK_KINDS = {kind.value: kind for kind in WorkKind}
+_RUN_KEYS = ("run_id", "category", "start", "end", "work", "devices")
+_run_fields = operator.itemgetter(*_RUN_KEYS)
+
+
 def _run_from_obj(obj: dict, line: int) -> ApplicationRun:
-    for key in ("run_id", "category", "start", "end", "work", "devices"):
-        if key not in obj:
-            raise SchemaError(f"missing key {key!r}", line=line)
-    if not isinstance(obj["run_id"], str):
-        raise SchemaError(f"run_id must be a string, got {obj['run_id']!r}", line=line)
     try:
-        category = ApplicationCategory(obj["category"])
-    except ValueError:
-        raise SchemaError(f"unknown category {obj['category']!r}", line=line) from None
-    work_obj = obj["work"]
-    if not isinstance(work_obj, dict) or "type" not in work_obj or "value" not in work_obj:
+        run_id, category, start, end, work, devices = _run_fields(obj)
+    except (KeyError, TypeError):
+        for key in _RUN_KEYS:
+            if key not in obj:
+                raise SchemaError(f"missing key {key!r}", line=line) from None
+        raise
+    # Only JSON's own types arrive here, so exact type tests do what
+    # isinstance does, and a bool is never taken for an int.
+    if type(run_id) is not str:
+        raise SchemaError(f"run_id must be a string, got {run_id!r}", line=line)
+    if type(category) is not str or category not in _CATEGORIES:
+        raise SchemaError(f"unknown category {category!r}", line=line)
+    category = _CATEGORIES[category]
+    if type(work) is not dict or "type" not in work or "value" not in work:
         raise SchemaError("work must be an object with 'type' and 'value'", line=line)
-    try:
-        kind = WorkKind(work_obj["type"])
-    except ValueError:
-        raise SchemaError(f"unknown work type {work_obj['type']!r}", line=line) from None
-    value = work_obj["value"]
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise SchemaError(f"work value must be an integer, got {value!r}", line=line)
+    kind, value = work["type"], work["value"]
+    if type(kind) is not str or kind not in _WORK_KINDS:
+        raise SchemaError(f"unknown work type {kind!r}", line=line)
+    kind = _WORK_KINDS[kind]
+    if type(value) is float and value.is_integer():
         value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
+    elif type(value) is not int:
         raise SchemaError(f"work value must be an integer, got {value!r}", line=line)
-    devices = obj["devices"]
-    if not isinstance(devices, list) or not all(isinstance(d, str) for d in devices):
+    if type(devices) is not list or not {str}.issuperset(map(type, devices)):
         raise SchemaError("devices must be a list of device ids", line=line)
-    if isinstance(obj["start"], bool) or isinstance(obj["end"], bool):
+    if type(start) is bool or type(end) is bool:
         raise SchemaError("bad start/end timestamp", line=line)
     try:
-        start = float(obj["start"]) if isinstance(obj["start"], (int, float)) else _parse_timestamp(obj["start"])
-        end = float(obj["end"]) if isinstance(obj["end"], (int, float)) else _parse_timestamp(obj["end"])
+        start = float(start) if type(start) in (int, float) else _parse_timestamp(start)
+        end = float(end) if type(end) in (int, float) else _parse_timestamp(end)
     except (ValueError, OverflowError, TypeError):
         raise SchemaError("bad start/end timestamp", line=line) from None
     if end <= start:
         raise InvalidWindowError(
-            f"run {obj['run_id']!r}: end ({end}) must be > start ({start})", line=line
+            f"run {run_id!r}: end ({end}) must be > start ({start})", line=line
         )
     try:
         return ApplicationRun(
-            run_id=obj["run_id"],
+            run_id=run_id,
             category=category,
             start=start,
             end=end,
@@ -788,6 +796,12 @@ def _run_from_obj(obj: dict, line: int) -> ApplicationRun:
         )
     except ValidationError as exc:
         raise SchemaError(str(exc), line=line) from exc
+
+
+#: The C scanner that ``json.loads`` runs, called without its Python wrapper.
+_scan_json = json.JSONDecoder().scan_once
+#: JSON's whitespace; ``str.strip`` removes more, ``\x0c`` for one.
+_JSON_SPACE = " \t\n\r"
 
 
 def parse_runs_jsonl(stream: IO[str] | Iterable[str]) -> list[ApplicationRun]:
@@ -801,7 +815,16 @@ def parse_runs_jsonl(stream: IO[str] | Iterable[str]) -> list[ApplicationRun]:
     for line_no, raw in enumerate(stream, start=1):
         if not raw.strip():
             continue
-        obj = _load_json(raw, "invalid JSON", line=line_no)
+        # What json.loads(raw) does, minus its Python-level wrapper.  A line
+        # that it would reject (a BOM, text after the value, any decode
+        # error) is decoded again by _load_json, for the same message.
+        text = raw.strip(_JSON_SPACE)
+        try:
+            obj, end = _scan_json(text, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(text):
+            obj = _load_json(raw, "invalid JSON", line=line_no)
         if not isinstance(obj, dict):
             raise SchemaError("each line must be a JSON object", line=line_no)
         run = _run_from_obj(obj, line_no)
@@ -912,23 +935,39 @@ _REPORT_ROW = """    {{
     }}"""
 
 
-def _report_row_json(row: RunMetrics) -> str:
-    return _REPORT_ROW.format(
-        *map(
-            _json_scalar,
-            (
-                row.aopue,
-                row.appue,
-                row.category.value,
-                row.facility_power_kw,
-                row.it_power_kw,
-                row.performance.unit.value,
-                row.performance.value,
-                row.run_id,
-                row.weight,
-            ),
-        )
+#: A ``per_run`` row's fields, in ``_REPORT_ROW``'s order.
+_REPORT_ROW_FIELDS = tuple(
+    map(
+        operator.attrgetter,
+        (
+            "aopue",
+            "appue",
+            "category.value",
+            "facility_power_kw",
+            "it_power_kw",
+            "performance.unit.value",
+            "performance.value",
+            "run_id",
+            "weight",
+        ),
     )
+)
+
+
+def _json_column(values: list) -> Iterable[str]:
+    """``map(_json_scalar, values)``, a column at a time where it can be.
+
+    A column of exact floats whose sum is finite (so every one of them is)
+    is spelled with ``float.__repr__``, and one of exact strings with
+    ``encode_basestring_ascii``, which is what ``_json_scalar`` does for
+    each of them.
+    """
+    kinds = set(map(type, values))
+    if kinds == {float} and math.isfinite(sum(values)):
+        return map(float.__repr__, values)
+    if kinds == {str}:
+        return map(encode_basestring_ascii, values)
+    return map(_json_scalar, values)
 
 
 def report_csv_row(row: RunMetrics, pue: float) -> list[str]:
@@ -967,25 +1006,34 @@ def _report_to_csv(report: MetricsReport) -> str:
     return out.getvalue()
 
 
+def _report_to_json(report: MetricsReport) -> str:
+    """The JSON report text.  Only the document around ``per_run`` goes
+    through ``json``; each row is written from one fixed template whose
+    every leaf, strings included, is spelled by :func:`_json_column` as
+    ``json`` spells it, so the rows need no per-row dict and no pure-Python
+    encoder pass.  Its rows and columns die with the call, so that only the
+    text and its bytes are alive when ``write_report`` encodes it.
+    """
+    # The rows go in at the first '"per_run": []': every key sorted before
+    # it is a number or null, so it is the top-level key.
+    head, _, tail = json.dumps(_report_to_obj(report), sort_keys=True, indent=2).partition(
+        '"per_run": []'
+    )
+    if not report.per_run:
+        return "".join((head, '"per_run": []', tail, "\n"))
+    columns = [_json_column(list(map(field, report.per_run))) for field in _REPORT_ROW_FIELDS]
+    rows = ",\n".join(map(_REPORT_ROW.format, *columns))
+    return "".join((head, '"per_run": [\n', rows, "\n  ]", tail, "\n"))
+
+
 def write_report(report: MetricsReport, fmt: str = "json") -> bytes:
     """Serialize a report deterministically as JSON or a results-table CSV.
 
     The JSON bytes are those of ``json.dump(..., sort_keys=True, indent=2)``
-    plus a final newline.  Only the document around ``per_run`` goes through
-    ``json``; each row is written from one fixed template whose every leaf,
-    strings included, is spelled by :func:`_json_scalar` as ``json`` spells
-    it, so the rows need no per-row dict and no pure-Python encoder pass.
+    plus a final newline.
     """
     if fmt == "json":
-        # The rows go in at the first '"per_run": []': every key sorted
-        # before it is a number or null, so it is the top-level key.
-        head, _, tail = json.dumps(_report_to_obj(report), sort_keys=True, indent=2).partition(
-            '"per_run": []'
-        )
-        rows = ",\n".join(map(_report_row_json, report.per_run))
-        text = "".join(
-            (head, '"per_run": ', f"[\n{rows}\n  ]" if rows else "[]", tail, "\n")
-        )
+        text = _report_to_json(report)
     elif fmt == "csv":
         text = _report_to_csv(report)
     else:

@@ -31,7 +31,7 @@ from axpue import (
     parse_runs_jsonl,
     simulate,
 )
-from axpue import engine, integrate
+from axpue import integrate
 from axpue.engine import aggregate_appue, compute_weights
 from axpue.integrate import category_energy
 from axpue.errors import (
@@ -421,9 +421,8 @@ class TestAnalyze:
             calls.append((trace.device_id, len(starts)))
             return kernel(trace, starts, ends, max_gap)
 
-        kernel = integrate._integrate_windows
-        monkeypatch.setattr(integrate, "_integrate_windows", counted)
-        monkeypatch.setattr(engine, "_integrate_windows", counted)
+        kernel = integrate._window_terms
+        monkeypatch.setattr(integrate, "_window_terms", counted)
         return calls
 
     def test_one_kernel_call_per_device_with_runs(self, monkeypatch):

@@ -7,9 +7,16 @@ every generated trace and window ``integrate_power`` must return the same
 energy, bit for bit, or raise the same error with the same message and gap.
 The batched kernel must do the same for every window of a list, and raise
 the error of the first window that fails.
+
+The kernel sums windows of equal term count as the rows of one 2-D array.
+That this gives the bits of each window's own 1-D sum is numpy's summation
+order, not a rule of arithmetic, so it is pinned here too: a numpy whose
+row sums differ from its slice sums fails these tests.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -17,7 +24,8 @@ from hypothesis import strategies as st
 
 from axpue import PowerTrace, integrate_power
 from axpue.errors import CoverageGapError, NoSamplesError
-from axpue.integrate import _check_window, _integrate_windows
+from axpue import integrate
+from axpue.integrate import _check_window, _integrate_windows, _window_energies, _window_terms
 
 
 def reference_coverage_gap(times, start, end, max_gap):
@@ -170,8 +178,79 @@ def test_kernel_matches_the_reference_window_by_window(case):
     failed = [o for o in expected if o[0] == "error"]
     try:
         starts, ends = zip(*spans)
-        energies = _integrate_windows(trace, starts, ends, max_gap)
+        (energies,) = _integrate_windows([(trace, starts, ends)], max_gap)
         got = ("ok", [joules.hex() for joules in energies])
     except Exception as exc:
         got = ("error", type(exc), str(exc), getattr(exc, "gap", None))
     assert got == (failed[0] if failed else ("ok", [o[1] for o in expected]))
+
+
+#: Term counts, with the edges of numpy's 8-way unrolled pairwise sum and
+#: of its 128-term blocks.
+TERM_COUNTS = st.one_of(st.integers(1, 300), st.sampled_from([8, 9, 128, 129, 256]))
+
+
+@st.composite
+def term_counts(draw):
+    """Windows' term counts, each count taken by one to twelve windows."""
+    groups = draw(st.lists(st.tuples(TERM_COUNTS, st.integers(1, 12)), min_size=1, max_size=5))
+    return [count for count, windows in groups for _ in range(windows)]
+
+
+def spread_terms(rng, size):
+    """Terms of many magnitudes and both signs, whose sum's bits depend on the
+    order it is taken in."""
+    return rng.standard_normal(size) * 10.0 ** rng.uniform(-6.0, 6.0, size)
+
+
+@settings(max_examples=300, deadline=None)
+@example(counts=[8] * 8, seed=0, gather_min=8)
+@example(counts=[5], seed=0, gather_min=8)
+@example(counts=[129, 129, 7], seed=1, gather_min=1)
+@given(counts=term_counts(), seed=st.integers(0, 2**32 - 1), gather_min=st.sampled_from([1, 2, 8]))
+def test_grouped_window_sums_are_the_slice_sums(counts, seed, gather_min):
+    rng = np.random.default_rng(seed)
+    counts = rng.permutation(counts)
+    terms = spread_terms(rng, int(counts.max()) + 50)
+    first = rng.integers(0, terms.size - counts + 1)
+    last = first + counts
+    with mock.patch.object(integrate, "_GATHER_MIN", gather_min):
+        energies = _window_energies(terms, first, last)
+    assert [joules.hex() for joules in energies] == [
+        float(0.5 * terms[a:b].sum()).hex() for a, b in zip(first, last)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@example(per_trace=[[8] * 8, [8] * 8], seed=0, batch=1 << 16)
+@given(
+    per_trace=st.lists(term_counts(), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    batch=st.sampled_from([1, 300, 1 << 16]),
+)
+def test_batched_energies_are_integrate_power_window_by_window(per_trace, seed, batch):
+    rng = np.random.default_rng(seed)
+    calls = []
+    for k, counts in enumerate(per_trace):
+        counts = np.array(counts)
+        n = int(counts.max()) + 40
+        times = np.cumsum(rng.uniform(1.0, 10.0, n))
+        trace = PowerTrace(f"d{k}", times, rng.uniform(0.0, 1e4, n))
+        # A window of c terms holds c - 1 samples: it starts a quarter of the
+        # way past sample a and ends halfway past sample a + c - 1.
+        a = rng.integers(0, n - counts)
+        b = a + counts - 1
+        starts = times[a] + 0.25 * (times[a + 1] - times[a])
+        ends = times[b] + 0.5 * (times[b + 1] - times[b])
+        calls.append((trace, starts.tolist(), ends.tolist(), counts.tolist()))
+    with mock.patch.object(integrate, "_BATCH_TERMS", batch):
+        energies = _integrate_windows([call[:3] for call in calls], 60.0)
+    for (trace, starts, ends, counts), joules in zip(calls, energies, strict=True):
+        terms, first, last = _window_terms(trace, starts, ends, 60.0)
+        assert (last - first).tolist() == counts
+        assert [j.hex() for j in joules] == [
+            integrate_power(trace, start, end, 60.0).hex() for start, end in zip(starts, ends)
+        ]
+        assert [j.hex() for j in joules] == [
+            float(0.5 * terms[a:b].sum()).hex() for a, b in zip(first, last)
+        ]

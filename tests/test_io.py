@@ -311,6 +311,50 @@ class TestParseRunsJsonl:
         again = parse_runs_jsonl(io.StringIO(write_runs_jsonl(runs).decode("utf-8")))
         assert again == runs
 
+    # Each line of this file is invalid JSON, yet the lines joined with
+    # commas into one array decode to three objects.
+    JOINED_INTO_AN_ARRAY_DECODES = (
+        '{"run_id":"r1"},{"run_id":"r2"}\n{"run_id":"r3","pad":[{"x":1}\n{"y":2}]}\n'
+    )
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            (JOINED_INTO_AN_ARRAY_DECODES, 1, "invalid JSON: Extra data"),
+            (
+                run_line() + "\ufeff" + run_line(run_id="b"),
+                2,
+                "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)",
+            ),
+            # str.strip removes a form feed or a vertical tab; JSON does not.
+            (run_line() + "\x0c" + run_line(run_id="b"), 2, "invalid JSON: Expecting value"),
+            (run_line() + run_line(run_id="b")[:-1] + "\x0b\n", 2, "invalid JSON: Extra data"),
+            (run_line() + "[" * 100_000 + "]" * 100_000 + "\n", 2, "invalid JSON: nested too deeply"),
+            (
+                run_line() + run_line(run_id="b", work={"type": "bytes_processed", "value": 0}).replace(
+                    ": 0}", ": 1" + "0" * 4999 + "}"
+                ),
+                2,
+                "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+                "value has 5000 digits",
+            ),
+        ],
+        ids=["joined-array", "bom", "form-feed-before", "vertical-tab-after", "deep", "5000-digits"],
+    )
+    def test_undecodable_line_named(self, text, line, message):
+        with pytest.raises(SchemaError) as excinfo:
+            parse_runs_jsonl(io.StringIO(text))
+        assert type(excinfo.value) is SchemaError
+        assert (excinfo.value.line, str(excinfo.value)) == (line, message)
+
+    def test_line_of_unicode_whitespace_is_blank(self):
+        text = run_line() + "\x0c\u2028\n" + run_line(run_id="b")
+        assert [run.run_id for run in parse_runs_jsonl(io.StringIO(text))] == ["grep-1", "b"]
+
+    def test_first_missing_key_named(self):
+        with pytest.raises(SchemaError, match="^missing key 'start'$"):
+            parse_runs_jsonl(io.StringIO('{"run_id": "a", "category": "hpc", "work": 1}\n'))
+
 
 class TestInventoryJson:
     def test_round_trip(self):

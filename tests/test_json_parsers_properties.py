@@ -11,6 +11,7 @@ JSON bytes are also compared with ``json.dump`` of the same report.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import io
 import json
 
@@ -372,6 +373,78 @@ EMPTY_REPORT = MetricsReport(
 @given(report=metrics_reports())
 @example(report=EMPTY_REPORT)
 def test_report_writer_matches_json_dump(report):
+    out = io.StringIO()
+    json.dump(report_as_dict(report), out, sort_keys=True, indent=2)
+    assert write_report(report) == (out.getvalue() + "\n").encode("utf-8")
+
+
+class FloatSubclass(float):
+    """A float subclass, which ``json`` spells with ``float.__repr__``."""
+
+
+@st.composite
+def reports_with_float_subclasses(draw):
+    """A report whose row floats are in part ``np.float64`` or another float
+    subclass, so that the writer must spell their columns value by value."""
+    report = draw(metrics_reports())
+    kinds = st.sampled_from([float, np.float64, FloatSubclass])
+
+    def cast(value):
+        return draw(kinds)(value) if type(value) is float else value
+
+    rows = [
+        dataclasses.replace(
+            row,
+            aopue=cast(row.aopue),
+            appue=cast(row.appue),
+            facility_power_kw=cast(row.facility_power_kw),
+            it_power_kw=cast(row.it_power_kw),
+            performance=PerformanceRate(cast(row.performance.value), row.performance.unit),
+            weight=cast(row.weight),
+        )
+        for row in report.per_run
+    ]
+    # The report's checks multiply IT power by PUE, which may overflow to
+    # inf: silently for a float, with a warning for an np.float64.
+    with np.errstate(over="ignore"):
+        return dataclasses.replace(report, per_run=rows)
+
+
+def report_of_rows(*rows):
+    """A report at PUE 1.5 with one row per (run_id, IT kW, rate, ApPUE, weight)."""
+    return MetricsReport(
+        window=EnergyWindow(
+            start=0,
+            end=1,
+            energy_by_category={DeviceCategory.IT_EQUIPMENT: 1.0, DeviceCategory.COOLING: 0.5},
+        ),
+        pue=1.5,
+        per_run=[
+            RunMetrics(
+                run_id=run_id,
+                category=ApplicationCategory.SERVICE,
+                it_power_kw=it_kw,
+                facility_power_kw=it_kw * 1.5,
+                performance=PerformanceRate(rate, RateUnit.REQUESTS_PER_SECOND),
+                appue=appue,
+                aopue=appue / 1.5,
+                weight=weight,
+            )
+            for run_id, it_kw, rate, appue, weight in rows
+        ],
+        weighted_appue=None,
+        aggregated_aopue=None,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(report=reports_with_float_subclasses())
+# Columns that mix int and float, hold -0.0 or np.float64, or whose finite
+# floats sum past the float range; run ids with quotes and non-ASCII.
+@example(report=report_of_rows(('"q\u00e9"', 2, np.float64(3.0), 1.5e308, 1), ("\u2028\\", 2.5, 7, 1.5e308, -0.0)))
+@example(report=report_of_rows(("a", np.float64(2.0), 0.0, -0.0, 1.0), ("b", 2.0, 1e-300, 1, 0)))
+@example(report=report_of_rows(("\ud800\U0001f600", FloatSubclass(1.25), 5, 3, FloatSubclass(1.0))))
+def test_report_writer_matches_json_dump_off_the_column_fast_path(report):
     out = io.StringIO()
     json.dump(report_as_dict(report), out, sort_keys=True, indent=2)
     assert write_report(report) == (out.getvalue() + "\n").encode("utf-8")

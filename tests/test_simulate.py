@@ -549,3 +549,26 @@ class TestManifest:
             scenario_from_manifest('{"schema": "axpue-scenario/1"}')
         with pytest.raises(SchemaError):
             scenario_from_manifest("[]")
+
+    @pytest.mark.parametrize(
+        "entry, line, message",
+        [
+            ([1], 2, "missing key 'run_id'"),
+            ("abc", 2, "missing key 'run_id'"),
+            ({"run_id": "x"}, 2, "missing key 'category'"),
+            (7, None, "malformed scenario manifest: argument of type 'int' is not iterable"),
+            (
+                "run_idcategorystartendworkdevices",
+                None,
+                "malformed scenario manifest: string indices must be integers, not 'str'",
+            ),
+        ],
+    )
+    def test_run_entry_that_is_no_run_object_rejected(self, entry, line, message):
+        from axpue.errors import SchemaError
+
+        manifest = json.loads(scenario_to_manifest(builtin_scenario("grep")))
+        manifest["runs"].append(entry)
+        with pytest.raises(SchemaError) as excinfo:
+            scenario_from_manifest(json.dumps(manifest))
+        assert (excinfo.value.line, str(excinfo.value)) == (line, message)
