@@ -157,20 +157,22 @@ def _window_terms(
     """
     times, watts = trace.times, trace.watts
     limit = float(max_gap)
+    starts = np.asarray(starts, dtype=np.float64)
+    ends = np.asarray(ends, dtype=np.float64)
     # times[i0[j]:i1[j]] lies strictly inside window j, which needs the
     # stretches from times[k] to times[k + 1] with i0[j] - 1 <= k < i1[j].
     # The span holds them all.
     i0 = times.searchsorted(starts, side="right")
     i1 = times.searchsorted(ends, side="left")
-    span_lo = max(min(i0.tolist()) - 1, 0)
-    span_hi = min(max(i1.tolist()) + 1, times.size)
+    span_lo = max(int(i0.min()) - 1, 0)
+    span_hi = min(int(i1.max()) + 1, times.size)
     span = times[span_lo:span_hi]
     # Subtraction rounds monotonically, so the earliest start and the latest
     # end are the ones that can reach too far past the trace.
     if (
         ((span[1:] - span[:-1]) > limit).any()
-        or times[0] - min(starts) > limit
-        or max(ends) - times[-1] > limit
+        or times[0] - starts.min() > limit
+        or ends.max() - times[-1] > limit
     ):
         _raise_first_gap(trace, starts, ends, i0, i1, max_gap)
     edges = np.interp(np.concatenate((starts, ends)), span, watts[span_lo:span_hi])

@@ -936,21 +936,16 @@ _REPORT_ROW = """    {{
 
 
 #: A ``per_run`` row's fields, in ``_REPORT_ROW``'s order.
-_REPORT_ROW_FIELDS = tuple(
-    map(
-        operator.attrgetter,
-        (
-            "aopue",
-            "appue",
-            "category.value",
-            "facility_power_kw",
-            "it_power_kw",
-            "performance.unit.value",
-            "performance.value",
-            "run_id",
-            "weight",
-        ),
-    )
+_REPORT_ROW_FIELDS = (
+    "aopue",
+    "appue",
+    "category.value",
+    "facility_power_kw",
+    "it_power_kw",
+    "performance.unit.value",
+    "performance.value",
+    "run_id",
+    "weight",
 )
 
 
@@ -1021,7 +1016,10 @@ def _report_to_json(report: MetricsReport) -> str:
     )
     if not report.per_run:
         return "".join((head, '"per_run": []', tail, "\n"))
-    columns = [_json_column(list(map(field, report.per_run))) for field in _REPORT_ROW_FIELDS]
+    columns = [
+        _json_column(list(map(operator.attrgetter(field), report.per_run)))
+        for field in _REPORT_ROW_FIELDS
+    ]
     rows = ",\n".join(map(_REPORT_ROW.format, *columns))
     return "".join((head, '"per_run": [\n', rows, "\n  ]", tail, "\n"))
 
