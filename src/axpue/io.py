@@ -817,13 +817,15 @@ def parse_runs_jsonl(stream: IO[str] | Iterable[str]) -> list[ApplicationRun]:
             continue
         # What json.loads(raw) does, minus its Python-level wrapper.  A line
         # that it would reject (a BOM, text after the value, any decode
-        # error) is decoded again by _load_json, for the same message.
-        text = raw.strip(_JSON_SPACE)
+        # error), and a bytes line, goes through _load_json, for the same
+        # result or message.
         try:
+            text = raw.strip(_JSON_SPACE)
             obj, end = _scan_json(text, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = -1
-        if end != len(text):
+            decoded = end == len(text)
+        except (TypeError, StopIteration, ValueError, RecursionError):
+            decoded = False
+        if not decoded:
             obj = _load_json(raw, "invalid JSON", line=line_no)
         if not isinstance(obj, dict):
             raise SchemaError("each line must be a JSON object", line=line_no)

@@ -347,6 +347,13 @@ class TestParseRunsJsonl:
         assert type(excinfo.value) is SchemaError
         assert (excinfo.value.line, str(excinfo.value)) == (line, message)
 
+    def test_bytes_lines_decoded_as_utf8(self):
+        text = (run_line() + run_line(run_id="b")).encode()
+        assert [run.run_id for run in parse_runs_jsonl(io.BytesIO(text))] == ["grep-1", "b"]
+        with pytest.raises(SchemaError) as excinfo:
+            parse_runs_jsonl(io.BytesIO(text + b"\xff\n"))
+        assert (excinfo.value.line, str(excinfo.value)) == (3, "invalid JSON: invalid start byte")
+
     def test_line_of_unicode_whitespace_is_blank(self):
         text = run_line() + "\x0c\u2028\n" + run_line(run_id="b")
         assert [run.run_id for run in parse_runs_jsonl(io.StringIO(text))] == ["grep-1", "b"]
