@@ -157,6 +157,9 @@ def _window_terms(
     """
     times, watts = trace.times, trace.watts
     limit = float(max_gap)
+    # Subtraction rounds monotonically, so the earliest start and the latest
+    # end are the ones that can reach too far past the trace.
+    reach = times[0] - min(starts) > limit or max(ends) - times[-1] > limit
     starts = np.asarray(starts, dtype=np.float64)
     ends = np.asarray(ends, dtype=np.float64)
     # times[i0[j]:i1[j]] lies strictly inside window j, which needs the
@@ -164,16 +167,10 @@ def _window_terms(
     # The span holds them all.
     i0 = times.searchsorted(starts, side="right")
     i1 = times.searchsorted(ends, side="left")
-    span_lo = max(int(i0.min()) - 1, 0)
-    span_hi = min(int(i1.max()) + 1, times.size)
+    span_lo = max(min(i0.tolist()) - 1, 0)
+    span_hi = min(max(i1.tolist()) + 1, times.size)
     span = times[span_lo:span_hi]
-    # Subtraction rounds monotonically, so the earliest start and the latest
-    # end are the ones that can reach too far past the trace.
-    if (
-        ((span[1:] - span[:-1]) > limit).any()
-        or times[0] - starts.min() > limit
-        or ends.max() - times[-1] > limit
-    ):
+    if reach or ((span[1:] - span[:-1]) > limit).any():
         _raise_first_gap(trace, starts, ends, i0, i1, max_gap)
     edges = np.interp(np.concatenate((starts, ends)), span, watts[span_lo:span_hi])
     # Window j takes ts[first[j]:last[j] + 1]: its start, its i1 - i0 samples
@@ -214,6 +211,7 @@ def _window_energies(terms: np.ndarray, first: np.ndarray, last: np.ndarray) -> 
     many windows of a few counts take a few numpy calls, and the gathered
     copies hold each term once at most.
     """
+    lo, hi = first.tolist(), last.tolist()
     groups: dict[int, list[int]] = {}
     for j, count in enumerate((last - first).tolist()):
         groups.setdefault(count, []).append(j)
@@ -221,7 +219,7 @@ def _window_energies(terms: np.ndarray, first: np.ndarray, last: np.ndarray) -> 
     for count, rows in groups.items():
         if len(rows) < _GATHER_MIN:
             for j in rows:
-                sums[j] = terms[first[j] : last[j]].sum()
+                sums[j] = terms[lo[j] : hi[j]].sum()
         else:
             sums[rows] = sliding_window_view(terms, count)[first[rows]].sum(axis=1)
     return (0.5 * sums).tolist()
@@ -254,14 +252,17 @@ def _integrate_windows(
 
 def _batch_energies(batch: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> list[list[float]]:
     """:func:`_window_energies` of several calls' terms, joined, split per call."""
-    offsets = np.cumsum([0] + [terms.size for terms, _, _ in batch[:-1]])
+    terms, first, last = zip(*batch)
+    windows = [bounds.size for bounds in first]
+    # Each call's window bounds move by the terms of the calls before it.
+    shift = np.repeat(np.cumsum([0, *[piece.size for piece in terms[:-1]]]), windows)
     energies = _window_energies(
-        batch[0][0] if len(batch) == 1 else np.concatenate([terms for terms, _, _ in batch]),
-        np.concatenate([first + offset for (_, first, _), offset in zip(batch, offsets)]),
-        np.concatenate([last + offset for (_, _, last), offset in zip(batch, offsets)]),
+        terms[0] if len(terms) == 1 else np.concatenate(terms),
+        np.concatenate(first) + shift,
+        np.concatenate(last) + shift,
     )
-    bounds = np.cumsum([0] + [first.size for _, first, _ in batch]).tolist()
-    return [energies[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    ends = np.cumsum(windows).tolist()
+    return [energies[b - n : b] for n, b in zip(windows, ends)]
 
 
 def _raise_first_gap(
