@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CoverageGapError,
@@ -190,9 +189,6 @@ def _window_terms(
     return (ps[1:] + ps[:-1]) * (ts[1:] - ts[:-1]), first, last
 
 
-#: Windows of one term count that are gathered and summed as rows; fewer
-#: are summed slice by slice, which costs less than the gather.
-_GATHER_MIN = 8
 #: Terms (8 bytes each) that ``_integrate_windows`` sums in one batch.  A
 #: batch and its joined copy are alive together, so it is kept small: the
 #: traces' memory, not the run windows', should set the peak.
@@ -202,26 +198,25 @@ _BATCH_TERMS = 1 << 15
 def _window_energies(terms: np.ndarray, first: np.ndarray, last: np.ndarray) -> list[float]:
     """Half the sum of ``terms[first[j]:last[j]]`` for each window j.
 
-    Each sum is bit for bit the slice's own ``.sum()``.  Windows of equal
-    term count, at least ``_GATHER_MIN`` of them, are gathered as the rows
-    of one C-contiguous 2-D array and summed with ``.sum(axis=1)``: numpy
-    reduces each row on its own, with the same pairwise summation in the
-    same order as the 1-D slice (``tests/test_integrate_properties.py`` pins
-    this).  Any other window is summed as its slice, with no gather.  So
-    many windows of a few counts take a few numpy calls, and the gathered
-    copies hold each term once at most.
+    Each sum is bit for bit the slice's own ``.sum()``.  The windows of
+    each term count are gathered as the rows of one C-contiguous 2-D array
+    and summed with ``.sum(axis=1)``: numpy reduces each row on its own,
+    with the same pairwise summation in the same order as the 1-D slice
+    (``tests/test_integrate_properties.py`` pins this).  So many windows of
+    a few counts take a few numpy calls.  Windows that share no term (the
+    run windows of one trace) gather each term once at most.
     """
-    lo, hi = first.tolist(), last.tolist()
     groups: dict[int, list[int]] = {}
     for j, count in enumerate((last - first).tolist()):
         groups.setdefault(count, []).append(j)
     sums = np.empty(first.size)
+    step = terms.itemsize
     for count, rows in groups.items():
-        if len(rows) < _GATHER_MIN:
-            for j in rows:
-                sums[j] = terms[lo[j] : hi[j]].sum()
-        else:
-            sums[rows] = sliding_window_view(terms, count)[first[rows]].sum(axis=1)
+        # Row i of this view is terms[i:i + count]; taking rows copies them.
+        # The ndarray constructor builds the view at less cost per call than
+        # sliding_window_view, whose checks dominate a group of a few windows.
+        windows = np.ndarray((terms.size - count + 1, count), terms.dtype, terms, 0, (step, step))
+        sums[rows] = windows[first[rows]].sum(axis=1)
     return (0.5 * sums).tolist()
 
 

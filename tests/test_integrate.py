@@ -23,7 +23,7 @@ from axpue.errors import (
     UnknownDeviceError,
     ValidationError,
 )
-from axpue.integrate import _window_terms, category_energy
+from axpue.integrate import _integrate_windows, category_energy
 from conftest import interior_window, random_trace, riemann_energy
 
 
@@ -151,7 +151,7 @@ class TestIntegratePower:
         edges = np.linspace(0.0, n - 1.0, n_windows + 1)
         tracemalloc.start()
         try:
-            _window_terms(trace, edges[:-1], edges[1:], 60.0)
+            _integrate_windows([(trace, edges[:-1], edges[1:])], 60.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

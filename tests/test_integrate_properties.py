@@ -204,18 +204,17 @@ def spread_terms(rng, size):
 
 
 @settings(max_examples=300, deadline=None)
-@example(counts=[8] * 8, seed=0, gather_min=8)
-@example(counts=[5], seed=0, gather_min=8)
-@example(counts=[129, 129, 7], seed=1, gather_min=1)
-@given(counts=term_counts(), seed=st.integers(0, 2**32 - 1), gather_min=st.sampled_from([1, 2, 8]))
-def test_grouped_window_sums_are_the_slice_sums(counts, seed, gather_min):
+@example(counts=[8] * 8, seed=0)
+@example(counts=[5], seed=0)
+@example(counts=[129, 129, 7], seed=1)
+@given(counts=term_counts(), seed=st.integers(0, 2**32 - 1))
+def test_grouped_window_sums_are_the_slice_sums(counts, seed):
     rng = np.random.default_rng(seed)
     counts = rng.permutation(counts)
     terms = spread_terms(rng, int(counts.max()) + 50)
     first = rng.integers(0, terms.size - counts + 1)
     last = first + counts
-    with mock.patch.object(integrate, "_GATHER_MIN", gather_min):
-        energies = _window_energies(terms, first, last)
+    energies = _window_energies(terms, first, last)
     assert [joules.hex() for joules in energies] == [
         float(0.5 * terms[a:b].sum()).hex() for a, b in zip(first, last)
     ]
