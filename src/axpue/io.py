@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Callable, Iterable, NoReturn
+from typing import IO, Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -99,6 +99,10 @@ _BLOCK_BYTES = 1 << 16
 #: process on files of a MiB or so; ranges of 4 MiB keep that cost small
 #: next to a range's parse.
 _RANGE_BYTES = 4 << 20
+#: Rows of power CSV per forked part of a write: fewer than twice this are
+#: formatted in one process.  A row takes about half a microsecond, so a
+#: part of 64K rows keeps a child's few milliseconds small next to its work.
+_PART_ROWS = 1 << 16
 #: Bytes read at a time when a file is scanned.
 _SCAN_BYTES = 1 << 20
 
@@ -535,17 +539,27 @@ def _may_fork() -> bool:
     )
 
 
+def _part_count(size: int, unit: int) -> int:
+    """Into how many parts, one per CPU and each of ``unit`` or more, to cut
+    work of ``size``, each after the first to go to a forked child.
+
+    1 when there are not two such parts and two CPUs, and when
+    :func:`_may_fork` says no.
+    """
+    count = min(_cpu_count(), size // unit)
+    return count if count >= 2 and _may_fork() else 1
+
+
 def _range_cuts(fd: int) -> list[int] | None:
     """Offsets that cut the file ``fd`` into byte ranges of whole lines, one per CPU.
 
     The first range holds the header, and every cut falls after a ``\\n``.
-    None when :func:`_may_fork` says no, when there are not two ranges of
-    ``_RANGE_BYTES`` and two CPUs, and when the file holds a ``"``: a quoted
-    record could cross a cut.
+    None when :func:`_part_count` gives one range of ``_RANGE_BYTES`` or
+    more, and when the file holds a ``"``: a quoted record could cross a cut.
     """
     size = os.fstat(fd).st_size
-    count = min(_cpu_count(), size // _RANGE_BYTES)
-    if count < 2 or not _may_fork():
+    count = _part_count(size, _RANGE_BYTES)
+    if count < 2:
         return None
     body = None
     for offset in range(0, size, _SCAN_BYTES):
@@ -564,77 +578,59 @@ def _range_cuts(fd: int) -> list[int] | None:
     return [*cuts, size] if len(cuts) > 1 else None
 
 
-def _fork_range(fd: int, start: int, end: int) -> tuple[int, IO[bytes]] | None:
-    """A child that parses bytes ``start`` up to ``end`` of the file ``fd``.
+@contextlib.contextmanager
+def _forked(function: Callable, calls: list[tuple]) -> Iterator[Iterator[object]]:
+    """Call ``function(*args)`` in one forked child per ``args`` in ``calls``.
 
-    It counts lines from 0 and pickles its device ids, line count and block
-    columns into a pipe; it sends nothing if the range fails.  Returns the
-    child's pid and the pipe's read end, or None if no child could start.
+    Yields an iterator over the children's results, in the order of
+    ``calls``: what ``function`` returned, pickled through a pipe, or None
+    if the child could not start, raised, exited non-zero or was reaped by
+    another waiter.  Taking a result reaps its child.  Every child not yet
+    reaped when the block exits, on an error too, is killed and reaped.
     """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            samples = _Samples()
-            count = _parse_rows(_range_lines(fd, start, end), samples, 0)
-            with open(write_end, "wb") as out:
-                pickle.dump((list(samples.ids), count, samples.columns), out, protocol=5)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    return pid, open(read_end, "rb")
+    children: list[tuple[int, IO[bytes]] | None] = []
 
-
-def _child_result(child: tuple[int, IO[bytes]] | None) -> tuple | None:
-    """What a range's child sent, or None if it failed; the child is reaped."""
-    if child is None:
-        return None
-    pid, pipe = child
-    with pipe:
-        try:
-            result = pickle.load(pipe)
-        except Exception:  # a child that died mid-write leaves any partial pickle
+    def results():
+        while children:
             result = None
-    try:
-        _, status = os.waitpid(pid, 0)
-    except ChildProcessError:  # reaped elsewhere: how it ended is unknown
-        return None
-    return result if status == 0 else None
-
-
-def _parse_ranges(lines: _Lines, fd: int | None, ranges: list[tuple[int, int]]) -> _Samples:
-    """Parse ``lines``, the header and the rows before the first of ``ranges``,
-    here, and each byte range of the file ``fd`` in a forked child.
-
-    Children's columns are merged in file order.  A range whose child failed
-    is parsed again here, with its right first line, so that it raises the
-    error the one-process parse raises.  No child is left unreaped.
-    """
-    children = []
-    try:
-        for start, end in ranges:
-            children.append(_fork_range(fd, start, end))
-        samples = _Samples()
-        _read_header(lines)
-        line = _parse_rows(lines, samples, 2)
-        for start, end in ranges:
-            result = _child_result(children[0])
+            if (child := children[0]) is not None:
+                pid, pipe = child
+                with pipe:
+                    try:
+                        result = pickle.load(pipe)
+                    except Exception:  # a child that died mid-write leaves any partial pickle
+                        pass
+                try:
+                    if os.waitpid(pid, 0)[1] != 0:
+                        result = None
+                except ChildProcessError:  # reaped elsewhere: how it ended is unknown
+                    result = None
             del children[0]
-            if result is None:
-                line = _parse_rows(_range_lines(fd, start, end), samples, line)
-            else:
-                names, count, columns = result
-                samples.merge(names, columns, line)
-                line += count
-        return samples
+            yield result
+
+    try:
+        for args in calls:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                children.append(None)
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_end)
+                    result = function(*args)
+                    with open(write_end, "wb") as out:
+                        pickle.dump(result, out, protocol=5)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        yield results()
     finally:
         for child in children:
             if child is not None:
@@ -643,6 +639,36 @@ def _parse_ranges(lines: _Lines, fd: int | None, ranges: list[tuple[int, int]]) 
                 with contextlib.suppress(ProcessLookupError, ChildProcessError):
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
+
+
+def _parse_range(fd: int, start: int, end: int) -> tuple:
+    """Parse bytes ``start`` up to ``end`` of the file ``fd``, counting lines
+    from 0: its device ids, its line count and its block columns."""
+    samples = _Samples()
+    count = _parse_rows(_range_lines(fd, start, end), samples, 0)
+    return list(samples.ids), count, samples.columns
+
+
+def _parse_ranges(lines: _Lines, fd: int | None, ranges: list[tuple[int, int]]) -> _Samples:
+    """Parse ``lines``, the header and the rows before the first of ``ranges``,
+    here, and each byte range of the file ``fd`` in a forked child.
+
+    Children's columns are merged in file order.  A range whose child failed
+    is parsed again here, with its right first line, so that it raises the
+    error the one-process parse raises.
+    """
+    with _forked(_parse_range, [(fd, start, end) for start, end in ranges]) as results:
+        samples = _Samples()
+        _read_header(lines)
+        line = _parse_rows(lines, samples, 2)
+        for (start, end), result in zip(ranges, results):
+            if result is None:
+                line = _parse_rows(_range_lines(fd, start, end), samples, line)
+            else:
+                names, count, columns = result
+                samples.merge(names, columns, line)
+                line += count
+    return samples
 
 
 def parse_power_csv(stream: IO[bytes]) -> list[PowerTrace]:
@@ -691,6 +717,31 @@ def parse_power_csv(stream: IO[bytes]) -> list[PowerTrace]:
     return _parse_ranges(_range_lines(fd, 0, cuts[1]), fd, ranges).traces()
 
 
+def _format_rows(blocks: list[tuple[str, np.ndarray, np.ndarray, int]], start: int, stop: int) -> bytes:
+    """Rows ``start`` up to ``stop`` of ``blocks`` as encoded CSV lines.
+
+    Each block is ``(device_id, times, watts, first)``, with ``first`` its
+    first row; a block has as many rows as its longer column.  A block
+    whose columns differ in length raises the strict ``zip``'s
+    ``ValueError`` from the rows that hold its last one.  Consecutive
+    blocks that hold one ``times`` array format its stamps once.
+    """
+    lines = []
+    grid, span, stamps = None, None, []
+    for device_id, times, watts, first in blocks:
+        rows = max(len(times), len(watts))
+        if first + rows <= start or first >= stop:
+            continue
+        a, b = max(start - first, 0), min(stop - first, rows)
+        if times is not grid or (a, b) != span:
+            grid, span = times, (a, b)
+            stamps = list(map(repr, times[a:b].tolist()))
+        lines.append(
+            "".join([f"{device_id},{stamp},{w!r}\n" for stamp, w in zip(stamps, watts[a:b].tolist(), strict=True)])
+        )
+    return "".join(lines).encode("utf-8")
+
+
 def write_power_csv(blocks: Iterable[tuple[str, np.ndarray, np.ndarray]]) -> bytes:
     """Serialize ``(device_id, times, watts)`` blocks; inverse of the parser.
 
@@ -698,21 +749,37 @@ def write_power_csv(blocks: Iterable[tuple[str, np.ndarray, np.ndarray]]) -> byt
     through float64, so an integer prints as ``0.0`` and every value as its
     shortest round-tripping ``repr``.  Consecutive blocks whose ``times``
     hold the same float64 bits (the simulator's grid) format them once.
+    A block whose columns differ in length raises ``ValueError``, and no
+    later block is read.
+
+    The blocks are copied as they are read, so a caller may refill one
+    buffer between them.  The rows are then cut into one part per CPU, at
+    row offsets (see :func:`_part_count`, with parts of ``_PART_ROWS`` rows
+    or more), and each part after the first is formatted by a forked child.
+    A part whose child fails is formatted again here, so the bytes and any
+    error do not depend on the number of parts.
     """
-    parts = [",".join(POWER_CSV_HEADER) + "\n"]
-    times_seen, stamps = None, []
+    held, total = [], 0
+    grid, grid_bits = None, None
     for device_id, times, watts in blocks:
-        times = np.asarray(times, dtype=np.float64)
+        times = np.array(times, dtype=np.float64)
         # Keyed on the bits, not the object: a buffer refilled in place
-        # between blocks is formatted again, and -0.0 is not 0.0.
-        if (key := times.tobytes()) != times_seen:
-            times_seen = key
-            stamps = list(map(repr, times.tolist()))
-        watts = np.asarray(watts, dtype=np.float64).tolist()
-        parts.append(
-            "".join([f"{device_id},{stamp},{w!r}\n" for stamp, w in zip(stamps, watts, strict=True)])
-        )
-    return "".join(parts).encode("utf-8")
+        # between blocks is copied again, and -0.0 is not 0.0.
+        if (bits := times.tobytes()) != grid_bits:
+            grid, grid_bits = times, bits
+        watts = np.array(watts, dtype=np.float64)
+        held.append((device_id, grid, watts, total))
+        total += max(len(grid), len(watts))
+        if len(grid) != len(watts):
+            break
+    count = _part_count(total, _PART_ROWS)
+    cuts = [total * i // count for i in range(count + 1)]
+    parts = list(zip(cuts, cuts[1:]))
+    with _forked(_format_rows, [(held, a, b) for a, b in parts[1:]]) as results:
+        out = [",".join(POWER_CSV_HEADER).encode("utf-8") + b"\n", _format_rows(held, *parts[0])]
+        for (a, b), result in zip(parts[1:], results):
+            out.append(_format_rows(held, a, b) if result is None else result)
+    return b"".join(out)
 
 
 def _load_json(data: bytes | str, what: str, line: int | None = None) -> object:

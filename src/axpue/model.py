@@ -295,9 +295,9 @@ class MetricsReport:
 
     Construction re-checks the report-level invariants: PUE >= 1 and equals
     the window's total facility energy over its IT energy, weights sum to
-    one, and every row has a finite IT power above zero and satisfies
-    facility power = IT power * PUE and AoPUE = ApPUE / PUE.  The
-    equalities hold within ``IDENTITY_REL_TOL``.
+    one, and every row has a finite IT power above zero, finite facility
+    power, ApPUE and AoPUE, and satisfies facility power = IT power * PUE
+    and AoPUE = ApPUE / PUE.  The equalities hold within ``IDENTITY_REL_TOL``.
     """
 
     window: EnergyWindow
@@ -327,6 +327,10 @@ class MetricsReport:
                     f"run {row.run_id!r}: it_power_kw must be finite and > 0, "
                     f"got {row.it_power_kw!r}"
                 )
+            # isclose(inf, inf) holds, so an overflow would pass the checks below.
+            for name in ("facility_power_kw", "appue", "aopue"):
+                if not math.isfinite(value := getattr(row, name)):
+                    raise ValidationError(f"run {row.run_id!r}: {name} must be finite, got {value!r}")
             facility_kw = row.it_power_kw * self.pue
             if not math.isclose(row.facility_power_kw, facility_kw, rel_tol=IDENTITY_REL_TOL):
                 raise ValidationError(

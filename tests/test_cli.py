@@ -434,6 +434,28 @@ class TestReportCommand:
         )
 
     @pytest.mark.parametrize(
+        "it_power_kw, appue, field",
+        [(1e308, 2.0, "facility_power_kw"), (1.0, math.inf, "appue")],
+        ids=["facility-overflow", "infinite-appue"],
+    )
+    def test_non_finite_row_field_exits_2(self, tmp_path, capsys, it_power_kw, appue, field):
+        """IT power 1e308 kW at PUE 2 overflows to an infinite facility power;
+        an infinite ApPUE gives an infinite AoPUE.  Both pass the identities."""
+        doc = json.loads(single_run_report("a", it_power_kw))
+        doc["window"]["energy_joules_by_category"]["cooling"] = 2.0
+        doc["pue"] = 2.0
+        row = doc["per_run"][0]
+        row["facility_power_kw"] = it_power_kw * 2.0
+        row["appue"] = doc["weighted_appue"] = appue
+        row["aopue"] = doc["aggregated_aopue"] = appue / 2.0
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(doc))  # as Infinity, which json reads back
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: run 'a': {field} must be finite, got inf\n"
+
+    @pytest.mark.parametrize(
         "field, value, message",
         [
             ("start", math.nan, "window start (nan) and end ({end}) must be finite"),

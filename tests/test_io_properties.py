@@ -295,21 +295,29 @@ def reference_file_outcome(path):
         return outcome(reference_parse_power_csv, lambda: f)
 
 
-def ranged_outcome(path, cpus, range_bytes=1, **sizes):
-    """The ranged parse's outcome and the byte ranges it forked children for.
+@contextlib.contextmanager
+def spied_forks():
+    """The ``(start, end)`` of each call that is forked, a byte range of the
+    parse or a row range of the writer, in a list filled as they fork.
 
     Afterwards, no child of this process is left, reaped or not.
     """
-    forked, fork_range = [], axpue.io._fork_range
+    forked, forked_calls = [], axpue.io._forked
 
-    def spy(fd, start, end):
-        forked.append((start, end))
-        return fork_range(fd, start, end)
+    def spy(function, calls):
+        forked.extend(args[1:] for args in calls)
+        return forked_calls(function, calls)
 
-    with ranges(cpus, range_bytes), mock.patch.object(axpue.io, "_fork_range", spy):
-        result = file_outcome(path, **sizes)
+    with mock.patch.object(axpue.io, "_forked", spy):
+        yield forked
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def ranged_outcome(path, cpus, range_bytes=1, **sizes):
+    """The ranged parse's outcome and the byte ranges it forked children for."""
+    with ranges(cpus, range_bytes), spied_forks() as forked:
+        result = file_outcome(path, **sizes)
     return result, forked
 
 
@@ -733,3 +741,85 @@ def test_block_writer_matches_the_row_writer(times, data):
     ]
     rows = [(d, t, w) for d, _, watts in blocks for t, w in zip(times, watts)]
     assert write_power_csv(blocks) == reference_write_power_csv(rows)
+
+
+def write_outcome(blocks):
+    """The bytes the writer returns, or the (type, message) it raises."""
+    try:
+        return write_power_csv(blocks)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def parted_write(blocks, cpus):
+    """The writer's outcome with ``cpus`` CPUs and parts of one row or more,
+    and the row ranges it forked children for."""
+    with mock.patch.multiple(axpue.io, _PART_ROWS=1, _cpu_count=lambda: cpus), spied_forks() as forked:
+        result = write_outcome(blocks)
+    return result, forked
+
+
+def _wrong_result_then_error(obj, out, protocol):
+    """``pickle.dump`` that sends a whole, wrong part, then fails."""
+    out.write(pickle.dumps(b"wrong\n", protocol=protocol))
+    raise OSError("the child fails after sending")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(0, 5),
+    cpus=st.integers(2, 4),
+    fault=st.sampled_from(["none", "exit", "reaped"]),
+    data=st.data(),
+)
+def test_parted_write_matches_the_row_writer(n, cpus, fault, data):
+    """Parts formatted by children join to the one-process bytes or error.
+
+    Blocks take their times from a list, or from one buffer refilled in
+    place.  One block may have a watts column of another length: its
+    ``zip`` error is raised, and the block after it, which cannot be
+    converted, is not read.  A child that exits non-zero after sending a
+    wrong part, or does so and has its exit status taken by another waiter,
+    leaves its part to the parent.
+    """
+    columns = st.lists(NUMBERS, min_size=n, max_size=n)
+    grids = data.draw(st.lists(columns, min_size=1, max_size=2))
+    drawn = data.draw(
+        st.lists(
+            st.tuples(DEVICE_IDS, st.sampled_from(range(len(grids))), st.booleans(), columns),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    mismatch = data.draw(st.none() | st.sampled_from(range(len(drawn))))
+    if mismatch is None:
+        expected = reference_write_power_csv(
+            (device_id, t, w) for device_id, grid, _, watts in drawn for t, w in zip(grids[grid], watts)
+        )
+    else:
+        device_id, grid, refill, watts = drawn[mismatch]
+        watts = watts[:-1] if watts and data.draw(st.booleans()) else [*watts, 1.0]
+        drawn[mismatch] = device_id, grid, refill, watts
+        drawn.insert(mismatch + 1, ("late", 0, False, ["x"] * n))
+        with pytest.raises(ValueError) as caught:
+            list(zip(grids[grid], watts, strict=True))
+        expected = ValueError, str(caught.value)
+
+    def blocks():
+        buffer = np.empty(n)
+        for device_id, grid, refill, watts in drawn:
+            if refill:
+                buffer[:] = grids[grid]
+            yield device_id, buffer if refill else grids[grid], watts
+
+    with contextlib.ExitStack() as stack:
+        if fault != "none":
+            stack.enter_context(mock.patch.object(axpue.io.pickle, "dump", _wrong_result_then_error))
+        if fault == "reaped":
+            stack.enter_context(mock.patch.object(os, "waitpid", _reaped_elsewhere))
+        result, forked = parted_write(blocks(), cpus)
+    assert result == expected
+    read = drawn if mismatch is None else drawn[: mismatch + 1]
+    total = sum(max(n, len(watts)) for _, _, _, watts in read)
+    count = min(cpus, total) if total >= 2 else 1
+    assert forked == [(total * i // count, total * (i + 1) // count) for i in range(1, count)]

@@ -14,6 +14,7 @@ import copy
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -325,7 +326,8 @@ def metrics_reports(draw):
     heavy = draw(st.integers(0, max(n_rows - 1, 0)))
     rows = []
     for i in range(n_rows):
-        it_power_kw = draw(NUMBERS.filter(lambda p: p > 0))
+        # Facility power is IT power times PUE, and must not overflow.
+        it_power_kw = draw(NUMBERS.filter(lambda p: p > 0 and math.isfinite(p * pue)))
         appue = draw(NUMBERS)
         rows.append(
             RunMetrics(
@@ -404,10 +406,7 @@ def reports_with_float_subclasses(draw):
         )
         for row in report.per_run
     ]
-    # The report's checks multiply IT power by PUE, which may overflow to
-    # inf: silently for a float, with a warning for an np.float64.
-    with np.errstate(over="ignore"):
-        return dataclasses.replace(report, per_run=rows)
+    return dataclasses.replace(report, per_run=rows)
 
 
 def report_of_rows(*rows):
