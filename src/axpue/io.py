@@ -540,8 +540,8 @@ def _may_fork() -> bool:
 
 
 def _part_count(size: int, unit: int) -> int:
-    """Into how many parts, one per CPU and each of ``unit`` or more, to cut
-    work of ``size``, each after the first to go to a forked child.
+    """How many parts of ``unit`` or more, one per CPU, to cut work of
+    ``size`` into; each part after the first goes to a forked child.
 
     1 when there are not two such parts and two CPUs, and when
     :func:`_may_fork` says no.
@@ -763,8 +763,9 @@ def write_power_csv(blocks: Iterable[tuple[str, np.ndarray, np.ndarray]]) -> byt
     grid, grid_bits = None, None
     for device_id, times, watts in blocks:
         times = np.array(times, dtype=np.float64)
-        # Keyed on the bits, not the object: a buffer refilled in place
-        # between blocks is copied again, and -0.0 is not 0.0.
+        # Blocks share one copy only when their times hold the same bits: a
+        # buffer refilled in place between blocks is a new grid, and -0.0
+        # is not 0.0.
         if (bits := times.tobytes()) != grid_bits:
             grid, grid_bits = times, bits
         watts = np.array(watts, dtype=np.float64)
