@@ -10,8 +10,9 @@ that the checkout's ``BENCHMARK.json`` sets.  One record per workload
 is appended: the checkout's commit, the date, the seeds, the median, Q1 and
 Q3 of each end-to-end metric over the seeds, the median ``cpu_slowdown``,
 the number of failed computations, and the Python and numpy versions.
-A checkout with uncommitted changes, found before the first record is
-written, is recorded as ``<commit>+dirty``.
+A checkout with uncommitted changes to the files the benchmark runs (see
+``PROGRAM``), found before the first record is written, is recorded as
+``<commit>+dirty``.
 
 With ``--baseline``, a second checkout (say, the parent commit) runs each
 seed back to back with ``--checkout``, the two alternating which goes
@@ -47,6 +48,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("fleet", "fleet_rfc3339", "many_runs")
+#: The paths of a checkout whose uncommitted changes can change its results.
+PROGRAM = ("src", "perfbench", "benchmarks", "BENCHMARK.json", "pyproject.toml")
 
 
 def _git(checkout: Path, *args: str) -> str:
@@ -127,7 +130,7 @@ def pair_verdicts(end_to_end: list[dict], baseline: list[dict], checkout: list[d
 
 
 def _commit(checkout: Path) -> str:
-    dirty = _git(checkout, "status", "--porcelain", "--untracked-files=no")
+    dirty = _git(checkout, "status", "--porcelain", "--untracked-files=no", "--", *PROGRAM)
     return _git(checkout, "rev-parse", "HEAD") + ("+dirty" if dirty else "")
 
 

@@ -47,6 +47,34 @@ def parse_csv(text: str):
     return parse_power_csv(io.BytesIO(text.encode()))
 
 
+DEVICES, SAMPLES = 10, 20_000
+
+
+def fleet_csv(layout):
+    """A power CSV of ``SAMPLES`` rows of each of ``DEVICES`` devices, one
+    device at a time, time-major, or one device at a time with three pairs
+    of one device's rows swapped."""
+    pairs = [(d, i) for d in range(DEVICES) for i in range(SAMPLES)]
+    if layout == "time-major":
+        pairs.sort(key=lambda pair: pair[1])
+    elif layout == "swapped":
+        for k in (1_000, 70_000, 150_000):
+            pairs[k], pairs[k + 1] = pairs[k + 1], pairs[k]
+    return (HEADER + "".join(f"s{d},{30 * i}.0,{100 + i % 50 * 0.5}\n" for d, i in pairs)).encode()
+
+
+def traced_peak(parse):
+    """The ``tracemalloc`` peak of ``parse()``, whose traces must have ``SAMPLES`` rows each."""
+    tracemalloc.start()
+    try:
+        traces = parse()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(trace) for trace in traces] == [SAMPLES] * DEVICES
+    return peak
+
+
 class TestParsePowerCsv:
     def test_two_samples_one_trace(self):
         traces = parse_csv(HEADER + "s1,0,100\ns1,60,100\n")
@@ -84,25 +112,26 @@ class TestParsePowerCsv:
             [trace] = parse_csv(HEADER + "".join(f"d,{stamp},1\n" for stamp in stamps))
         assert trace.times.tolist() == [-1.7e308, 1.7e308]
 
-    @pytest.mark.parametrize("device_major", [True, False], ids=["device-major", "time-major"])
-    def test_parse_memory_is_a_few_trace_sizes(self, device_major):
-        # The finished traces take 16 bytes a row.  Both layouts are built
-        # into traces batch by batch, without a sort.
-        devices, samples = 10, 20_000
-        pairs = [(d, i) for d in range(devices) for i in range(samples)]
-        if not device_major:
-            pairs.sort(key=lambda pair: pair[1])
-        stream = io.BytesIO(
-            (HEADER + "".join(f"s{d},{30 * i}.0,{100 + i % 50 * 0.5}\n" for d, i in pairs)).encode()
-        )
-        tracemalloc.start()
-        try:
-            traces = parse_power_csv(stream)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert [len(trace) for trace in traces] == [samples] * devices
-        assert peak < 1.8 * devices * samples * 16
+    @pytest.mark.parametrize("layout", ["device-major", "time-major", "swapped"])
+    def test_parse_memory_is_a_few_trace_sizes(self, layout):
+        # The finished traces take 16 bytes a row.  Every layout is built
+        # into traces batch by batch; swapped rows send only their devices
+        # through a sort.
+        data = fleet_csv(layout)
+        peak = traced_peak(lambda: parse_power_csv(io.BytesIO(data)))
+        assert peak < 1.8 * DEVICES * SAMPLES * 16
+
+    def test_ranged_parse_memory_is_near_the_trace_size(self, tmp_path, monkeypatch):
+        # The parent holds its own range's pieces and the child's joined
+        # arrays, each device's once, until its trace is built.
+        monkeypatch.setattr(axpue.io, "_RANGE_BYTES", 1)
+        monkeypatch.setattr(axpue.io, "_cpu_count", lambda: 2)
+        path = tmp_path / "power.csv"
+        path.write_bytes(fleet_csv("device-major"))
+        with open(path, "rb") as f:
+            assert len(axpue.io._range_cuts(f.fileno())) == 3
+            peak = traced_peak(lambda: parse_power_csv(f))
+        assert peak < 1.3 * DEVICES * SAMPLES * 16
 
     def test_bad_header_rejected(self):
         with pytest.raises(ParseError) as excinfo:
@@ -162,6 +191,21 @@ class TestParsePowerCsv:
 
 def trace_values(traces):
     return [(t.device_id, list(t.times), list(t.watts)) for t in traces]
+
+
+def test_quoted_record_of_many_lines_is_closed_from_whole_blocks(monkeypatch):
+    # 120,000 lines inside one quoted device field: the lines after the
+    # block that opens it come a block at a time, not one block call each.
+    calls, block = [], axpue.io._Lines.block
+
+    def spy(lines, size):
+        calls.append(size)
+        return block(lines, size)
+
+    monkeypatch.setattr(axpue.io._Lines, "block", spy)
+    traces = parse_csv(HEADER + 's1,0,1\n"s1' + "\n" * 120_000 + '",60,1\ns1,120,1\n')
+    assert trace_values(traces) == [("s1", [0.0, 60.0, 120.0], [1.0, 1.0, 1.0])]
+    assert len(calls) < 10
 
 
 class TestPowerCsvChunks:

@@ -552,17 +552,17 @@ def exact(result):
     return ("ok", [(d, np.array(t).tobytes(), np.array(w).tobytes()) for d, t, w in result[1]])
 
 
-def rises_per_device(text):
-    """Whether each device's times in ``text`` rise strictly in file order."""
-    last = {}
+def unsorted_devices(text):
+    """The devices whose times in ``text`` do not rise strictly in file order."""
+    last, unsorted = {}, set()
     for row in itertools.islice(csv.reader(io.StringIO(text, newline="")), 1, None):
         if not row:
             continue
         device, time = row[0].strip(), float(row[1])
         if device in last and not time > last[device]:
-            return False
+            unsorted.add(device)
         last[device] = time
-    return True
+    return unsorted
 
 
 @st.composite
@@ -608,6 +608,19 @@ def rising_texts(draw):
             lines.append(draw(st.sampled_from(["", f'"{field}",{stamp},{watts}'])))
     ending = draw(st.sampled_from(["\n"] * 5 + ["\r\n"]))
     return HEADER + "".join(line + ending for line in lines)
+
+
+@contextlib.contextmanager
+def sorted_devices():
+    """The device ids that the parser sorts by time, in a list filled as it sorts them."""
+    names, sort = [], axpue.io._Samples._sorted
+
+    def spy(samples, name, *args):
+        names.append(name)
+        return sort(samples, name, *args)
+
+    with mock.patch.object(axpue.io._Samples, "_sorted", spy):
+        yield names
 
 
 BATCH = axpue.io._BATCH_ROWS
@@ -661,27 +674,56 @@ BATCH = axpue.io._BATCH_ROWS
     cpus=3,
     range_bytes=1,
 )
+# A duplicate whose rows lie in this process's range and a child's, and in
+# the first and the last of three ranges.
+@example(
+    text=HEADER + rows(0, 60) + rows(0, 30, device="s2") + rows(120, 60) + rows(90, device="s2"),
+    block=5,
+    batch=1,
+    cpus=2,
+    range_bytes=1,
+)
+@example(
+    text=HEADER + rows(0, 60) + rows(0, 30, device="s2") + rows(120, 60) + rows(90, device="s2"),
+    block=axpue.io._BLOCK_BYTES,
+    batch=BATCH,
+    cpus=3,
+    range_bytes=1,
+)
+# A device whose time falls only inside a child's range.
+@example(
+    text=HEADER + rows(0, 60, 120) + rows(0, 30, 90, 60, 150, device="s2") + rows(180),
+    block=5,
+    batch=1,
+    cpus=2,
+    range_bytes=1,
+)
+# A repeated time among 17 rows that numpy's unstable quicksort would
+# put in the wrong order, so the earlier line would be reported.
+@example(
+    text=HEADER + rows(4, 15, 5, 2, 3, 12, 14, 13, 11, 1, 0, 8, 14, 10, 9, 6, 7),
+    block=axpue.io._BLOCK_BYTES,
+    batch=BATCH,
+    cpus=2,
+    range_bytes=1,
+)
 # A duplicate in a plain block, and in a csv.reader block with a blank line.
 @example(text=HEADER + rows(0, 0, 60), block=axpue.io._BLOCK_BYTES, batch=BATCH, cpus=2, range_bytes=1)
 @example(text=HEADER + rows(0) + "\n" + rows(0, 60), block=axpue.io._BLOCK_BYTES, batch=BATCH, cpus=2, range_bytes=1)
 def test_trace_building_matches_row_loop(tmp_path, text, block, batch, cpus, range_bytes):
-    """Traces built by partitioning batches and traces built by sorting match
-    the row loop, bit for bit, and duplicates are reported with the same
-    line; the sort is taken exactly when some device's times do not rise
+    """Traces built from partitioned batches match the row loop, bit for
+    bit, sorted devices included, and duplicates are reported with the
+    same line; a device is sorted exactly when its times do not rise
     strictly in file order."""
     expected = exact(reference(text))
-    sort = mock.patch.object(
-        axpue.io._Samples,
-        "_sorted_traces",
-        autospec=True,
-        side_effect=axpue.io._Samples._sorted_traces,
-    )
-    with parser_sizes(block, batch=batch), sort as sorted_traces:
+    with parser_sizes(block, batch=batch), sorted_devices() as sorted_names:
         assert exact(parse_bytes(text)) == expected
-    assert sorted_traces.called != rises_per_device(text)
+    assert set(sorted_names) == unsorted_devices(text)
     path = tmp_path / "power.csv"
     path.write_bytes(text.encode())
-    assert exact(ranged_outcome(path, cpus, range_bytes, block=block, batch=batch)[0]) == expected
+    with sorted_devices() as sorted_names:
+        assert exact(ranged_outcome(path, cpus, range_bytes, block=block, batch=batch)[0]) == expected
+    assert set(sorted_names) == unsorted_devices(text)
 
 
 DEVICE_IDS = st.text(

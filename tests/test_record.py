@@ -1,8 +1,9 @@
-"""``benchmarks/record.py``'s pair verdicts, on made-up runs."""
+"""``benchmarks/record.py``'s pair verdicts, on made-up runs, and its commit labels."""
 
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -58,3 +59,20 @@ def test_the_gate_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_iqr(checko
 def test_pairs_must_match_up():
     with pytest.raises(ValueError):
         record.pair_verdicts(END_TO_END, runs([1, 2], [1, 2]), runs([1], [1]))
+
+
+def test_only_program_changes_mark_a_checkout_dirty(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), *args], check=True, capture_output=True)
+
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "module.py").write_text("x = 1\n")
+    (tmp_path / "ISSUE.md").write_text("# An issue\n")
+    git("init", "-q")
+    git("add", ".")
+    git("-c", "user.name=test", "-c", "user.email=test@example.com", "commit", "-q", "-m", "start")
+    head = record._git(tmp_path, "rev-parse", "HEAD")
+    (tmp_path / "ISSUE.md").write_text("# Another issue\n")
+    assert record._commit(tmp_path) == head
+    (tmp_path / "src" / "module.py").write_text("x = 2\n")
+    assert record._commit(tmp_path) == head + "+dirty"
