@@ -328,13 +328,7 @@ class _Samples:
     def _line(self, code: int, row: int) -> int:
         """The line of device ``code``'s ``row``-th row in file order."""
         rows = np.flatnonzero(np.concatenate(self.codes, dtype=np.intp) == code)
-        lines = np.concatenate(
-            [
-                np.arange(block.start, block.stop) if isinstance(block, range) else block
-                for block in self.lines
-            ]
-        )
-        return int(lines[rows[row]])
+        return int(np.concatenate(self.lines)[rows[row]])
 
 
 #: Rows in a batch of blocks that :class:`_Samples` partitions by device.  A
