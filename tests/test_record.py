@@ -67,12 +67,12 @@ def test_only_program_changes_mark_a_checkout_dirty(tmp_path):
 
     (tmp_path / "src").mkdir()
     (tmp_path / "src" / "module.py").write_text("x = 1\n")
-    (tmp_path / "ISSUE.md").write_text("# An issue\n")
+    (tmp_path / "NOTES.md").write_text("# Some notes\n")
     git("init", "-q")
     git("add", ".")
     git("-c", "user.name=test", "-c", "user.email=test@example.com", "commit", "-q", "-m", "start")
     head = record._git(tmp_path, "rev-parse", "HEAD")
-    (tmp_path / "ISSUE.md").write_text("# Another issue\n")
+    (tmp_path / "NOTES.md").write_text("# Other notes\n")
     assert record._commit(tmp_path) == head
     (tmp_path / "src" / "module.py").write_text("x = 2\n")
     assert record._commit(tmp_path) == head + "+dirty"
