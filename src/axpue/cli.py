@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io as _stdio
 import math
 import sys
@@ -54,8 +55,16 @@ def _parse_window(text: str) -> tuple[float, float]:
 
 
 def _emit(data: bytes, out: str | None) -> None:
+    """Write ``data``, UTF-8 text, to the file ``out``, or to stdout when
+    ``out`` is None or ``-``: as bytes, whatever the encoding of stdout's
+    text layer, which is flushed first; as text to a stream without bytes."""
     if out is None or out == "-":
-        sys.stdout.write(data.decode("utf-8"))
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            sys.stdout.write(data.decode("utf-8"))
+        else:
+            sys.stdout.flush()
+            buffer.write(data)
     else:
         Path(out).write_bytes(data)
 
@@ -242,5 +251,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
 
 
+def console_main() -> int:
+    """The ``axpue`` command: :func:`main` on ``sys.argv``, then the heap
+    frozen, so that the interpreter's exit skips its final garbage
+    collection, which would only walk objects about to be freed.
+    :func:`main` leaves the collector alone, for callers that go on running."""
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console_main())

@@ -35,7 +35,13 @@ class PowerTrace:
     """Time-ordered power samples of a single device.
 
     Arrays are copied and frozen at construction; timestamps must be strictly
-    increasing and all power values non-negative.
+    increasing and all power values non-negative.  The traces that
+    :func:`~axpue.io.parse_power_csv` returns are checked alike, but hold
+    the parser's own arrays, uncopied and read-only.  Devices sampled at the
+    same instants, as a collector that polls every meter once per interval
+    samples them, share one ``times`` array: their timestamps hold the same
+    float64 bits.  A grid is left unshared only where a different grid of
+    the same length and end times came first.
     """
 
     device_id: str
@@ -43,8 +49,23 @@ class PowerTrace:
     watts: np.ndarray
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=np.float64, copy=True)
-        watts = np.array(self.watts, dtype=np.float64, copy=True)
+        self._freeze(
+            np.array(self.times, dtype=np.float64, copy=True),
+            np.array(self.watts, dtype=np.float64, copy=True),
+        )
+
+    @classmethod
+    def _owning(cls, device_id: str, times: np.ndarray, watts: np.ndarray) -> PowerTrace:
+        """A trace of float64 ``times`` and ``watts`` that nothing else writes
+        to, held without the constructor's copies; ``times`` may be shared
+        with other traces.  Checked and frozen as the constructor's copies are."""
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "device_id", device_id)
+        trace._freeze(times, watts)
+        return trace
+
+    def _freeze(self, times: np.ndarray, watts: np.ndarray) -> None:
+        """Check ``times`` and ``watts``, make them read-only and hold them."""
         if times.ndim != 1 or watts.ndim != 1 or times.size != watts.size:
             raise ValidationError("times and watts must be 1-d arrays of equal length")
         if not np.all(np.isfinite(times)):

@@ -250,10 +250,15 @@ class _Samples:
 
     def joined(self) -> tuple[list, list, list, list]:
         """What :meth:`merge` takes: each device's times and watts joined,
-        in code order, and the batches' codes and the blocks' lines."""
+        in code order, and the batches' codes and the blocks' lines.
+
+        Devices whose joined times hold the same bits share one array (see
+        :func:`_shared_grid`), which ``pickle`` then sends once.
+        """
         self._partition()
         pieces = [self.pieces[code] for code in self.ids.values()]
-        times = [_join(time_pieces) for time_pieces, _ in pieces]
+        grids: dict = {}
+        times = [_shared_grid(grids, _join(time_pieces)) for time_pieces, _ in pieces]
         watts = [_join(watt_pieces) for _, watt_pieces in pieces]
         return times, watts, self.codes, self.lines
 
@@ -284,10 +289,12 @@ class _Samples:
         Each device's pieces are joined.  Only a device whose times do not
         rise strictly in file order is sorted (see :meth:`_sorted`); of
         several devices with a repeated time, the first in device-id order
-        is reported.
+        is reported.  Devices whose times then hold the same bits share one
+        array (see :func:`_shared_grid`), and each trace holds its arrays
+        uncopied.
         """
         self._partition()
-        traces, duplicates = [], {}
+        traces, duplicates, grids = [], {}, {}
         # Built in code order, the order each batch's pieces were cut in, so
         # that the pieces freed as each trace is built merge into holes that
         # the next traces fit in.
@@ -302,7 +309,7 @@ class _Samples:
             except DuplicateSampleError as exc:
                 duplicates[name] = exc
                 continue
-            traces.append(PowerTrace(name, times, watts))
+            traces.append(PowerTrace._owning(name, _shared_grid(grids, times), watts))
         if duplicates:
             raise duplicates[min(duplicates)]
         return sorted(traces, key=lambda trace: trace.device_id)
@@ -336,6 +343,22 @@ class _Samples:
 #: under a MB, small next to a large file's traces, while the dozen numpy
 #: calls a batch costs stay a small part of its time.
 _BATCH_ROWS = 1 << 14
+
+
+def _shared_grid(grids: dict, times: np.ndarray) -> np.ndarray:
+    """``times`` made read-only, or the array of ``grids`` that holds its float64 bits.
+
+    ``grids`` keeps the first array seen of each length, first and last
+    time: one lookup per array, and one compare of bits where those match,
+    so that no array is compared with more than one other, and ``-0.0`` is
+    not taken for ``0.0``.  A later grid of the same length and end times
+    but other bits is not shared.
+    """
+    grid = grids.setdefault((times.size, float(times[0]), float(times[-1])), times)
+    if grid is not times and np.array_equal(grid.view(np.int64), times.view(np.int64)):
+        return grid
+    times.setflags(write=False)
+    return times
 
 
 def _join(blocks: list[np.ndarray]) -> np.ndarray:
@@ -666,8 +689,11 @@ def parse_power_csv(stream: IO[bytes]) -> list[PowerTrace]:
     own: device-major rows, and time-major ones as a poller that reads every
     meter once per interval writes them, need no sort (see
     :class:`_Samples`).  On 585K rows, the parse peaks at about 19 bytes a
-    row, sorted devices or not, against the finished traces' 16: a byte of
-    device code a row, and one batch's and one block's temporaries.
+    row, sorted devices or not, against the 16 of the devices' pieces: a
+    byte of device code a row, and one batch's and one block's temporaries.
+    Devices whose times hold the same bits share one read-only array (see
+    :func:`_shared_grid`), so traces on one grid keep 8 bytes a row and
+    the grid.
     Duplicate (device, timestamp) pairs, malformed rows, and negative watt
     readings are rejected with the offending 1-based line number (the row's
     record number when a quoted field spans lines).

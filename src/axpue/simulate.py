@@ -221,8 +221,13 @@ class SimOutput:
 
 
 def _sample_grid(duration: float, period: float) -> np.ndarray:
-    n = int(math.floor(duration / period + 1e-9))
-    ts = np.arange(n + 1, dtype=np.float64) * period
+    try:
+        n = int(math.floor(duration / period + 1e-9))
+        ts = np.arange(n + 1, dtype=np.float64) * period
+    except (OverflowError, ValueError, MemoryError):
+        raise ModelError(
+            f"a duration of {duration!r} s sampled every {period!r} s is too many samples"
+        ) from None
     if duration - ts[-1] > 1e-9 * max(1.0, duration):
         ts = np.append(ts, duration)
     else:
@@ -516,12 +521,21 @@ def sort_comparison_scenarios(data_gb: float = 100.0) -> tuple[SimScenario, SimS
     """Balanced vs single-reducer sort over the same data size and overhead."""
     if not (math.isfinite(data_gb) and data_gb > 0):
         raise ModelError(f"data_gb must be > 0, got {data_gb!r}")
-    data_bytes = int(round(data_gb * 1e9))
     scale = data_gb / 100.0
+    try:
+        durations = (
+            _SORT1_BASE_DURATION_S * scale**_SORT1_SIZE_EXPONENT,
+            _SORT2_BASE_DURATION_S * scale**_SORT2_SIZE_EXPONENT,
+        )
+    except OverflowError:  # a float power beyond float range raises; a product is inf
+        durations = (math.inf,)
+    if not (math.isfinite(data_gb * 1e9) and all(map(math.isfinite, durations))):
+        raise ModelError(f"data_gb is too large to simulate, got {data_gb!r}")
+    data_bytes = int(round(data_gb * 1e9))
     nodes = [f"node-{i:02d}" for i in range(1, _SORT_NODE_COUNT + 1)]
     sort1 = _sort_scenario(
         "sort1",
-        _SORT1_BASE_DURATION_S * scale**_SORT1_SIZE_EXPONENT,
+        durations[0],
         data_bytes,
         node_reduce_u={node: 0.70 for node in nodes},
         storage_reduce_u=0.50,
@@ -530,7 +544,7 @@ def sort_comparison_scenarios(data_gb: float = 100.0) -> tuple[SimScenario, SimS
     hot["node-01"] = 1.00
     sort2 = _sort_scenario(
         "sort2",
-        _SORT2_BASE_DURATION_S * scale**_SORT2_SIZE_EXPONENT,
+        durations[1],
         data_bytes,
         node_reduce_u=hot,
         storage_reduce_u=0.50,

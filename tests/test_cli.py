@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -293,6 +296,23 @@ class TestSimulateCommand:
         assert main(
             ["simulate", "paper:grep", "--data-gb", "50", "--out", str(tmp_path / "g")]
         ) == 2
+
+    # Both fail before anything is allocated.
+    def test_data_gb_beyond_a_finite_duration_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "s")
+        assert main(["simulate", "paper:sort1", "--data-gb", "1e300", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: data_gb is too large to simulate, got 1e+300\n"
+
+    def test_sample_grid_beyond_array_size_exits_2(self, tmp_path, capsys):
+        manifest = simulated_manifest(tmp_path)
+        obj = json.loads(manifest.read_text())
+        obj["sample_period"] = 1e-300
+        manifest.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["simulate", str(manifest), "--out", str(tmp_path / "again")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: a duration of {obj['duration']!r} s sampled every 1e-300 s is too many samples\n"
+        )
 
     def test_simulate_output_feeds_compute_cleanly(self, tmp_path, capsys):
         sim_dir = tmp_path / "sim"
@@ -708,20 +728,80 @@ def test_compute_survives_any_bytes_in_one_input(data):
         assert err.getvalue().startswith("error: ")
 
 
+def run_module(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """``python -m axpue.cli`` with ``args``, and ``env`` added to the environment."""
+    return subprocess.run(
+        [sys.executable, "-m", "axpue.cli", *args], capture_output=True, env={**os.environ, **env}
+    )
+
+
+def grep_compute_args(tmp_path) -> list[str]:
+    """``compute`` and the inputs of a simulated ``paper:grep``."""
+    sim_dir = tmp_path / "sim"
+    assert main(["simulate", "paper:grep", "--out", str(sim_dir)]) == 0
+    return [
+        "compute",
+        "--power", str(sim_dir / "power.csv"),
+        "--runs", str(sim_dir / "runs.jsonl"),
+        "--inventory", str(sim_dir / "inventory.json"),
+    ]
+
+
 class TestModuleEntryPoint:
     def test_subprocess_prints_the_in_process_bytes(self, tmp_path, capsys):
-        sim_dir = tmp_path / "sim"
-        assert main(["simulate", "paper:grep", "--out", str(sim_dir)]) == 0
-        args = [
-            "compute",
-            "--power", str(sim_dir / "power.csv"),
-            "--runs", str(sim_dir / "runs.jsonl"),
-            "--inventory", str(sim_dir / "inventory.json"),
-        ]
+        args = grep_compute_args(tmp_path)
         capsys.readouterr()
         assert main(args) == 0
         in_process = capsys.readouterr().out.encode("utf-8")
-        child = subprocess.run(
-            [sys.executable, "-m", "axpue.cli", *args], capture_output=True, check=True
-        )
+        child = run_module(*args)
+        assert child.returncode == 0
         assert child.stdout == in_process
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_subprocess_writes_the_in_process_out_bytes(self, tmp_path, fmt):
+        args = [*grep_compute_args(tmp_path), "--format", fmt]
+        assert main([*args, "--out", str(tmp_path / "in_process")]) == 0
+        child = run_module(*args, "--out", str(tmp_path / "child"))
+        assert (child.returncode, child.stdout, child.stderr) == (0, b"", b"")
+        assert (tmp_path / "child").read_bytes() == (tmp_path / "in_process").read_bytes()
+
+    @pytest.mark.parametrize(
+        "power, runs, code",
+        [
+            (HEADER + "s1,0,100\ns1,5\n", run_line(), 2),
+            (HEADER + "s1,0,100\ns1,600,100\n", run_line(end=600.0), 3),
+        ],
+        ids=["parse-error", "coverage-gap"],
+    )
+    def test_subprocess_exit_code_and_stderr(self, tmp_path, capsys, power, runs, code):
+        args = ["compute", *write_inputs(tmp_path, power, runs), "--max-gap", "60"]
+        assert main(args) == code
+        err = capsys.readouterr().err
+        child = run_module(*args)
+        assert (child.returncode, child.stdout) == (code, b"")
+        assert child.stderr.decode("utf-8") == err
+
+    def test_csv_report_on_a_stdout_that_is_not_utf8(self, tmp_path):
+        # The report's bytes go to stdout as they go to --out, whatever the
+        # encoding of stdout's text layer.
+        args = grep_compute_args(tmp_path)
+        runs = tmp_path / "sim" / "runs.jsonl"
+        rows = [json.loads(line) for line in runs.read_text().splitlines()]
+        for row in rows:
+            row["run_id"] += "\u20ac"
+        runs.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        args += ["--format", "csv"]
+        assert main([*args, "--out", str(tmp_path / "report.csv")]) == 0
+        child = run_module(*args, PYTHONIOENCODING="latin-1")
+        assert (child.returncode, child.stderr) == (0, b"")
+        assert child.stdout == (tmp_path / "report.csv").read_bytes()
+        assert "Grep\u20ac".encode("utf-8") in child.stdout
+
+    def test_main_leaves_the_collector_alone(self, tmp_path, capsys):
+        # Only the command entry points freeze the heap before exit; a
+        # caller of main() goes on running.
+        frozen = gc.get_freeze_count()
+        assert main(grep_compute_args(tmp_path)) == 0
+        assert gc.get_freeze_count() == frozen
+        pyproject = tomllib.loads((Path(__file__).parent.parent / "pyproject.toml").read_text())
+        assert pyproject["project"]["scripts"]["axpue"] == "axpue.cli:console_main"

@@ -64,7 +64,8 @@ def fleet_csv(layout):
 
 
 def traced_peak(parse):
-    """The ``tracemalloc`` peak of ``parse()``, whose traces must have ``SAMPLES`` rows each."""
+    """The ``tracemalloc`` peak of ``parse()``, and the traces it returns,
+    which must have ``SAMPLES`` rows each."""
     tracemalloc.start()
     try:
         traces = parse()
@@ -72,7 +73,7 @@ def traced_peak(parse):
     finally:
         tracemalloc.stop()
     assert [len(trace) for trace in traces] == [SAMPLES] * DEVICES
-    return peak
+    return peak, traces
 
 
 class TestParsePowerCsv:
@@ -118,7 +119,7 @@ class TestParsePowerCsv:
         # into traces batch by batch; swapped rows send only their devices
         # through a sort.
         data = fleet_csv(layout)
-        peak = traced_peak(lambda: parse_power_csv(io.BytesIO(data)))
+        peak, _ = traced_peak(lambda: parse_power_csv(io.BytesIO(data)))
         assert peak < 1.8 * DEVICES * SAMPLES * 16
 
     def test_ranged_parse_memory_is_near_the_trace_size(self, tmp_path, monkeypatch):
@@ -130,8 +131,22 @@ class TestParsePowerCsv:
         path.write_bytes(fleet_csv("device-major"))
         with open(path, "rb") as f:
             assert len(axpue.io._range_cuts(f.fileno())) == 3
-            peak = traced_peak(lambda: parse_power_csv(f))
+            peak, _ = traced_peak(lambda: parse_power_csv(f))
         assert peak < 1.3 * DEVICES * SAMPLES * 16
+
+    @pytest.mark.parametrize("layout", ["device-major", "time-major"])
+    def test_ranged_parse_holds_a_shared_grid_once(self, tmp_path, monkeypatch, layout):
+        # Every device samples the same instants, so the traces hold one
+        # times array, 8 bytes a sample, and the child sends it once.  The
+        # parent's peak is then set by its own range's pieces and batches.
+        monkeypatch.setattr(axpue.io, "_RANGE_BYTES", 1)
+        monkeypatch.setattr(axpue.io, "_cpu_count", lambda: 2)
+        path = tmp_path / "power.csv"
+        path.write_bytes(fleet_csv(layout))
+        with open(path, "rb") as f:
+            peak, traces = traced_peak(lambda: parse_power_csv(f))
+        assert len({id(trace.times) for trace in traces}) == 1
+        assert peak < 1.1 * DEVICES * SAMPLES * 16
 
     def test_bad_header_rejected(self):
         with pytest.raises(ParseError) as excinfo:

@@ -623,6 +623,41 @@ def sorted_devices():
         yield names
 
 
+def assert_grids_shared(arrays):
+    """Each of ``arrays`` is read-only 1-D float64, and where every array of
+    one length, first and last time holds the same bits, they are one object."""
+    groups = {}
+    for times in arrays:
+        assert times.dtype == np.float64 and times.ndim == 1 and not times.flags.writeable
+        groups.setdefault((times.size, float(times[0]), float(times[-1])), []).append(times)
+    for group in groups.values():
+        if len({times.tobytes() for times in group}) == 1:
+            assert len({id(times) for times in group}) == 1
+
+
+@contextlib.contextmanager
+def checked_grids():
+    """The parser, checked for shared grids: in the traces it builds, whose
+    watts are read-only 1-D float64 too, and in the times a range's child
+    sends back (see ``assert_grids_shared``)."""
+    traces, merge = axpue.io._Samples.traces, axpue.io._Samples.merge
+
+    def traces_spy(samples):
+        built = traces(samples)
+        assert_grids_shared([trace.times for trace in built])
+        for trace in built:
+            assert trace.watts.dtype == np.float64 and trace.watts.ndim == 1
+            assert not trace.watts.flags.writeable
+        return built
+
+    def merge_spy(samples, names, columns, offset):
+        assert_grids_shared(columns[0])
+        return merge(samples, names, columns, offset)
+
+    with mock.patch.multiple(axpue.io._Samples, traces=traces_spy, merge=merge_spy):
+        yield
+
+
 BATCH = axpue.io._BATCH_ROWS
 
 
@@ -710,18 +745,51 @@ BATCH = axpue.io._BATCH_ROWS
 # A duplicate in a plain block, and in a csv.reader block with a blank line.
 @example(text=HEADER + rows(0, 0, 60), block=axpue.io._BLOCK_BYTES, batch=BATCH, cpus=2, range_bytes=1)
 @example(text=HEADER + rows(0) + "\n" + rows(0, 60), block=axpue.io._BLOCK_BYTES, batch=BATCH, cpus=2, range_bytes=1)
+# One grid, device-major and time-major, across a range cut: one times array.
+@example(
+    text=HEADER + "".join(rows(0, 30, 60, 90, device=d) for d in ("s1", "s2", "s3")),
+    block=12,
+    batch=2,
+    cpus=2,
+    range_bytes=1,
+)
+@example(
+    text=HEADER + "".join(rows(t, device=d) for t in (0, 30, 60, 90) for d in ("s1", "s2", "s3")),
+    block=axpue.io._BLOCK_BYTES,
+    batch=BATCH,
+    cpus=3,
+    range_bytes=1,
+)
+# Grids that differ only in -0.0 against 0.0, or only inside equal ends,
+# are not shared; their bits must come back as parsed.
+@example(text=HEADER + rows("-0.0", 60) + rows("0.0", 60, device="s2"), block=5, batch=1, cpus=2, range_bytes=1)
+@example(
+    text=HEADER + rows(0, 30, 60) + rows(0, 45, 60, device="s2") + rows(0, 30, 60, device="s3"),
+    block=axpue.io._BLOCK_BYTES,
+    batch=BATCH,
+    cpus=2,
+    range_bytes=1,
+)
+# A device that is sorted shares the grid that its sorted times equal.
+@example(
+    text=HEADER + rows(0, 30, 60) + rows(60, 0, 30, device="s2") + rows(90, 0, 30, device="s3"),
+    block=5,
+    batch=1,
+    cpus=2,
+    range_bytes=1,
+)
 def test_trace_building_matches_row_loop(tmp_path, text, block, batch, cpus, range_bytes):
     """Traces built from partitioned batches match the row loop, bit for
     bit, sorted devices included, and duplicates are reported with the
     same line; a device is sorted exactly when its times do not rise
-    strictly in file order."""
+    strictly in file order.  Devices on one grid share its times array."""
     expected = exact(reference(text))
-    with parser_sizes(block, batch=batch), sorted_devices() as sorted_names:
+    with parser_sizes(block, batch=batch), sorted_devices() as sorted_names, checked_grids():
         assert exact(parse_bytes(text)) == expected
     assert set(sorted_names) == unsorted_devices(text)
     path = tmp_path / "power.csv"
     path.write_bytes(text.encode())
-    with sorted_devices() as sorted_names:
+    with sorted_devices() as sorted_names, checked_grids():
         assert exact(ranged_outcome(path, cpus, range_bytes, block=block, batch=batch)[0]) == expected
     assert set(sorted_names) == unsorted_devices(text)
 
