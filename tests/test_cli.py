@@ -797,7 +797,7 @@ class TestModuleEntryPoint:
         assert child.stdout == (tmp_path / "report.csv").read_bytes()
         assert "Grep\u20ac".encode("utf-8") in child.stdout
 
-    def test_main_leaves_the_collector_alone(self, tmp_path, capsys):
+    def test_main_leaves_the_collector_alone(self, tmp_path):
         # Only the command entry points freeze the heap before exit; a
         # caller of main() goes on running.
         frozen = gc.get_freeze_count()
