@@ -15,13 +15,12 @@ import math
 import sys
 from pathlib import Path
 
-from .engine import aggregate_appue, analyze, compute_weights
+from .engine import analyze
 from .errors import (
     AxpueError,
     CoverageGapError,
     InvalidWindowError,
     NoSamplesError,
-    UnitMismatchError,
 )
 from .integrate import DEFAULT_MAX_GAP
 from .io import (
@@ -33,7 +32,7 @@ from .io import (
     report_csv_row,
     write_report,
 )
-from .model import MetricsReport
+from .model import MetricsReport, _power_weighted
 from .simulate import builtin_scenario, scenario_from_manifest, simulate
 
 EXIT_OK = 0
@@ -110,14 +109,12 @@ def _merged_rows(reports: list[MetricsReport]) -> tuple[list[list[str]], list[li
 def _aggregate_row(reports: list[MetricsReport]) -> list[str] | None:
     """Totals over every run, with ApPUE/AoPUE weighted by IT power share.
 
-    The weights and the weighted values follow the engine's rule for a
-    report's own aggregate; with mixed performance units the two cells are
-    left blank.
+    The weights and the weighted values follow the rule for a report's own
+    aggregate; with mixed performance units the two cells are left blank.
     """
     rows = [row for report in reports for row in report.per_run]
     if len(rows) < 2:
         return None
-    weights = compute_weights([r.it_power_kw for r in rows])
     it_total = math.fsum(r.it_power_kw for r in rows)
     facility_total = math.fsum(r.facility_power_kw for r in rows)
     out = [
@@ -129,17 +126,19 @@ def _aggregate_row(reports: list[MetricsReport]) -> list[str] | None:
         "",
         "",
     ]
-    units = [r.performance.reported()[1] for r in rows]
-    try:
-        appue = aggregate_appue([r.appue for r in rows], weights, units)
-        aopue = aggregate_appue([r.aopue for r in rows], weights, units)
-    except UnitMismatchError:
+    units = {r.performance.reported()[1] for r in rows}
+    if len(units) > 1:
         print(
             "warning: performance units differ across runs "
-            f"({', '.join(sorted(set(units)))}); aggregate ApPUE/AoPUE left blank",
+            f"({', '.join(sorted(units))}); aggregate ApPUE/AoPUE left blank",
             file=sys.stderr,
         )
         return out
+    it_kws = [r.it_power_kw for r in rows]
+    _, appue = _power_weighted(it_kws, [r.appue for r in rows])
+    # The reports' PUEs differ, so no one PUE divides the weighted ApPUE:
+    # the rows' AoPUEs are averaged instead.
+    _, aopue = _power_weighted(it_kws, [r.aopue for r in rows])
     out[5] = format_appue(appue)
     out[6] = format_quantity(aopue)
     return out

@@ -15,6 +15,13 @@ HPC flop/s (quoted as GFLOPS in reports).
 Powers are carried in kilowatts and rates in reporting units so that ApPUE
 and AoPUE are numerically the plain quotients a reader would form from a
 results table.
+
+This module turns telemetry and runs into a report's primary fields: the
+window's energies and each run's IT power and performance.  Every other
+field comes from one rule, ``axpue.model._derive_report``:
+:func:`build_report` takes a report's fields from it, and every
+:class:`~axpue.model.MetricsReport` is checked against it when constructed,
+so :func:`~axpue.io.read_report` rejects a report whose fields disagree.
 """
 
 from __future__ import annotations
@@ -25,14 +32,9 @@ from typing import Sequence
 
 from .errors import (
     InvalidWindowError,
-    NoRunsError,
     SharedDeviceConflictError,
-    ShapeMismatchError,
-    UnitMismatchError,
     UnknownDeviceError,
     ValidationError,
-    ZeroITEnergyError,
-    ZeroITPowerError,
 )
 from .integrate import (
     DEFAULT_MAX_GAP,
@@ -44,7 +46,6 @@ from .integrate import (
 )
 from .model import (
     RATE_UNIT_FOR_CATEGORY,
-    WEIGHT_SUM_TOL,
     ApplicationRun,
     DeviceCategory,
     EnergyWindow,
@@ -53,6 +54,7 @@ from .model import (
     PerformanceRate,
     RunMetrics,
     WorkKind,
+    _derive_report,
 )
 
 #: Allowed relative overshoot of summed per-run IT energy vs. the window's.
@@ -110,100 +112,15 @@ def compute_performance(run: ApplicationRun) -> PerformanceRate:
     )
 
 
-def compute_weights(it_powers_kw: Sequence[float]) -> list[float]:
-    """Per-run weights: each run's share of the summed IT power."""
-    if len(it_powers_kw) == 0:
-        raise NoRunsError("cannot weight an empty run list")
-    for p in it_powers_kw:
-        if p < 0 or not math.isfinite(p):
-            raise ValidationError(f"IT power must be finite and >= 0, got {p!r}")
-    total = math.fsum(it_powers_kw)
-    if total == 0:
-        raise ZeroITPowerError("all runs have zero IT power")
-    return [p / total for p in it_powers_kw]
-
-
-def aggregate_appue(
-    appues: Sequence[float], weights: Sequence[float], units: Sequence[str]
-) -> float:
-    """Weighted ApPUE across runs: sum of ApPUE_i * weight_i.
-
-    All runs must share one performance unit; mixing units makes the
-    aggregate meaningless.
-    """
-    if len(appues) != len(weights):
-        raise ShapeMismatchError(
-            f"{len(appues)} ApPUE values vs {len(weights)} weights"
-        )
-    if len(units) != len(appues):
-        raise ShapeMismatchError(f"{len(appues)} ApPUE values vs {len(units)} units")
-    if not appues:
-        raise NoRunsError("cannot aggregate an empty run list")
-    if len(set(units)) > 1:
-        raise UnitMismatchError(
-            f"cannot aggregate across performance units {sorted(set(units))!r}"
-        )
-    for w in weights:
-        if w < 0 or not math.isfinite(w):
-            raise ValidationError(f"weights must be finite and >= 0, got {w!r}")
-    total = math.fsum(weights)
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ValidationError(
-            f"weights sum to {total!r}, expected 1 +/- {WEIGHT_SUM_TOL}"
-        )
-    value = math.fsum(a * w for a, w in zip(appues, weights))
-    # A convex combination lies in [min, max] mathematically; clamp the
-    # one-ulp rounding spill so the invariant holds for the float too.
-    return min(max(value, min(appues)), max(appues))
-
-
 def build_report(
     inputs: MetricInputs, provenance: dict[str, object] | None = None
 ) -> MetricsReport:
-    """Assemble a full report from one window plus per-run inputs.
-
-    Per-run facility power is the run's IT power scaled by the window PUE
-    (facility overhead attributed proportionally to IT power), which makes
-    the AoPUE = ApPUE / PUE identity exact row-wise and equals the measured
-    facility power whenever a run spans the whole window.
-    """
-    window = inputs.window
-    if window.it_energy == 0:
-        raise ZeroITEnergyError("window holds no IT equipment energy")
-    pue = window.total_facility_energy / window.it_energy
-    it_kws = [r.it_power_kw for r in inputs.runs]
-    reported = [r.rate.reported() for r in inputs.runs]
-    weights = compute_weights(it_kws) if inputs.runs else []
-    rows = []
-    for run_input, it_kw, (magnitude, _), weight in zip(
-        inputs.runs, it_kws, reported, weights
-    ):
-        if it_kw <= 0:
-            raise ZeroITPowerError(f"IT power must be > 0 kW, got {it_kw!r}")
-        facility_kw = it_kw * pue
-        appue = magnitude / it_kw
-        aopue = magnitude / facility_kw
-        rows.append(
-            RunMetrics(
-                run_id=run_input.run.run_id,
-                category=run_input.run.category,
-                it_power_kw=it_kw,
-                facility_power_kw=facility_kw,
-                performance=run_input.rate,
-                appue=appue,
-                aopue=aopue,
-                weight=weight,
-            )
-        )
-    weighted_appue = None
-    aggregated_aopue = None
-    if rows:
-        weighted_appue = aggregate_appue(
-            [r.appue for r in rows],
-            weights,
-            units=[unit for _, unit in reported],
-        )
-        aggregated_aopue = weighted_appue / pue
+    """Assemble a full report from one window plus per-run inputs, with
+    every derived field from :func:`~axpue.model._derive_report`."""
+    pue, rows, weighted_appue, aggregated_aopue = _derive_report(
+        inputs.window,
+        [(r.run.run_id, r.run.category, r.it_power_kw, r.rate) for r in inputs.runs],
+    )
     base_provenance: dict[str, object] = {
         "integration_method": "trapezoidal",
         "kb_convention": "1 KB = 1000 bytes",
@@ -212,9 +129,9 @@ def build_report(
     if provenance:
         base_provenance.update(provenance)
     return MetricsReport(
-        window=window,
+        window=inputs.window,
         pue=pue,
-        per_run=tuple(rows),
+        per_run=tuple(RunMetrics(*row) for row in rows),
         weighted_appue=weighted_appue,
         aggregated_aopue=aggregated_aopue,
         provenance=base_provenance,

@@ -70,23 +70,17 @@ class UnknownDeviceError(AxpueError):
 
 
 class CategoryMismatchError(ValidationError):
-    """A run's work counter kind does not match its application category."""
+    """A run's work counter kind or performance unit does not match its
+    application category."""
 
 
 class ZeroITEnergyError(AxpueError):
     """PUE is undefined: the window holds no IT equipment energy."""
 
 
-class ZeroITPowerError(AxpueError):
-    """ApPUE or weights are undefined: average IT power is zero."""
-
-
-class NoRunsError(AxpueError):
-    """An aggregation was requested over an empty run list."""
-
-
-class ShapeMismatchError(AxpueError):
-    """Parallel sequences passed to an aggregation differ in length."""
+class ZeroITPowerError(ValidationError):
+    """ApPUE or weights are undefined: a run's average IT power is not
+    finite and > 0."""
 
 
 class UnitMismatchError(AxpueError):

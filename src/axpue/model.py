@@ -17,20 +17,17 @@ from .errors import (
     DuplicateDeviceError,
     InvalidDeviceError,
     InvalidWindowError,
+    UnitMismatchError,
     ValidationError,
+    ZeroITEnergyError,
+    ZeroITPowerError,
 )
 
 #: Tolerance on the sum of per-run weights in a report.
 WEIGHT_SUM_TOL = 1e-12
-#: Relative tolerance on a report's PUE, facility power and AoPUE identities.
+#: Relative tolerance between a report's stored derived fields and the values
+#: :func:`_derive_report` derives from its primary fields.
 IDENTITY_REL_TOL = 1e-9
-
-
-def verify_identity(appue: float, pue: float, aopue: float) -> bool:
-    """Check AoPUE = ApPUE / PUE within the report tolerance (pue must be > 0)."""
-    if pue <= 0:
-        return False
-    return abs(aopue - appue / pue) <= IDENTITY_REL_TOL * max(1.0, abs(aopue))
 
 
 class DeviceCategory(str, Enum):
@@ -289,15 +286,96 @@ class RunMetrics:
     weight: float
 
 
+def _power_weighted(it_kws: list[float], values: list[float]) -> tuple[list[float], float]:
+    """Each IT power's share of their sum, and the mean of ``values`` under
+    those weights.
+
+    A convex combination lies in [min, max] mathematically; the mean is
+    clamped there, so the one-ulp rounding spill cannot break that for the
+    float too.
+    """
+    total = math.fsum(it_kws)
+    weights = [p / total for p in it_kws]
+    mean = math.fsum(v * w for v, w in zip(values, weights))
+    return weights, min(max(mean, min(values)), max(values))
+
+
+def _derive_report(
+    window: EnergyWindow, rows: list[tuple[str, ApplicationCategory, float, PerformanceRate]]
+) -> tuple[float, list[tuple], float | None, float | None]:
+    """Every derived field of a report, from its primary fields: the
+    window's energies and each row's run id, category, IT power (kW) and
+    performance.
+
+    Returns the PUE, each row's fields as a tuple in :class:`RunMetrics`
+    order, and the weighted ApPUE and aggregated AoPUE (None with no rows).
+    A run's facility power is its IT power scaled by the window PUE
+    (facility overhead attributed in proportion to IT power), so AoPUE =
+    ApPUE / PUE holds row-wise, and the facility power equals the measured
+    one whenever a run spans the whole window.  A run's weight is its share
+    of the summed IT power.
+
+    Every row needs an IT power that is finite and > 0, and the performance
+    unit of its category; the rows must share one performance unit.
+    """
+    if window.it_energy == 0:
+        raise ZeroITEnergyError("window holds no IT equipment energy")
+    pue = window.total_facility_energy / window.it_energy
+    if not rows:
+        return pue, [], None, None
+    magnitudes, labels = [], set()
+    for run_id, category, it_kw, performance in rows:
+        if not (math.isfinite(it_kw) and it_kw > 0):
+            raise ZeroITPowerError(
+                f"run {run_id!r}: it_power_kw must be finite and > 0, got {it_kw!r}"
+            )
+        if performance.unit is not (expected := RATE_UNIT_FOR_CATEGORY[category]):
+            raise CategoryMismatchError(
+                f"run {run_id!r}: category {category.value} requires "
+                f"{expected.value} performance, got {performance.unit.value}"
+            )
+        magnitude, label = performance.reported()
+        magnitudes.append(magnitude)
+        labels.add(label)
+    if len(labels) > 1:
+        raise UnitMismatchError(f"cannot aggregate across performance units {sorted(labels)!r}")
+    it_kws = [row[2] for row in rows]
+    facility_kws = [it_kw * pue for it_kw in it_kws]
+    appues = [m / it_kw for m, it_kw in zip(magnitudes, it_kws)]
+    weights, weighted_appue = _power_weighted(it_kws, appues)
+    derived = [
+        (run_id, category, it_kw, facility_kw, performance, appue, m / facility_kw, weight)
+        for (run_id, category, it_kw, performance), facility_kw, appue, m, weight in zip(
+            rows, facility_kws, appues, magnitudes, weights
+        )
+    ]
+    return pue, derived, weighted_appue, weighted_appue / pue
+
+
+#: A row's derived fields: name, index in :func:`_derive_report`'s row
+#: tuples, and the rule that derives it.
+_ROW_RULES = (
+    ("facility_power_kw", 3, "it_power_kw * pue"),
+    ("appue", 5, "performance / it_power_kw"),
+    ("aopue", 6, "performance / facility_power_kw"),
+    ("weight", 7, "it_power_kw / summed it_power_kw"),
+)
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """PUE plus per-run ApPUE/AoPUE rows, weights, and aggregates.
 
-    Construction re-checks the report-level invariants: PUE >= 1 and equals
-    the window's total facility energy over its IT energy, weights sum to
-    one, and every row has a finite IT power above zero, finite facility
-    power, ApPUE and AoPUE, and satisfies facility power = IT power * PUE
-    and AoPUE = ApPUE / PUE.  The equalities hold within ``IDENTITY_REL_TOL``.
+    The primary fields are the window's energies and each row's run id,
+    category, IT power and performance; every other field is derived from
+    them by one rule, :func:`_derive_report`.  Construction checks that PUE
+    is finite and >= 1, that the weights sum to one, that every row's IT
+    power is finite and > 0 and its facility power, ApPUE and AoPUE are
+    finite, and that every derived field equals the rule's value within
+    ``IDENTITY_REL_TOL``.  A violation raises a :class:`ValidationError`
+    that names the field, and the run for a row's field.  Rows of mixed
+    performance units raise :class:`UnitMismatchError`, and a window
+    without IT energy :class:`ZeroITEnergyError`.
     """
 
     window: EnergyWindow
@@ -311,34 +389,32 @@ class MetricsReport:
         object.__setattr__(self, "per_run", tuple(self.per_run))
         if not (math.isfinite(self.pue) and self.pue >= 1):
             raise ValidationError(f"pue must be finite and >= 1, got {self.pue!r}")
-        it_energy = self.window.it_energy
-        measured = self.window.total_facility_energy / it_energy if it_energy else math.inf
-        if not math.isclose(self.pue, measured, rel_tol=IDENTITY_REL_TOL):
-            raise ValidationError(
-                f"pue {self.pue!r} != total facility energy / IT energy {measured!r}"
-            )
+        pue, rows, weighted_appue, aggregated_aopue = _derive_report(
+            self.window,
+            [(r.run_id, r.category, r.it_power_kw, r.performance) for r in self.per_run],
+        )
+        if not math.isclose(self.pue, pue, rel_tol=IDENTITY_REL_TOL):
+            raise ValidationError(f"pue {self.pue!r} != total facility energy / IT energy {pue!r}")
         if self.per_run:
             total = math.fsum(row.weight for row in self.per_run)
             if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # NaN compares false, so it fails
                 raise ValidationError(f"weights sum to {total!r}, expected 1")
-        for row in self.per_run:
-            if not (math.isfinite(row.it_power_kw) and row.it_power_kw > 0):
-                raise ValidationError(
-                    f"run {row.run_id!r}: it_power_kw must be finite and > 0, "
-                    f"got {row.it_power_kw!r}"
-                )
-            # isclose(inf, inf) holds, so an overflow would pass the checks below.
-            for name in ("facility_power_kw", "appue", "aopue"):
+        for row, derived in zip(self.per_run, rows):
+            for name, i, rule in _ROW_RULES:
+                # isclose(inf, inf) holds, so an overflow needs its own check.
                 if not math.isfinite(value := getattr(row, name)):
                     raise ValidationError(f"run {row.run_id!r}: {name} must be finite, got {value!r}")
-            facility_kw = row.it_power_kw * self.pue
-            if not math.isclose(row.facility_power_kw, facility_kw, rel_tol=IDENTITY_REL_TOL):
-                raise ValidationError(
-                    f"run {row.run_id!r}: facility_power_kw {row.facility_power_kw!r} != "
-                    f"it_power_kw * pue {facility_kw!r}"
-                )
-            if not verify_identity(row.appue, self.pue, row.aopue):
-                raise ValidationError(
-                    f"run {row.run_id!r}: aopue {row.aopue!r} != "
-                    f"appue/pue {row.appue / self.pue!r}"
-                )
+                if not math.isclose(value, derived[i], rel_tol=IDENTITY_REL_TOL):
+                    raise ValidationError(
+                        f"run {row.run_id!r}: {name} {value!r} != {rule} {derived[i]!r}"
+                    )
+        for name, value, rule, derived in (
+            ("weighted_appue", self.weighted_appue, "IT-power-weighted appue", weighted_appue),
+            ("aggregated_aopue", self.aggregated_aopue, "weighted_appue / pue", aggregated_aopue),
+        ):
+            if value is None or derived is None:
+                agrees = value is derived
+            else:
+                agrees = math.isclose(value, derived, rel_tol=IDENTITY_REL_TOL)
+            if not agrees:
+                raise ValidationError(f"{name} {value!r} != {rule} {derived!r}")

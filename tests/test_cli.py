@@ -332,7 +332,10 @@ class TestSimulateCommand:
 
 
 def single_run_report(run_id: str, it_power_kw: float) -> str:
-    """A hand-written one-run report; its PUE is 1.5 and its ApPUE 2.0."""
+    """A hand-written one-run report of 10 KB/s at PUE 1.5, its ApPUE, AoPUE
+    and aggregates derived from its IT power (a zero IT power, which the
+    reader rejects first, is given ApPUE 0)."""
+    appue = 10.0 / it_power_kw if it_power_kw else 0.0
     return json.dumps(
         {
             "schema": "axpue-report/1",
@@ -349,13 +352,13 @@ def single_run_report(run_id: str, it_power_kw: float) -> str:
                     "it_power_kw": it_power_kw,
                     "facility_power_kw": it_power_kw * 1.5,
                     "performance": {"value": 10.0, "unit": "kb_per_second"},
-                    "appue": 2.0,
-                    "aopue": 2.0 / 1.5,
+                    "appue": appue,
+                    "aopue": appue / 1.5,
                     "weight": 1.0,
                 }
             ],
-            "weighted_appue": 2.0,
-            "aggregated_aopue": 2.0 / 1.5,
+            "weighted_appue": appue,
+            "aggregated_aopue": appue / 1.5,
             "provenance": {},
         }
     )
@@ -542,6 +545,105 @@ class TestReportCommand:
         assert capsys.readouterr().err == (
             f"error: {path}: malformed report document: int too large to convert to float\n"
         )
+
+
+def two_run_report(tmp_path) -> Path:
+    """``axpue compute``'s JSON report of runs 'a' (100 W) and 'b' (300 W)
+    on a facility with 200 W of cooling."""
+    inventory = json.dumps(
+        [
+            {"device_id": device_id, "category": category, "label": ""}
+            for device_id, category in [("s1", "it_equipment"), ("s2", "it_equipment"), ("c", "cooling")]
+        ]
+    )
+    power = HEADER + "".join(
+        f"{device_id},{t},{watts}\n" for device_id, watts in [("s1", 100), ("s2", 300), ("c", 200)] for t in (0, 50, 100)
+    )
+    runs = run_line(run_id="a", devices=["s1"]) + run_line(
+        run_id="b", devices=["s2"], work={"type": "bytes_processed", "value": 5 * 10**9}
+    )
+    path = tmp_path / "two.json"
+    assert main(["compute", *write_inputs(tmp_path, power, runs, inventory), "--out", str(path)]) == 0
+    return path
+
+
+def scale_appue_and_aopue(doc):
+    for row in doc["per_run"]:
+        row["appue"] *= 10
+        row["aopue"] *= 10
+
+
+def set_weighted_appue(doc):
+    doc["weighted_appue"] = 9999
+    doc["aggregated_aopue"] = 9999 / doc["pue"]
+
+
+def scale_performance(doc):
+    for row in doc["per_run"]:
+        row["performance"]["value"] *= 10
+
+
+def empty_per_run(doc):
+    doc["per_run"] = []
+
+
+def null_aggregates(doc):
+    doc["weighted_appue"] = doc["aggregated_aopue"] = None
+
+
+def swap_weights(doc):
+    a, b = doc["per_run"]
+    a["weight"], b["weight"] = b["weight"], a["weight"]
+
+
+def double_it_power(doc):
+    row = doc["per_run"][0]
+    for name in ("it_power_kw", "facility_power_kw"):
+        row[name] *= 2
+    for name in ("appue", "aopue"):
+        row[name] /= 2
+
+
+def service_unit_for_data_analysis(doc):
+    doc["per_run"][0]["performance"]["unit"] = "requests_per_second"
+
+
+#: Each edit of a two-run report, and the start of the error it gets.
+FORGERIES = [
+    (scale_appue_and_aopue, "run 'a': appue "),
+    (set_weighted_appue, "weighted_appue 9999 != "),
+    (scale_performance, "run 'a': appue "),
+    (empty_per_run, "weighted_appue 150000.0 != IT-power-weighted appue None"),
+    (null_aggregates, "weighted_appue None != IT-power-weighted appue 150000.0"),
+    (swap_weights, "run 'a': weight 0.7499999999999999 != it_power_kw / summed it_power_kw 0.25"),
+    (double_it_power, "run 'a': weight 0.25 != it_power_kw / summed it_power_kw 0.4"),
+    (
+        service_unit_for_data_analysis,
+        "run 'a': category data_analysis requires kb_per_second performance, "
+        "got requests_per_second",
+    ),
+]
+
+
+class TestForgedReports:
+    """A report whose derived fields disagree with its primary fields is
+    rejected when it is read, naming the field and, for a row, the run."""
+
+    @pytest.mark.parametrize(
+        "forge, message",
+        FORGERIES,
+        ids=[forge.__name__.replace("_", "-") for forge, _ in FORGERIES],
+    )
+    def test_forgery_exits_2(self, tmp_path, capsys, forge, message):
+        path = two_run_report(tmp_path)
+        doc = json.loads(path.read_text())
+        forge(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: {message}")
 
 
 #: A JSON integer literal past Python's int-to-str digit limit (4,300 by default).

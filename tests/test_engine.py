@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 
@@ -31,21 +32,18 @@ from axpue import (
     parse_runs_jsonl,
     simulate,
 )
-from axpue import integrate
-from axpue.engine import aggregate_appue, compute_weights
+from axpue import MetricsReport, RunMetrics, integrate
 from axpue.integrate import category_energy
 from axpue.errors import (
+    CategoryMismatchError,
     InvalidWindowError,
-    NoRunsError,
     SharedDeviceConflictError,
-    ShapeMismatchError,
     UnitMismatchError,
     UnknownDeviceError,
     ValidationError,
     ZeroITEnergyError,
     ZeroITPowerError,
 )
-from axpue.model import verify_identity
 from conftest import random_metric_inputs
 
 
@@ -129,7 +127,9 @@ class TestComputeAppue:
                 RunInput(data_run("busy", 0.0, 3600.0, 1.0), window.it_energy, kb_rate(1.0)),
             ),
         )
-        with pytest.raises(ZeroITPowerError, match=r"IT power must be > 0 kW, got 0\.0"):
+        with pytest.raises(
+            ZeroITPowerError, match=r"run 'idle': it_power_kw must be finite and > 0, got 0\.0"
+        ):
             build_report(inputs)
 
     def test_gflops_magnitude_used_for_hpc(self):
@@ -138,75 +138,107 @@ class TestComputeAppue:
         assert report.per_run[0].appue == pytest.approx(0.411, abs=1e-3)
 
 
+def report_of_powers(it_kws, appues=None) -> MetricsReport:
+    """Report of data-analysis runs over [0, 1000] s at the given IT powers
+    (kW), each at ApPUE 1 unless ``appues`` are given.  An integer-valued
+    power and an ApPUE with few significant bits are derived back exactly."""
+    appues = [1.0] * len(it_kws) if appues is None else appues
+    window = window_for_powers(math.fsum(it_kws), 1.5 * math.fsum(it_kws), duration=1000.0)
+    return build_report(
+        MetricInputs(
+            window,
+            tuple(
+                RunInput(data_run(f"r{i}", 0.0, 1000.0, 1.0), p * 1e6, kb_rate(a * p))
+                for i, (p, a) in enumerate(zip(it_kws, appues))
+            ),
+        )
+    )
+
+
+def weights_of(it_kws) -> list[float]:
+    return [row.weight for row in report_of_powers(it_kws).per_run]
+
+
 class TestComputeWeights:
     def test_symmetric(self):
-        assert compute_weights([100.0, 100.0]) == [0.5, 0.5]
+        assert weights_of([100.0, 100.0]) == [0.5, 0.5]
 
     def test_published_sort_grep_pair(self):
-        weights = compute_weights([92.122, 92.331])
+        weights = weights_of([92.122, 92.331])
         total = 92.122 + 92.331
         assert weights == pytest.approx([92.122 / total, 92.331 / total], rel=1e-12)
         assert weights == pytest.approx([0.499434, 0.500566], abs=1e-6)
 
     def test_single_run(self):
-        assert compute_weights([42.0]) == [1.0]
+        assert weights_of([42.0]) == [1.0]
 
     def test_sum_is_one(self, rng):
         for _ in range(50):
             powers = rng.uniform(0.01, 500.0, size=rng.integers(1, 8)).tolist()
-            assert math.fsum(compute_weights(powers)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(NoRunsError):
-            compute_weights([])
+            assert math.fsum(weights_of(powers)) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_zero_rejected(self):
+        window = window_for_powers(100.0, 150.0)
+        runs = tuple(RunInput(data_run(r, 0.0, 3600.0, 1.0), 0.0, kb_rate(1.0)) for r in "ab")
         with pytest.raises(ZeroITPowerError):
-            compute_weights([0.0, 0.0])
+            build_report(MetricInputs(window, runs))
+
+
+def report_with_rows(*rows: RunMetrics, **fields) -> MetricsReport:
+    """A report at PUE 1.5 (IT energy 2, cooling 1) holding ``rows``."""
+    window = EnergyWindow(0.0, 1.0, {DeviceCategory.IT_EQUIPMENT: 2.0, DeviceCategory.COOLING: 1.0})
+    return MetricsReport(**{"window": window, "pue": 1.5, "per_run": rows, **fields})
+
+
+def kb_row(run_id: str, it_kw: float, rate: float, weight: float) -> RunMetrics:
+    """A data-analysis row at PUE 1.5 whose ApPUE and AoPUE fit its inputs."""
+    return RunMetrics(
+        run_id, ApplicationCategory.DATA_ANALYSIS, it_kw, it_kw * 1.5, kb_rate(rate),
+        rate / it_kw, rate / (it_kw * 1.5), weight,
+    )
 
 
 class TestAggregateAppue:
-    KB = ["KB/s", "KB/s"]
-
     def test_hand_summed_pair(self):
-        assert aggregate_appue([17.2394, 269.866], [0.5, 0.5], self.KB) == pytest.approx(
-            143.5527, abs=1e-9
-        )
+        report = report_of_powers([50.0, 50.0], appues=[17.2394, 269.866])
+        assert report.weighted_appue == pytest.approx(143.5527, abs=1e-9)
 
     def test_degenerate_single(self):
-        assert aggregate_appue([7.25], [1.0], ["KB/s"]) == 7.25
+        assert report_of_powers([3.0], appues=[7.25]).weighted_appue == 7.25
 
     def test_equal_values_fixed_point(self, rng):
         for _ in range(20):
-            weights = compute_weights(rng.uniform(0.1, 10.0, size=4).tolist())
-            assert aggregate_appue([3.75] * 4, weights, ["KB/s"] * 4) == 3.75
+            powers = rng.integers(1, 1000, size=4).astype(float).tolist()
+            assert report_of_powers(powers, appues=[3.75] * 4).weighted_appue == 3.75
 
     def test_convex_bounds(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 8))
             appues = rng.uniform(0.01, 300.0, size=n).tolist()
-            weights = compute_weights(rng.uniform(0.1, 10.0, size=n).tolist())
-            value = aggregate_appue(appues, weights, ["KB/s"] * n)
-            assert min(appues) <= value <= max(appues)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ShapeMismatchError):
-            aggregate_appue([1.0, 2.0], [1.0], self.KB)
-        with pytest.raises(ShapeMismatchError):
-            aggregate_appue([1.0, 2.0], [0.5, 0.5], ["KB/s"])
+            report = report_of_powers(rng.uniform(0.1, 10.0, size=n).tolist(), appues)
+            derived = [row.appue for row in report.per_run]
+            assert min(derived) <= report.weighted_appue <= max(derived)
 
     def test_mixed_units_rejected(self):
-        with pytest.raises(UnitMismatchError):
-            aggregate_appue([1.0, 2.0], [0.5, 0.5], ["KB/s", "GFLOPS"])
+        hpc = RunMetrics(
+            "hpc", ApplicationCategory.HIGH_PERFORMANCE_COMPUTING, 1.0, 1.5,
+            PerformanceRate(2e9, RateUnit.FLOPS_PER_SECOND), 2.0, 2.0 / 1.5, 0.5,
+        )
+        with pytest.raises(UnitMismatchError, match=r"\['GFLOPS', 'KB/s'\]"):
+            report_with_rows(
+                kb_row("da", 1.0, 2.0, 0.5), hpc, weighted_appue=2.0, aggregated_aopue=2.0 / 1.5
+            )
 
     def test_bad_weight_sum_rejected(self):
-        with pytest.raises(ValidationError):
-            aggregate_appue([1.0, 2.0], [0.4, 0.4], self.KB)
+        rows = (kb_row("a", 1.0, 1.0, 0.4), kb_row("b", 1.0, 2.0, 0.4))
+        with pytest.raises(ValidationError, match=r"weights sum to 0\.8, expected 1"):
+            report_with_rows(*rows, weighted_appue=1.5, aggregated_aopue=1.0)
 
     def test_weight_sum_held_to_the_report_tolerance(self):
-        # 1e-10 off is inside the old 1e-9 slack but outside WEIGHT_SUM_TOL.
-        with pytest.raises(ValidationError, match=r"expected 1 \+/- 1e-12"):
-            aggregate_appue([1.0, 2.0], [0.5, 0.5 + 1e-10], self.KB)
+        # 1e-10 off is inside IDENTITY_REL_TOL but outside WEIGHT_SUM_TOL.
+        rows = (kb_row("a", 1.0, 1.0, 0.5), kb_row("b", 1.0, 2.0, 0.5 + 1e-10))
+        with pytest.raises(ValidationError, match=r"weights sum to 1\.0000000001, expected 1$"):
+            report_with_rows(*rows, weighted_appue=1.5, aggregated_aopue=1.0)
 
 
 class TestComputeAopue:
@@ -225,17 +257,27 @@ class TestComputeAopue:
 
 
 class TestVerifyIdentity:
+    """AoPUE = ApPUE / PUE row-wise, checked when a report is constructed."""
+
     def test_published_row_consistency(self):
-        pue = 147.323 / 100.412
-        appue = 563.271 / 100.412
-        aopue = 563.271 / 147.323
-        assert verify_identity(appue, pue, aopue)
+        report = report_with_rows(
+            kb_row("BigDataBench", 100.412, 563.271, 1.0),
+            weighted_appue=563.271 / 100.412,
+            aggregated_aopue=563.271 / 100.412 / 1.5,
+        )
+        row = report.per_run[0]
+        assert row.aopue == pytest.approx(row.appue / report.pue, rel=1e-15)
 
     def test_trivial_true(self):
-        assert verify_identity(1.0, 1.0, 1.0)
+        window = EnergyWindow(0.0, 1.0, {DeviceCategory.IT_EQUIPMENT: 1.0})
+        row = RunMetrics("r", ApplicationCategory.DATA_ANALYSIS, 1.0, 1.0, kb_rate(1.0), 1.0, 1.0, 1.0)
+        report = MetricsReport(window, 1.0, (row,), 1.0, 1.0)
+        assert report.per_run[0].aopue == 1.0
 
     def test_violation_detected(self):
-        assert not verify_identity(2.0, 1.0, 3.0)
+        row = dataclasses.replace(kb_row("r", 1.0, 2.0, 1.0), aopue=3.0)
+        with pytest.raises(ValidationError, match=r"^run 'r': aopue 3\.0 != performance / facility_power_kw"):
+            report_with_rows(row, weighted_appue=2.0, aggregated_aopue=2.0 / 1.5)
 
 
 def data_run(run_id: str, start: float, end: float, kb: float, devices={"it-00"}):
@@ -308,7 +350,7 @@ class TestBuildReport:
         for _ in range(100):
             report = build_report(random_metric_inputs(rng))
             for row in report.per_run:
-                assert verify_identity(row.appue, report.pue, row.aopue)
+                assert row.aopue == pytest.approx(row.appue / report.pue, rel=1e-12)
 
     def test_mixed_units_rejected(self):
         window = window_for_powers(100.0, 150.0)
@@ -329,6 +371,17 @@ class TestBuildReport:
         )
         with pytest.raises(UnitMismatchError):
             build_report(inputs)
+
+    def test_rate_unit_must_match_category(self):
+        window = window_for_powers(100.0, 150.0)
+        rate = PerformanceRate(5.0, RateUnit.REQUESTS_PER_SECOND)
+        inputs = MetricInputs(window, (RunInput(data_run("da", 0.0, 100.0, 1e5), 1e7, rate),))
+        with pytest.raises(CategoryMismatchError) as info:
+            build_report(inputs)
+        assert str(info.value) == (
+            "run 'da': category data_analysis requires kb_per_second performance, "
+            "got requests_per_second"
+        )
 
     def test_attribution_budget_enforced(self):
         window = window_for_powers(100.0, 150.0, duration=100.0)

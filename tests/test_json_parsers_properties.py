@@ -17,7 +17,8 @@ import json
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from axpue import (
@@ -39,7 +40,7 @@ from axpue import (
 )
 from axpue.errors import AxpueError
 from axpue.io import write_inventory_json, write_runs_jsonl
-from axpue.model import WORK_KIND_FOR_CATEGORY
+from axpue.model import RATE_UNIT_FOR_CATEGORY, WORK_KIND_FOR_CATEGORY, _derive_report
 from conftest import random_metric_inputs
 
 SCALARS = st.one_of(
@@ -248,6 +249,31 @@ def test_report_write_then_read_round_trips(seed):
     assert write_report(read_report(data)) == data
 
 
+#: A report document's derived fields: top-level keys, then row keys.
+DERIVED_FIELDS = ("pue", "weighted_appue", "aggregated_aopue")
+DERIVED_ROW_FIELDS = ("facility_power_kw", "appue", "aopue", "weight")
+
+
+@st.composite
+def forged_reports(draw):
+    """A built report's JSON with one derived field scaled outside the
+    identity tolerance, and that field's name."""
+    doc = json.loads(report_bytes(draw(st.integers(0, 2**32 - 1))))
+    name = draw(st.sampled_from(DERIVED_FIELDS + DERIVED_ROW_FIELDS))
+    where = doc if name in DERIVED_FIELDS else draw(st.sampled_from(doc["per_run"]))
+    where[name] *= draw(st.floats(1e-3, 1e3).filter(lambda f: abs(f - 1) >= 1e-8))
+    return json.dumps(doc), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(forged=forged_reports())
+def test_report_with_a_scaled_derived_field_is_rejected(forged):
+    data, name = forged
+    # "weights sum to ..." names a weight; "aopue" must not pass for "pue".
+    with pytest.raises(AxpueError, match=rf"(^|: ){name}s? "):
+        read_report(data)
+
+
 
 # --- report JSON writer against json.dump -----------------------------------
 
@@ -304,9 +330,19 @@ def report_as_dict(report: MetricsReport) -> dict:
     }
 
 
+def respelled(draw, value):
+    """``value``, or the int equal to it: the field's JSON spelling changes,
+    the value that ``MetricsReport`` checks does not."""
+    if type(value) is float and value.is_integer() and abs(value) < 2**53 and draw(st.booleans()):
+        return int(value)
+    return value
+
+
 @st.composite
 def metrics_reports(draw):
-    """A valid report with zero to five rows and awkward numbers and strings."""
+    """A valid report with zero to five rows of one category, and awkward
+    numbers and strings; its derived fields are those of its primary ones,
+    some spelled as integers."""
     start, end = sorted(draw(st.lists(NUMBERS, min_size=2, max_size=2, unique=True)))
     it_energy = draw(st.one_of(AWKWARD_FLOATS, st.floats(0, 1e300)).filter(lambda j: j > 0))
     window = EnergyWindow(
@@ -321,37 +357,35 @@ def metrics_reports(draw):
     pue = window.total_facility_energy / window.it_energy
     if pue == 1 and draw(st.booleans()):
         pue = 1
-    n_rows = draw(st.integers(0, 5))
-    # One row carries the weight; the others' tiny weights keep the sum at 1.
-    heavy = draw(st.integers(0, max(n_rows - 1, 0)))
-    rows = []
-    for i in range(n_rows):
-        # Facility power is IT power times PUE, and must not overflow.
-        it_power_kw = draw(NUMBERS.filter(lambda p: p > 0 and math.isfinite(p * pue)))
-        appue = draw(NUMBERS)
-        rows.append(
-            RunMetrics(
-                run_id=draw(ESCAPED_TEXT),
-                category=draw(st.sampled_from(list(ApplicationCategory))),
-                it_power_kw=it_power_kw,
-                facility_power_kw=it_power_kw * pue,
-                performance=PerformanceRate(
-                    value=draw(NUMBERS.filter(lambda v: v >= 0)),
-                    unit=draw(st.sampled_from(list(RateUnit))),
-                ),
-                appue=appue,
-                aopue=appue / pue,
-                weight=draw(
-                    st.sampled_from([1, 1.0] if i == heavy else [0, 0.0, -0.0, 5e-324, 1e-15])
-                ),
-            )
+    unit = RATE_UNIT_FOR_CATEGORY[category := draw(st.sampled_from(list(ApplicationCategory)))]
+    primaries = [
+        (
+            draw(ESCAPED_TEXT),
+            category,
+            # Facility power is IT power times PUE, and neither it nor the
+            # summed IT power may overflow.
+            draw(NUMBERS.filter(lambda p: 0 < p <= 1e300 and math.isfinite(p * pue))),
+            PerformanceRate(value=draw(NUMBERS.filter(lambda v: v >= 0)), unit=unit),
         )
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    _, rows, weighted_appue, aggregated_aopue = _derive_report(window, primaries)
+    assume(all(math.isfinite(row[5]) for row in rows))  # a tiny IT power overflows ApPUE
     return MetricsReport(
         window=window,
         pue=pue,
-        per_run=rows,
-        weighted_appue=draw(st.one_of(st.none(), NUMBERS)),
-        aggregated_aopue=draw(st.one_of(st.none(), NUMBERS)),
+        per_run=[
+            RunMetrics(
+                run_id, category, it_power_kw, respelled(draw, facility_power_kw), performance,
+                *(respelled(draw, value) for value in (appue, aopue, weight)),
+            )
+            for run_id, category, it_power_kw, facility_power_kw, performance, appue, aopue, weight
+            in rows
+        ],
+        weighted_appue=weighted_appue if weighted_appue is None else respelled(draw, weighted_appue),
+        aggregated_aopue=(
+            aggregated_aopue if aggregated_aopue is None else respelled(draw, aggregated_aopue)
+        ),
         provenance=draw(
             st.dictionaries(
                 st.one_of(st.sampled_from(["per_run", '"per_run": []', "window"]), ESCAPED_TEXT),
@@ -410,29 +444,28 @@ def reports_with_float_subclasses(draw):
 
 
 def report_of_rows(*rows):
-    """A report at PUE 1.5 with one row per (run_id, IT kW, rate, ApPUE, weight)."""
+    """A service report at PUE 1.5 with one row per (run_id, IT kW, rate,
+    ApPUE, weight); the ApPUE and weight spell the values derived from the
+    rows' IT powers and rates, which give every other derived field."""
+    window = EnergyWindow(
+        start=0,
+        end=1,
+        energy_by_category={DeviceCategory.IT_EQUIPMENT: 1.0, DeviceCategory.COOLING: 0.5},
+    )
+    primaries = [
+        (run_id, ApplicationCategory.SERVICE, it_kw, PerformanceRate(rate, RateUnit.REQUESTS_PER_SECOND))
+        for run_id, it_kw, rate, _, _ in rows
+    ]
+    _, _, weighted_appue, aggregated_aopue = _derive_report(window, primaries)
     return MetricsReport(
-        window=EnergyWindow(
-            start=0,
-            end=1,
-            energy_by_category={DeviceCategory.IT_EQUIPMENT: 1.0, DeviceCategory.COOLING: 0.5},
-        ),
+        window=window,
         pue=1.5,
         per_run=[
-            RunMetrics(
-                run_id=run_id,
-                category=ApplicationCategory.SERVICE,
-                it_power_kw=it_kw,
-                facility_power_kw=it_kw * 1.5,
-                performance=PerformanceRate(rate, RateUnit.REQUESTS_PER_SECOND),
-                appue=appue,
-                aopue=appue / 1.5,
-                weight=weight,
-            )
-            for run_id, it_kw, rate, appue, weight in rows
+            RunMetrics(run_id, category, it_kw, it_kw * 1.5, rate, appue, appue / 1.5, weight)
+            for (run_id, category, it_kw, rate), (_, _, _, appue, weight) in zip(primaries, rows)
         ],
-        weighted_appue=None,
-        aggregated_aopue=None,
+        weighted_appue=weighted_appue,
+        aggregated_aopue=aggregated_aopue,
     )
 
 
@@ -440,9 +473,9 @@ def report_of_rows(*rows):
 @given(report=reports_with_float_subclasses())
 # Columns that mix int and float, hold -0.0 or np.float64, or whose finite
 # floats sum past the float range; run ids with quotes and non-ASCII.
-@example(report=report_of_rows(('"q\u00e9"', 2, np.float64(3.0), 1.5e308, 1), ("\u2028\\", 2.5, 7, 1.5e308, -0.0)))
-@example(report=report_of_rows(("a", np.float64(2.0), 0.0, -0.0, 1.0), ("b", 2.0, 1e-300, 1, 0)))
-@example(report=report_of_rows(("\ud800\U0001f600", FloatSubclass(1.25), 5, 3, FloatSubclass(1.0))))
+@example(report=report_of_rows(('"q\u00e9"', 1, np.float64(1.5e308), 1.5e308, 0.5), ("\u2028\\", 1.0, 1.5e308, 1.5e308, 0.5)))
+@example(report=report_of_rows(("a", np.float64(2.0), 0.0, -0.0, 0.5), ("b", 2.0, 2, 1, 0.5)))
+@example(report=report_of_rows(("\ud800\U0001f600", FloatSubclass(1.25), 5, 4, FloatSubclass(1.0))))
 def test_report_writer_matches_json_dump_off_the_column_fast_path(report):
     out = io.StringIO()
     json.dump(report_as_dict(report), out, sort_keys=True, indent=2)
