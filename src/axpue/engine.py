@@ -117,9 +117,13 @@ def build_report(
 ) -> MetricsReport:
     """Assemble a full report from one window plus per-run inputs, with
     every derived field from :func:`~axpue.model._derive_report`."""
-    pue, rows, weighted_appue, aggregated_aopue = _derive_report(
-        inputs.window,
-        [(r.run.run_id, r.run.category, r.it_power_kw, r.rate) for r in inputs.runs],
+    runs = inputs.runs
+    run_ids = [r.run.run_id for r in runs]
+    categories = [r.run.category for r in runs]
+    it_kws = [r.it_power_kw for r in runs]
+    rates = [r.rate for r in runs]
+    pue, (facility_kws, appues, aopues, weights), weighted_appue, aggregated_aopue = (
+        _derive_report(inputs.window, run_ids, categories, it_kws, rates)
     )
     base_provenance: dict[str, object] = {
         "integration_method": "trapezoidal",
@@ -131,7 +135,9 @@ def build_report(
     return MetricsReport(
         window=inputs.window,
         pue=pue,
-        per_run=tuple(RunMetrics(*row) for row in rows),
+        per_run=tuple(
+            map(RunMetrics, run_ids, categories, it_kws, facility_kws, rates, appues, aopues, weights)
+        ),
         weighted_appue=weighted_appue,
         aggregated_aopue=aggregated_aopue,
         provenance=base_provenance,

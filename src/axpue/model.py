@@ -301,15 +301,19 @@ def _power_weighted(it_kws: list[float], values: list[float]) -> tuple[list[floa
 
 
 def _derive_report(
-    window: EnergyWindow, rows: list[tuple[str, ApplicationCategory, float, PerformanceRate]]
-) -> tuple[float, list[tuple], float | None, float | None]:
+    window: EnergyWindow,
+    run_ids: list[str],
+    categories: list[ApplicationCategory],
+    it_kws: list[float],
+    performances: list[PerformanceRate],
+) -> tuple[float, tuple[list[float], ...], float | None, float | None]:
     """Every derived field of a report, from its primary fields: the
-    window's energies and each row's run id, category, IT power (kW) and
-    performance.
+    window's energies and the rows' run ids, categories, IT powers (kW) and
+    performances, a list each.
 
-    Returns the PUE, each row's fields as a tuple in :class:`RunMetrics`
-    order, and the weighted ApPUE and aggregated AoPUE (None with no rows).
-    A run's facility power is its IT power scaled by the window PUE
+    Returns the PUE; the rows' facility powers, ApPUEs, AoPUEs and weights,
+    a list each; and the weighted ApPUE and aggregated AoPUE (None with no
+    rows).  A run's facility power is its IT power scaled by the window PUE
     (facility overhead attributed in proportion to IT power), so AoPUE =
     ApPUE / PUE holds row-wise, and the facility power equals the measured
     one whenever a run spans the whole window.  A run's weight is its share
@@ -321,10 +325,10 @@ def _derive_report(
     if window.it_energy == 0:
         raise ZeroITEnergyError("window holds no IT equipment energy")
     pue = window.total_facility_energy / window.it_energy
-    if not rows:
-        return pue, [], None, None
+    if not run_ids:
+        return pue, ([], [], [], []), None, None
     magnitudes, labels = [], set()
-    for run_id, category, it_kw, performance in rows:
+    for run_id, category, it_kw, performance in zip(run_ids, categories, it_kws, performances):
         if not (math.isfinite(it_kw) and it_kw > 0):
             raise ZeroITPowerError(
                 f"run {run_id!r}: it_power_kw must be finite and > 0, got {it_kw!r}"
@@ -339,26 +343,20 @@ def _derive_report(
         labels.add(label)
     if len(labels) > 1:
         raise UnitMismatchError(f"cannot aggregate across performance units {sorted(labels)!r}")
-    it_kws = [row[2] for row in rows]
     facility_kws = [it_kw * pue for it_kw in it_kws]
     appues = [m / it_kw for m, it_kw in zip(magnitudes, it_kws)]
+    aopues = [m / facility_kw for m, facility_kw in zip(magnitudes, facility_kws)]
     weights, weighted_appue = _power_weighted(it_kws, appues)
-    derived = [
-        (run_id, category, it_kw, facility_kw, performance, appue, m / facility_kw, weight)
-        for (run_id, category, it_kw, performance), facility_kw, appue, m, weight in zip(
-            rows, facility_kws, appues, magnitudes, weights
-        )
-    ]
-    return pue, derived, weighted_appue, weighted_appue / pue
+    return pue, (facility_kws, appues, aopues, weights), weighted_appue, weighted_appue / pue
 
 
-#: A row's derived fields: name, index in :func:`_derive_report`'s row
-#: tuples, and the rule that derives it.
+#: A row's derived fields, in the order :func:`_derive_report` returns
+#: them, and the rule that derives each.
 _ROW_RULES = (
-    ("facility_power_kw", 3, "it_power_kw * pue"),
-    ("appue", 5, "performance / it_power_kw"),
-    ("aopue", 6, "performance / facility_power_kw"),
-    ("weight", 7, "it_power_kw / summed it_power_kw"),
+    ("facility_power_kw", "it_power_kw * pue"),
+    ("appue", "performance / it_power_kw"),
+    ("aopue", "performance / facility_power_kw"),
+    ("weight", "it_power_kw / summed it_power_kw"),
 )
 
 
@@ -389,24 +387,28 @@ class MetricsReport:
         object.__setattr__(self, "per_run", tuple(self.per_run))
         if not (math.isfinite(self.pue) and self.pue >= 1):
             raise ValidationError(f"pue must be finite and >= 1, got {self.pue!r}")
-        pue, rows, weighted_appue, aggregated_aopue = _derive_report(
+        rows = self.per_run
+        pue, columns, weighted_appue, aggregated_aopue = _derive_report(
             self.window,
-            [(r.run_id, r.category, r.it_power_kw, r.performance) for r in self.per_run],
+            [r.run_id for r in rows],
+            [r.category for r in rows],
+            [r.it_power_kw for r in rows],
+            [r.performance for r in rows],
         )
         if not math.isclose(self.pue, pue, rel_tol=IDENTITY_REL_TOL):
             raise ValidationError(f"pue {self.pue!r} != total facility energy / IT energy {pue!r}")
-        if self.per_run:
-            total = math.fsum(row.weight for row in self.per_run)
+        if rows:
+            total = math.fsum(row.weight for row in rows)
             if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # NaN compares false, so it fails
                 raise ValidationError(f"weights sum to {total!r}, expected 1")
-        for row, derived in zip(self.per_run, rows):
-            for name, i, rule in _ROW_RULES:
+        for row, *derived in zip(rows, *columns):
+            for (name, rule), expected in zip(_ROW_RULES, derived):
                 # isclose(inf, inf) holds, so an overflow needs its own check.
                 if not math.isfinite(value := getattr(row, name)):
                     raise ValidationError(f"run {row.run_id!r}: {name} must be finite, got {value!r}")
-                if not math.isclose(value, derived[i], rel_tol=IDENTITY_REL_TOL):
+                if not math.isclose(value, expected, rel_tol=IDENTITY_REL_TOL):
                     raise ValidationError(
-                        f"run {row.run_id!r}: {name} {value!r} != {rule} {derived[i]!r}"
+                        f"run {row.run_id!r}: {name} {value!r} != {rule} {expected!r}"
                     )
         for name, value, rule, derived in (
             ("weighted_appue", self.weighted_appue, "IT-power-weighted appue", weighted_appue),

@@ -357,30 +357,33 @@ def metrics_reports(draw):
     pue = window.total_facility_energy / window.it_energy
     if pue == 1 and draw(st.booleans()):
         pue = 1
-    unit = RATE_UNIT_FOR_CATEGORY[category := draw(st.sampled_from(list(ApplicationCategory)))]
-    primaries = [
-        (
-            draw(ESCAPED_TEXT),
-            category,
-            # Facility power is IT power times PUE, and neither it nor the
-            # summed IT power may overflow.
-            draw(NUMBERS.filter(lambda p: 0 < p <= 1e300 and math.isfinite(p * pue))),
-            PerformanceRate(value=draw(NUMBERS.filter(lambda v: v >= 0)), unit=unit),
-        )
-        for _ in range(draw(st.integers(0, 5)))
+    category = draw(st.sampled_from(list(ApplicationCategory)))
+    n_rows = draw(st.integers(0, 5))
+    run_ids = [draw(ESCAPED_TEXT) for _ in range(n_rows)]
+    # Facility power is IT power times PUE, and neither it nor the summed
+    # IT power may overflow.
+    it_kws = [
+        draw(NUMBERS.filter(lambda p: 0 < p <= 1e300 and math.isfinite(p * pue)))
+        for _ in range(n_rows)
     ]
-    _, rows, weighted_appue, aggregated_aopue = _derive_report(window, primaries)
-    assume(all(math.isfinite(row[5]) for row in rows))  # a tiny IT power overflows ApPUE
+    rates = [
+        PerformanceRate(draw(NUMBERS.filter(lambda v: v >= 0)), RATE_UNIT_FOR_CATEGORY[category])
+        for _ in range(n_rows)
+    ]
+    _, derived, weighted_appue, aggregated_aopue = _derive_report(
+        window, run_ids, [category] * n_rows, it_kws, rates
+    )
+    assume(all(map(math.isfinite, derived[1])))  # a tiny IT power overflows ApPUE
     return MetricsReport(
         window=window,
         pue=pue,
         per_run=[
             RunMetrics(
-                run_id, category, it_power_kw, respelled(draw, facility_power_kw), performance,
+                run_id, category, it_kw, respelled(draw, facility_kw), rate,
                 *(respelled(draw, value) for value in (appue, aopue, weight)),
             )
-            for run_id, category, it_power_kw, facility_power_kw, performance, appue, aopue, weight
-            in rows
+            for run_id, it_kw, rate, facility_kw, appue, aopue, weight
+            in zip(run_ids, it_kws, rates, *derived)
         ],
         weighted_appue=weighted_appue if weighted_appue is None else respelled(draw, weighted_appue),
         aggregated_aopue=(
@@ -452,18 +455,19 @@ def report_of_rows(*rows):
         end=1,
         energy_by_category={DeviceCategory.IT_EQUIPMENT: 1.0, DeviceCategory.COOLING: 0.5},
     )
-    primaries = [
-        (run_id, ApplicationCategory.SERVICE, it_kw, PerformanceRate(rate, RateUnit.REQUESTS_PER_SECOND))
-        for run_id, it_kw, rate, _, _ in rows
-    ]
-    _, _, weighted_appue, aggregated_aopue = _derive_report(window, primaries)
+    run_ids, it_kws, rates, appues, weights = zip(*rows)
+    rates = [PerformanceRate(rate, RateUnit.REQUESTS_PER_SECOND) for rate in rates]
+    categories = [ApplicationCategory.SERVICE] * len(rows)
+    _, _, weighted_appue, aggregated_aopue = _derive_report(window, run_ids, categories, it_kws, rates)
     return MetricsReport(
         window=window,
         pue=1.5,
-        per_run=[
-            RunMetrics(run_id, category, it_kw, it_kw * 1.5, rate, appue, appue / 1.5, weight)
-            for (run_id, category, it_kw, rate), (_, _, _, appue, weight) in zip(primaries, rows)
-        ],
+        per_run=list(
+            map(
+                RunMetrics, run_ids, categories, it_kws, [p * 1.5 for p in it_kws], rates,
+                appues, [a / 1.5 for a in appues], weights,
+            )
+        ),
         weighted_appue=weighted_appue,
         aggregated_aopue=aggregated_aopue,
     )
