@@ -4,12 +4,13 @@ Usage, from the root of a checkout::
 
     python3 benchmarks/record.py --seeds 1 2 3 4 5 [--checkout DIR] [--baseline DIR]
 
-For each workload, ``perfbench/run.py`` of ``--checkout`` (default: this
-checkout) runs once per seed, one after the other, for the ``run_seconds``
-that the checkout's ``BENCHMARK.json`` sets.  One record per workload
-is appended: the checkout's commit, the date, the seeds, the median, Q1 and
-Q3 of each end-to-end metric over the seeds, the median ``cpu_slowdown``,
-the number of failed computations, and the Python and numpy versions.
+For each workload that the checkout's ``BENCHMARK.json`` lists,
+``perfbench/run.py`` of ``--checkout`` (default: this checkout) runs once
+per seed, one after the other, for the ``run_seconds`` that the same file
+sets.  One record per workload is appended: the checkout's commit, the
+date, the seeds, the median, Q1 and Q3 of each end-to-end metric over the
+seeds, the median ``cpu_slowdown``, the number of failed computations, and
+the Python and numpy versions.
 A checkout with uncommitted changes to the files the benchmark runs (see
 ``PROGRAM``), found before the first record is written, is recorded as
 ``<commit>+dirty``.
@@ -47,7 +48,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("fleet", "fleet_rfc3339", "many_runs")
 #: The paths of a checkout whose uncommitted changes can change its results.
 PROGRAM = ("src", "perfbench", "benchmarks", "BENCHMARK.json", "pyproject.toml")
 
@@ -157,7 +157,7 @@ def main() -> int:
     commits = [_commit(side) for side in sides]
     with tempfile.TemporaryDirectory(prefix="pycache-") as pycache:
         pycaches = [str(Path(pycache) / str(k)) for k in range(len(sides))]
-        for workload in WORKLOADS:
+        for workload in (w["name"] for w in benchmark["workloads"]):
             runs: list[list[tuple[dict, dict]]] = [[] for _ in sides]
             values: list[list[dict]] = [[] for _ in sides]
             for i, seed in enumerate(args.seeds):

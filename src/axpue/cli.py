@@ -11,7 +11,6 @@ import argparse
 import csv
 import gc
 import io as _stdio
-import math
 import sys
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .io import (
     report_csv_row,
     write_report,
 )
-from .model import MetricsReport, _power_weighted
+from .model import MetricsReport, _fsum, _power_weighted
 from .simulate import builtin_scenario, scenario_from_manifest, simulate
 
 EXIT_OK = 0
@@ -115,8 +114,8 @@ def _aggregate_row(reports: list[MetricsReport]) -> list[str] | None:
     rows = [row for report in reports for row in report.per_run]
     if len(rows) < 2:
         return None
-    it_total = math.fsum(r.it_power_kw for r in rows)
-    facility_total = math.fsum(r.facility_power_kw for r in rows)
+    it_total = _fsum((r.it_power_kw for r in rows), "IT powers")
+    facility_total = _fsum((r.facility_power_kw for r in rows), "facility powers")
     out = [
         "(aggregate)",
         format_quantity(it_total),

@@ -24,7 +24,7 @@ from .errors import (
     UnknownDeviceError,
     ValidationError,
 )
-from .model import DeviceCategory, EnergyWindow, Inventory
+from .model import DeviceCategory, EnergyWindow, Inventory, _fsum
 
 #: Default largest tolerated spacing between samples, in seconds.
 DEFAULT_MAX_GAP = 60.0
@@ -36,12 +36,14 @@ class PowerTrace:
 
     Arrays are copied and frozen at construction; timestamps must be strictly
     increasing and all power values non-negative.  The traces that
-    :func:`~axpue.io.parse_power_csv` returns are checked alike, but hold
-    the parser's own arrays, uncopied and read-only.  Devices sampled at the
-    same instants, as a collector that polls every meter once per interval
-    samples them, share one ``times`` array: their timestamps hold the same
-    float64 bits.  A grid is left unshared only where a different grid of
-    the same length and end times came first.
+    :func:`~axpue.io.parse_power_csv` returns hold the parser's own arrays,
+    uncopied and read-only, and are not checked again: the parser checks
+    each row as it reads it and each device's order as it builds the
+    trace.  Devices sampled at the same instants, as a collector that polls
+    every meter once per interval samples them, share one ``times`` array:
+    their timestamps hold the same float64 bits.  A grid is left unshared
+    only where a different grid of the same length and end times came
+    first.
     """
 
     device_id: str
@@ -49,23 +51,8 @@ class PowerTrace:
     watts: np.ndarray
 
     def __post_init__(self):
-        self._freeze(
-            np.array(self.times, dtype=np.float64, copy=True),
-            np.array(self.watts, dtype=np.float64, copy=True),
-        )
-
-    @classmethod
-    def _owning(cls, device_id: str, times: np.ndarray, watts: np.ndarray) -> PowerTrace:
-        """A trace of float64 ``times`` and ``watts`` that nothing else writes
-        to, held without the constructor's copies; ``times`` may be shared
-        with other traces.  Checked and frozen as the constructor's copies are."""
-        trace = object.__new__(cls)
-        object.__setattr__(trace, "device_id", device_id)
-        trace._freeze(times, watts)
-        return trace
-
-    def _freeze(self, times: np.ndarray, watts: np.ndarray) -> None:
-        """Check ``times`` and ``watts``, make them read-only and hold them."""
+        times = np.array(self.times, dtype=np.float64, copy=True)
+        watts = np.array(self.watts, dtype=np.float64, copy=True)
         if times.ndim != 1 or watts.ndim != 1 or times.size != watts.size:
             raise ValidationError("times and watts must be 1-d arrays of equal length")
         if not np.all(np.isfinite(times)):
@@ -82,6 +69,20 @@ class PowerTrace:
         watts.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "watts", watts)
+
+    @classmethod
+    def _owning(cls, device_id: str, times: np.ndarray, watts: np.ndarray) -> PowerTrace:
+        """A trace of float64 ``times`` and ``watts`` that nothing else writes
+        to, held without the constructor's copies or checks; ``times`` may be
+        shared with other traces.  The caller has checked them as the
+        constructor checks its copies."""
+        times.setflags(write=False)
+        watts.setflags(write=False)
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "device_id", device_id)
+        object.__setattr__(trace, "times", times)
+        object.__setattr__(trace, "watts", watts)
+        return trace
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -315,7 +316,9 @@ def category_energy(
 
     Every trace's device must exist in the inventory, and every inventory
     device needs a trace: an unmetered device would count as 0 J.
-    Integration errors propagate carrying the offending device_id.
+    Integration errors propagate carrying the offending device_id.  A
+    category whose devices' energies sum past float range raises
+    :class:`ValidationError`.
     """
     _check_window(start, end)
     seen: set[str] = set()
@@ -341,5 +344,7 @@ def category_energy(
     return EnergyWindow(
         start=start,
         end=end,
-        energy_by_category={cat: math.fsum(parts) for cat, parts in energies.items()},
+        energy_by_category={
+            cat: _fsum(parts, f"{cat.value} energies") for cat, parts in energies.items()
+        },
     )

@@ -729,69 +729,44 @@ def parse_power_csv(stream: IO[bytes]) -> list[PowerTrace]:
     return _parse_ranges(_range_lines(fd, 0, cuts[1]), fd, ranges).traces()
 
 
-def _format_rows(blocks: list[tuple[str, np.ndarray, np.ndarray, int]], start: int, stop: int) -> bytes:
-    """Rows ``start`` up to ``stop`` of ``blocks`` as encoded CSV lines.
-
-    Each block is ``(device_id, times, watts, first)``, with ``first`` its
-    first row; a block has as many rows as its longer column.  A block
-    whose columns differ in length raises the strict ``zip``'s
-    ``ValueError`` from the rows that hold its last one.  Consecutive
-    blocks that hold one ``times`` array format its stamps once.
-    """
-    lines = []
-    grid, span, stamps = None, None, []
-    for device_id, times, watts, first in blocks:
-        rows = max(len(times), len(watts))
-        if first + rows <= start or first >= stop:
-            continue
-        a, b = max(start - first, 0), min(stop - first, rows)
-        if times is not grid or (a, b) != span:
-            grid, span = times, (a, b)
-            stamps = list(map(repr, times[a:b].tolist()))
-        lines.append(
-            "".join([f"{device_id},{stamp},{w!r}\n" for stamp, w in zip(stamps, watts[a:b].tolist(), strict=True)])
-        )
-    return "".join(lines).encode("utf-8")
+def _format_rows(times: np.ndarray, devices: list[tuple[str, np.ndarray]]) -> bytes:
+    """``devices``, each ``(device_id, watts)`` sampled at ``times``, as
+    encoded CSV lines: the stamps are spelled once, and each device's rows
+    joined into one string."""
+    stamps = list(map(repr, times.tolist()))
+    return "".join(
+        ["".join([f"{device_id},{stamp},{w!r}\n" for stamp, w in zip(stamps, watts.tolist())])
+         for device_id, watts in devices]
+    ).encode("utf-8")
 
 
-def write_power_csv(blocks: Iterable[tuple[str, np.ndarray, np.ndarray]]) -> bytes:
-    """Serialize ``(device_id, times, watts)`` blocks; inverse of the parser.
+def write_power_csv(times: np.ndarray, devices: Iterable[tuple[str, np.ndarray]]) -> bytes:
+    """Serialize ``(device_id, watts)`` devices, all sampled at ``times``;
+    inverse of the parser.
 
-    Each block's rows are written in order, one per sample.  Values go
+    Each device's rows are written in order, one per sample.  Values go
     through float64, so an integer prints as ``0.0`` and every value as its
-    shortest round-tripping ``repr``.  Consecutive blocks whose ``times``
-    hold the same float64 bits (the simulator's grid) format them once.
-    A block whose columns differ in length raises ``ValueError``, and no
-    later block is read.
+    shortest round-tripping ``repr``.  A watts column whose length is not
+    that of ``times`` raises ``ValueError`` before any row is formatted.
 
-    The blocks are copied as they are read, so a caller may refill one
-    buffer between them.  The rows are then cut into one part per CPU, at
-    row offsets (see :func:`_part_count`, with parts of ``_PART_ROWS`` rows
-    or more), and each part after the first is formatted by a forked child.
-    A part whose child fails is formatted again here, so the bytes and any
-    error do not depend on the number of parts.
+    The devices are cut into one part per CPU, at device boundaries (see
+    :func:`_part_count`, with parts of ``_PART_ROWS`` rows or more, and no
+    more parts than devices), and each part after the first is formatted by
+    a forked child.  A part whose child fails is formatted again here, so
+    the bytes do not depend on the number of parts.
     """
-    held, total = [], 0
-    grid, grid_bits = None, None
-    for device_id, times, watts in blocks:
-        times = np.array(times, dtype=np.float64)
-        # Blocks share one copy only when their times hold the same bits: a
-        # buffer refilled in place between blocks is a new grid, and -0.0
-        # is not 0.0.
-        if (bits := times.tobytes()) != grid_bits:
-            grid, grid_bits = times, bits
-        watts = np.array(watts, dtype=np.float64)
-        held.append((device_id, grid, watts, total))
-        total += max(len(grid), len(watts))
-        if len(grid) != len(watts):
-            break
-    count = _part_count(total, _PART_ROWS)
-    cuts = [total * i // count for i in range(count + 1)]
-    parts = list(zip(cuts, cuts[1:]))
-    with _forked(_format_rows, [(held, a, b) for a, b in parts[1:]]) as results:
-        out = [",".join(POWER_CSV_HEADER).encode("utf-8") + b"\n", _format_rows(held, *parts[0])]
-        for (a, b), result in zip(parts[1:], results):
-            out.append(_format_rows(held, a, b) if result is None else result)
+    times = np.asarray(times, dtype=np.float64)
+    devices = [(device_id, np.asarray(watts, dtype=np.float64)) for device_id, watts in devices]
+    for device_id, watts in devices:
+        if watts.shape != times.shape:
+            raise ValueError(f"device {device_id!r}: {watts.size} watts for {times.size} times")
+    count = max(min(_part_count(times.size * len(devices), _PART_ROWS), len(devices)), 1)
+    cuts = [len(devices) * i // count for i in range(count + 1)]
+    parts = [devices[a:b] for a, b in zip(cuts, cuts[1:])]
+    with _forked(_format_rows, [(times, part) for part in parts[1:]]) as results:
+        out = [",".join(POWER_CSV_HEADER).encode("utf-8") + b"\n", _format_rows(times, parts[0])]
+        for part, result in zip(parts[1:], results):
+            out.append(_format_rows(times, part) if result is None else result)
     return b"".join(out)
 
 

@@ -286,6 +286,15 @@ class RunMetrics:
     weight: float
 
 
+def _fsum(values: Iterable[float], name: str) -> float:
+    """``math.fsum(values)``; a sum past float range raises a
+    :class:`ValidationError` that names the values as ``name``."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise ValidationError(f"{name} sum past float range") from None
+
+
 def _power_weighted(it_kws: list[float], values: list[float]) -> tuple[list[float], float]:
     """Each IT power's share of their sum, and the mean of ``values`` under
     those weights.
@@ -294,7 +303,7 @@ def _power_weighted(it_kws: list[float], values: list[float]) -> tuple[list[floa
     clamped there, so the one-ulp rounding spill cannot break that for the
     float too.
     """
-    total = math.fsum(it_kws)
+    total = _fsum(it_kws, "IT powers")
     weights = [p / total for p in it_kws]
     mean = math.fsum(v * w for v, w in zip(values, weights))
     return weights, min(max(mean, min(values)), max(values))

@@ -271,7 +271,7 @@ def simulate(scenario: SimScenario) -> SimOutput:
     device_watts.append((OTHER_DEVICE, np.full_like(ts, overhead.fixed_watts)))
 
     return SimOutput(
-        power_csv=write_power_csv((r.device_id, ts, watts) for r, watts in device_watts),
+        power_csv=write_power_csv(ts, [(r.device_id, watts) for r, watts in device_watts]),
         runs_jsonl=write_runs_jsonl(scenario.runs),
         inventory_json=write_inventory_json([r for r, _ in device_watts]),
         manifest_json=scenario_to_manifest(scenario),

@@ -130,6 +130,17 @@ class TestComputeCommand:
         assert main(["compute", *args, "--max-gap", "inf", "--window", "0,100000"]) == 0
         assert read_report(capsys.readouterr().out).pue == 1.0
 
+    def test_category_energy_past_float_range_exits_2(self, tmp_path, capsys):
+        # 5e305 W over 100 s is 5e307 J a device, finite; four sum past float range.
+        devices = ["s1", "s2", "s3", "s4"]
+        inventory = json.dumps([{"device_id": d, "category": "it_equipment", "label": ""} for d in devices])
+        power = HEADER + "".join(f"{d},{t},5e305\n" for d in devices for t in (0, 50, 100))
+        args = write_inputs(tmp_path, power, run_line(), inventory)
+        assert main(["compute", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: it_equipment energies sum past float range\n"
+
     @pytest.mark.parametrize(
         "target, power, runs, where, message",
         [
@@ -477,6 +488,38 @@ class TestReportCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: run 'a': {field} must be finite, got inf\n"
+
+    @pytest.mark.parametrize(
+        "it_power_kw, powers",
+        [(1e308, "IT powers"), (7e307, "facility powers")],
+        ids=["it-power", "facility-power"],
+    )
+    def test_aggregate_power_past_float_range_exits_2(self, tmp_path, capsys, it_power_kw, powers):
+        """Two valid one-run reports whose IT powers, or only their facility
+        powers at PUE 1.5, sum past float range."""
+        files = []
+        for run_id in "ab":
+            path = tmp_path / f"{run_id}.json"
+            path.write_text(single_run_report(run_id, it_power_kw))
+            read_report(path.read_text())
+            files.append(str(path))
+        assert main(["report", *files]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {powers} sum past float range\n"
+
+    def test_report_power_past_float_range_exits_2(self, tmp_path, capsys):
+        """A report of two runs whose IT powers sum past float range."""
+        doc = json.loads(single_run_report("a", 1e308))
+        row = doc["per_run"][0]
+        row["weight"] = 0.5
+        doc["per_run"].append({**row, "run_id": "b"})
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: IT powers sum past float range\n"
 
     @pytest.mark.parametrize(
         "field, value, message",

@@ -183,6 +183,15 @@ class TestComputeWeights:
         with pytest.raises(ZeroITPowerError):
             build_report(MetricInputs(window, runs))
 
+    def test_it_power_sum_past_float_range_rejected(self):
+        # 1e8 J over 1e-300 s is 1e305 kW, near the most a run's IT energy
+        # over its duration can give; 2,000 such runs sum past float range.
+        window = EnergyWindow(0.0, 1e-300, {DeviceCategory.IT_EQUIPMENT: 2e11})
+        runs = tuple(RunInput(data_run(f"r{i}", 0.0, 1e-300, 1.0), 1e8, kb_rate(1.0)) for i in range(2000))
+        assert runs[0].it_power_kw == 1e305
+        with pytest.raises(ValidationError, match="^IT powers sum past float range$"):
+            build_report(MetricInputs(window, runs))
+
 
 def report_with_rows(*rows: RunMetrics, **fields) -> MetricsReport:
     """A report at PUE 1.5 (IT energy 2, cooling 1) holding ``rows``."""

@@ -171,37 +171,25 @@ class TestParsePowerCsv:
         assert excinfo.value.line == 2
 
     def test_write_parse_round_trip(self):
-        rows = [("s1", 0.0, 100.5), ("s1", 61.25, 99.875), ("s2", 0.5, 0.0)]
-        blocks = [(device_id, [t], [w]) for device_id, t, w in rows]
-        traces = parse_csv(write_power_csv(blocks).decode("utf-8"))
+        devices = [("s2", [0.0, 7.5]), ("s1", [100.5, 99.875])]
+        traces = parse_csv(write_power_csv([0.5, 61.25], devices).decode("utf-8"))
         assert [t.device_id for t in traces] == ["s1", "s2"]
         assert list(traces[0].watts) == [100.5, 99.875]
-        assert list(traces[1].times) == [0.5]
+        assert list(traces[1].times) == [0.5, 61.25]
+        assert traces[0].times is traces[1].times
 
     def test_write_formats_blocks_through_float64(self):
-        grid = np.array([0.0, 0.1 + 0.2, 1e300])
-        text = write_power_csv([("a", grid, [1, 2, 3]), ("b", grid, np.array([-0.0, 0.5, 7.0]))])
+        grid = [0, 0.1 + 0.2, 1e300]
+        text = write_power_csv(grid, [("a", [1, 2, 3]), ("b", np.array([-0.0, 0.5, 7.0]))])
         assert text.decode("utf-8") == (
             HEADER
             + "a,0.0,1.0\na,0.30000000000000004,2.0\na,1e+300,3.0\n"
             + "b,0.0,-0.0\nb,0.30000000000000004,0.5\nb,1e+300,7.0\n"
         )
 
-    def test_write_reformats_a_grid_changed_in_place(self):
-        buffer = np.zeros(2)
-
-        def blocks():
-            for device_id, grid in (("a", [0.0, 60.0]), ("b", [-0.0, 60.0]), ("c", [5.0, 65.0])):
-                buffer[:] = grid
-                yield device_id, buffer, [1.0, 2.0]
-
-        assert write_power_csv(blocks()).decode("utf-8") == (
-            HEADER + "a,0.0,1.0\na,60.0,2.0\nb,-0.0,1.0\nb,60.0,2.0\nc,5.0,1.0\nc,65.0,2.0\n"
-        )
-
     def test_write_rejects_mismatched_block(self):
-        with pytest.raises(ValueError):
-            write_power_csv([("a", [0.0, 1.0], [5.0])])
+        with pytest.raises(ValueError, match="^device 'b': 1 watts for 2 times$"):
+            write_power_csv([0.0, 1.0], [("a", [5.0, 6.0]), ("b", [5.0])])
 
 
 def trace_values(traces):

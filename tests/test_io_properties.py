@@ -1,11 +1,12 @@
-"""Property tests: the block power-CSV parser and the block writer against
+"""Property tests: the block power-CSV parser and the writer against
 row-at-a-time ones.
 
 ``reference_parse_power_csv`` is the row loop the block parser replaced.
 It is kept here only as the reference the parser is compared against: on
 every generated input both must return the same traces, or raise the same
 error type with the same message and line.  ``reference_write_power_csv``
-is likewise the row writer the block writer must match byte for byte.
+is likewise the row writer that ``write_power_csv`` must match byte for
+byte.
 """
 
 from __future__ import annotations
@@ -297,8 +298,9 @@ def reference_file_outcome(path):
 
 @contextlib.contextmanager
 def spied_forks():
-    """The ``(start, end)`` of each call that is forked, a byte range of the
-    parse or a row range of the writer, in a list filled as they fork.
+    """The arguments after the first of each call that is forked, in a list
+    filled as they fork: a byte range ``(start, end)`` of the parse, or
+    ``(devices,)``, a part of the writer.
 
     Afterwards, no child of this process is left, reaped or not.
     """
@@ -799,31 +801,23 @@ DEVICE_IDS = st.text(
     min_size=1,
     max_size=6,
 )
-SAMPLES = st.lists(
-    st.tuples(
-        DEVICE_IDS,
-        st.floats(allow_nan=False, allow_infinity=False),
-        st.floats(min_value=0, allow_infinity=False),
-    ),
-    max_size=30,
-    unique_by=lambda s: (s[0], s[1] + 0.0),
-)
+#: A sampling grid: times that the parser does not take for duplicates.
+GRIDS = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8, unique_by=lambda t: t + 0.0)
 
 
 @settings(max_examples=200, deadline=None)
-@given(samples=SAMPLES, block=BLOCKS)
-def test_write_then_parse_round_trips(samples, block):
-    # One-sample blocks keep the rows in their drawn, arbitrary order.
-    data = write_power_csv([(d, [t], [w]) for d, t, w in samples])
+@given(times=GRIDS, device_ids=st.lists(DEVICE_IDS, max_size=4, unique=True), block=BLOCKS, data=st.data())
+def test_write_then_parse_round_trips(times, device_ids, block, data):
+    # The drawn grid is in arbitrary order, which the parser sorts per device.
+    watts = st.floats(min_value=0, allow_infinity=False)
+    devices = [(d, data.draw(st.lists(watts, min_size=len(times), max_size=len(times)))) for d in device_ids]
     with parser_sizes(block):
-        traces = parse_power_csv(io.BytesIO(data))
-    expected = {}
-    for device_id, timestamp, watts in sorted(samples, key=lambda s: (s[0], s[1])):
-        times, powers = expected.setdefault(device_id, ([], []))
-        times.append(timestamp)
-        powers.append(watts)
+        traces = parse_power_csv(io.BytesIO(write_power_csv(times, devices)))
+    order = sorted(range(len(times)), key=times.__getitem__)
     assert [(t.device_id, t.times.tolist(), t.watts.tolist()) for t in traces] == [
-        (device_id, times, powers) for device_id, (times, powers) in sorted(expected.items())
+        (device_id, [times[i] for i in order], [powers[i] for i in order])
+        for device_id, powers in sorted(devices)
+        if times
     ]
 
 
@@ -840,33 +834,35 @@ def reference_write_power_csv(rows) -> bytes:
 NUMBERS = st.floats(allow_nan=False) | st.integers(-(2**53), 2**53)
 
 
+def drawn_devices(data, n: int, max_size: int) -> list[tuple[str, list]]:
+    """Devices with distinct ids and ``n`` watts each, as lists of numbers."""
+    ids = data.draw(st.lists(DEVICE_IDS, max_size=max_size, unique=True))
+    return [(d, data.draw(st.lists(NUMBERS, min_size=n, max_size=n))) for d in ids]
+
+
+def device_rows(times, devices) -> list[tuple]:
+    return [(d, t, w) for d, watts in devices for t, w in zip(times, watts)]
+
+
 @settings(max_examples=200, deadline=None)
-@given(times=st.lists(NUMBERS, max_size=6), data=st.data())
-def test_block_writer_matches_the_row_writer(times, data):
-    """Blocks on one shared grid, or on a copy of it, print as the row loop does."""
-    grid = np.array(times, dtype=np.float64)
-    blocks = [
-        (device_id, grid if shared else list(times), data.draw(st.lists(NUMBERS, min_size=len(times), max_size=len(times))))
-        for device_id, shared in data.draw(st.lists(st.tuples(DEVICE_IDS, st.booleans()), max_size=4))
-    ]
-    rows = [(d, t, w) for d, _, watts in blocks for t, w in zip(times, watts)]
-    assert write_power_csv(blocks) == reference_write_power_csv(rows)
+@given(times=st.lists(NUMBERS, max_size=6), as_array=st.booleans(), data=st.data())
+def test_block_writer_matches_the_row_writer(times, as_array, data):
+    """Devices on one grid, a list or a float64 array, print as the row loop does."""
+    devices = drawn_devices(data, len(times), 4)
+    grid = np.array(times, dtype=np.float64) if as_array else times
+    assert write_power_csv(grid, devices) == reference_write_power_csv(device_rows(times, devices))
 
 
-def write_outcome(blocks):
-    """The bytes the writer returns, or the (type, message) it raises."""
-    try:
-        return write_power_csv(blocks)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-def parted_write(blocks, cpus):
-    """The writer's outcome with ``cpus`` CPUs and parts of one row or more,
-    and the row ranges it forked children for."""
+def parted_write(times, devices, cpus):
+    """The writer's bytes, or the (type, message) it raises, with ``cpus``
+    CPUs and parts of one row or more, and the device ids of each part it
+    forked a child for."""
     with mock.patch.multiple(axpue.io, _PART_ROWS=1, _cpu_count=lambda: cpus), spied_forks() as forked:
-        result = write_outcome(blocks)
-    return result, forked
+        try:
+            result = write_power_csv(times, devices)
+        except Exception as exc:
+            result = type(exc), str(exc)
+    return result, [[device_id for device_id, _ in part] for (part,) in forked]
 
 
 def _wrong_result_then_error(obj, out, protocol):
@@ -883,53 +879,33 @@ def _wrong_result_then_error(obj, out, protocol):
     data=st.data(),
 )
 def test_parted_write_matches_the_row_writer(n, cpus, fault, data):
-    """Parts formatted by children join to the one-process bytes or error.
+    """Parts formatted by children join to the one-process bytes.
 
-    Blocks take their times from a list, or from one buffer refilled in
-    place.  One block may have a watts column of another length: its
-    ``zip`` error is raised, and the block after it, which cannot be
-    converted, is not read.  A child that exits non-zero after sending a
-    wrong part, or does so and has its exit status taken by another waiter,
-    leaves its part to the parent.
+    The devices are cut into parts at device boundaries, no more parts than
+    devices.  A device whose watts column has another length than the grid
+    raises before any child is forked.  A child that exits non-zero after
+    sending a wrong part, or does so and has its exit status taken by
+    another waiter, leaves its part to the parent.
     """
-    columns = st.lists(NUMBERS, min_size=n, max_size=n)
-    grids = data.draw(st.lists(columns, min_size=1, max_size=2))
-    drawn = data.draw(
-        st.lists(
-            st.tuples(DEVICE_IDS, st.sampled_from(range(len(grids))), st.booleans(), columns),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    mismatch = data.draw(st.none() | st.sampled_from(range(len(drawn))))
+    times = data.draw(st.lists(NUMBERS, min_size=n, max_size=n))
+    devices = drawn_devices(data, n, 5)
+    mismatch = data.draw(st.none() | st.sampled_from(range(len(devices)))) if devices else None
     if mismatch is None:
-        expected = reference_write_power_csv(
-            (device_id, t, w) for device_id, grid, _, watts in drawn for t, w in zip(grids[grid], watts)
-        )
+        expected = reference_write_power_csv(device_rows(times, devices))
+        count = max(min(cpus, n * len(devices), len(devices)), 1)
     else:
-        device_id, grid, refill, watts = drawn[mismatch]
+        device_id, watts = devices[mismatch]
         watts = watts[:-1] if watts and data.draw(st.booleans()) else [*watts, 1.0]
-        drawn[mismatch] = device_id, grid, refill, watts
-        drawn.insert(mismatch + 1, ("late", 0, False, ["x"] * n))
-        with pytest.raises(ValueError) as caught:
-            list(zip(grids[grid], watts, strict=True))
-        expected = ValueError, str(caught.value)
-
-    def blocks():
-        buffer = np.empty(n)
-        for device_id, grid, refill, watts in drawn:
-            if refill:
-                buffer[:] = grids[grid]
-            yield device_id, buffer if refill else grids[grid], watts
+        devices[mismatch] = device_id, watts
+        expected = ValueError, f"device {device_id!r}: {len(watts)} watts for {n} times"
+        count = 1
 
     with contextlib.ExitStack() as stack:
         if fault != "none":
             stack.enter_context(mock.patch.object(axpue.io.pickle, "dump", _wrong_result_then_error))
         if fault == "reaped":
             stack.enter_context(mock.patch.object(os, "waitpid", _reaped_elsewhere))
-        result, forked = parted_write(blocks(), cpus)
+        result, forked = parted_write(times, devices, cpus)
     assert result == expected
-    read = drawn if mismatch is None else drawn[: mismatch + 1]
-    total = sum(max(n, len(watts)) for _, _, _, watts in read)
-    count = min(cpus, total) if total >= 2 else 1
-    assert forked == [(total * i // count, total * (i + 1) // count) for i in range(1, count)]
+    ids = [device_id for device_id, _ in devices]
+    assert forked == [ids[len(ids) * i // count : len(ids) * (i + 1) // count] for i in range(1, count)]
