@@ -822,7 +822,7 @@ def test_write_then_parse_round_trips(times, device_ids, block, data):
 
 
 def reference_write_power_csv(rows) -> bytes:
-    """The row-at-a-time writer that the block writer replaced."""
+    """The row-at-a-time writer: one line per (device_id, timestamp, watts)."""
     out = io.StringIO()
     out.write(",".join(POWER_CSV_HEADER) + "\n")
     for device_id, timestamp, watts in rows:
