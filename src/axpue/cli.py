@@ -73,6 +73,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
     report = analyze(
         bundle.traces, bundle.inventory, bundle.runs, window=window, max_gap=args.max_gap
     )
+    # The parsed inputs are freed before the report is serialized, so their
+    # memory and the report's text are not held at once.
+    del bundle
     _emit(write_report(report, fmt=args.format), args.out)
     return EXIT_OK
 

@@ -19,16 +19,25 @@ results table.
 This module turns telemetry and runs into a report's primary fields: the
 window's energies and each run's IT power and performance.  Every other
 field comes from one rule, ``axpue.model._derive_report``:
-:func:`build_report` takes a report's fields from it, and every
+:func:`build_report` takes a report's fields from it and builds the report
+without deriving them again, and every other
 :class:`~axpue.model.MetricsReport` is checked against it when constructed,
 so :func:`~axpue.io.read_report` rejects a report whose fields disagree.
+
+Runs stay columns (a :class:`~axpue.model.RunTable`) from the parse to the
+report's rows: :func:`analyze` checks them and computes each run's energy
+and performance a column at a time, and builds the public per-run objects
+only for the report.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     InvalidWindowError,
@@ -45,6 +54,8 @@ from .integrate import (
     category_energy,
 )
 from .model import (
+    _CATEGORY_OF_CODE,
+    _KIND_OF_CODE,
     RATE_UNIT_FOR_CATEGORY,
     ApplicationRun,
     DeviceCategory,
@@ -53,12 +64,24 @@ from .model import (
     MetricsReport,
     PerformanceRate,
     RunMetrics,
+    RunTable,
     WorkKind,
     _derive_report,
 )
 
 #: Allowed relative overshoot of summed per-run IT energy vs. the window's.
 ATTRIBUTION_SLACK = 1e-6
+
+
+def _check_it_energy(run_id: str, joules: float) -> None:
+    """A run's attributed IT energy is finite and >= 0."""
+    if joules < 0 or not math.isfinite(joules):
+        raise ValidationError(f"run {run_id!r}: IT energy must be finite and >= 0")
+
+
+def _it_power_kw(joules: float, start: float, end: float) -> float:
+    """Average power in kW of ``joules`` over [start, end]."""
+    return joules / (end - start) / 1000.0
 
 
 @dataclass(frozen=True)
@@ -70,26 +93,64 @@ class RunInput:
     rate: PerformanceRate
 
     def __post_init__(self):
-        if self.it_energy_joules < 0 or not math.isfinite(self.it_energy_joules):
-            raise ValidationError(
-                f"run {self.run.run_id!r}: IT energy must be finite and >= 0"
-            )
+        _check_it_energy(self.run.run_id, self.it_energy_joules)
 
     @property
     def it_power_kw(self) -> float:
-        return self.it_energy_joules / self.run.duration / 1000.0
+        return _it_power_kw(self.it_energy_joules, self.run.start, self.run.end)
+
+
+class _RunInputs(Sequence):
+    """The :class:`RunInput` of each run of a :class:`~axpue.model.RunTable`,
+    held as the table plus a column of IT energies and one of rates; indexing
+    builds one input per access and keeps none."""
+
+    __slots__ = ("table", "joules", "rates")
+
+    def __init__(self, table: RunTable, joules: list[float], rates: list[PerformanceRate]):
+        for run_id, run_joules in zip(table.run_ids, joules):
+            _check_it_energy(run_id, run_joules)
+        self.table = table
+        self.joules = joules
+        self.rates = rates
+
+    @classmethod
+    def of(cls, runs: Iterable[RunInput]) -> _RunInputs:
+        runs = tuple(runs)
+        return cls(
+            RunTable.from_runs(r.run for r in runs),
+            [r.it_energy_joules for r in runs],
+            [r.rate for r in runs],
+        )
+
+    def __len__(self) -> int:
+        return len(self.joules)
+
+    def __getitem__(self, index: int) -> RunInput:
+        return RunInput(self.table[index], self.joules[index], self.rates[index])
+
+    def it_power_kws(self) -> list[float]:
+        return list(map(_it_power_kw, self.joules, self.table.starts, self.table.ends))
 
 
 @dataclass(frozen=True)
 class MetricInputs:
-    """Everything needed to build one report: a window plus per-run inputs."""
+    """Everything needed to build one report: a window plus per-run inputs.
+
+    ``runs`` is a tuple of :class:`RunInput`, or, as :func:`analyze` builds
+    it, a sequence that builds them from columns.
+    """
 
     window: EnergyWindow
-    runs: tuple[RunInput, ...]
+    runs: Sequence[RunInput]
 
     def __post_init__(self):
-        object.__setattr__(self, "runs", tuple(self.runs))
-        attributed = math.fsum(r.it_energy_joules for r in self.runs)
+        if isinstance(self.runs, _RunInputs):
+            joules = self.runs.joules
+        else:
+            object.__setattr__(self, "runs", tuple(self.runs))
+            joules = [r.it_energy_joules for r in self.runs]
+        attributed = math.fsum(joules)
         budget = self.window.it_energy * (1.0 + ATTRIBUTION_SLACK)
         if attributed > budget:
             raise ValidationError(
@@ -98,17 +159,23 @@ class MetricInputs:
             )
 
 
+def _rate_value(kind: WorkKind, amount: int, start: float, end: float) -> float:
+    """Rate of ``amount`` work over [start, end]; bytes count as decimal KB."""
+    value = float(amount)
+    if kind is WorkKind.BYTES_PROCESSED:
+        value /= 1000.0
+    return value / (end - start)
+
+
 def compute_performance(run: ApplicationRun) -> PerformanceRate:
     """Rate of work over the run's window: counter / (end - start).
 
     Byte counters are converted to decimal kilobytes before division so that
     data-analysis rates come out in KB/s.
     """
-    amount = float(run.work.amount)
-    if run.work.kind is WorkKind.BYTES_PROCESSED:
-        amount /= 1000.0
     return PerformanceRate(
-        value=amount / run.duration, unit=RATE_UNIT_FOR_CATEGORY[run.category]
+        value=_rate_value(run.work.kind, run.work.amount, run.start, run.end),
+        unit=RATE_UNIT_FOR_CATEGORY[run.category],
     )
 
 
@@ -116,14 +183,15 @@ def build_report(
     inputs: MetricInputs, provenance: dict[str, object] | None = None
 ) -> MetricsReport:
     """Assemble a full report from one window plus per-run inputs, with
-    every derived field from :func:`~axpue.model._derive_report`."""
-    runs = inputs.runs
-    run_ids = [r.run.run_id for r in runs]
-    categories = [r.run.category for r in runs]
-    it_kws = [r.it_power_kw for r in runs]
-    rates = [r.rate for r in runs]
+    every derived field from :func:`~axpue.model._derive_report`, which
+    runs once: the report is built from its values without deriving them
+    again."""
+    runs = inputs.runs if isinstance(inputs.runs, _RunInputs) else _RunInputs.of(inputs.runs)
+    run_ids = runs.table.run_ids
+    categories = list(map(_CATEGORY_OF_CODE.__getitem__, runs.table.categories))
+    it_kws = runs.it_power_kws()
     pue, (facility_kws, appues, aopues, weights), weighted_appue, aggregated_aopue = (
-        _derive_report(inputs.window, run_ids, categories, it_kws, rates)
+        _derive_report(inputs.window, run_ids, categories, it_kws, runs.rates)
     )
     base_provenance: dict[str, object] = {
         "integration_method": "trapezoidal",
@@ -132,11 +200,14 @@ def build_report(
     }
     if provenance:
         base_provenance.update(provenance)
-    return MetricsReport(
+    return MetricsReport._derived(
         window=inputs.window,
         pue=pue,
         per_run=tuple(
-            map(RunMetrics, run_ids, categories, it_kws, facility_kws, rates, appues, aopues, weights)
+            map(
+                RunMetrics, run_ids, categories, it_kws, facility_kws, runs.rates, appues,
+                aopues, weights,
+            )
         ),
         weighted_appue=weighted_appue,
         aggregated_aopue=aggregated_aopue,
@@ -144,28 +215,24 @@ def build_report(
     )
 
 
-def _check_run_devices(runs: Sequence[ApplicationRun], inventory: Inventory) -> None:
+def _check_run_devices(table: RunTable, inventory: Inventory) -> None:
     it_ids = inventory.ids_in(DeviceCategory.IT_EQUIPMENT)
-    for run in runs:
-        if it_ids.issuperset(run.attributed_devices):
-            continue
-        for device_id in sorted(run.attributed_devices):
+    if it_ids.issuperset(itertools.chain.from_iterable(set(table.devices))):
+        return
+    for run_id, devices in zip(table.run_ids, table.devices):
+        for device_id in devices:
             if device_id not in inventory:
                 raise UnknownDeviceError(
-                    f"run {run.run_id!r} attributes unknown device {device_id!r}"
+                    f"run {run_id!r} attributes unknown device {device_id!r}"
                 )
             if device_id not in it_ids:
                 raise ValidationError(
-                    f"run {run.run_id!r} attributes non-IT device {device_id!r}"
+                    f"run {run_id!r} attributes non-IT device {device_id!r}"
                 )
 
 
-def _check_shared_devices(
-    runs: Sequence[ApplicationRun], devices: Sequence[list[str]]
-) -> None:
+def _check_shared_devices(table: RunTable) -> None:
     """Reject two runs that overlap in time and share a device.
-
-    ``devices[i]`` is ``sorted(runs[i].attributed_devices)``.
 
     One sweep over the runs sorted by (start, input index) keeps, per device,
     the earlier run that ends last; a run starting before that end overlaps
@@ -175,20 +242,54 @@ def _check_shared_devices(
     device that ends last (ties: the first in sweep order).  The two runs are
     named in input order, with every device they share.
     """
+    starts, ends, devices = table.starts, table.ends, table.devices
     latest: dict[str, tuple[float, int]] = {}  # device -> (end, index)
-    for _, j in sorted(zip([run.start for run in runs], range(len(runs)))):
-        run = runs[j]
+    for j in sorted(range(len(starts)), key=starts.__getitem__):
+        start = starts[j]
         for device_id in devices[j]:
             end, i = latest.get(device_id, (-math.inf, -1))
-            if end > run.start:
-                a, b = runs[min(i, j)], runs[max(i, j)]
-                shared = a.attributed_devices & b.attributed_devices
+            if end > start:
+                a, b = min(i, j), max(i, j)
+                shared = sorted(set(devices[a]).intersection(devices[b]))
                 raise SharedDeviceConflictError(
-                    f"runs {a.run_id!r} and {b.run_id!r} overlap in time and "
-                    f"share device(s) {sorted(shared)!r}"
+                    f"runs {table.run_ids[a]!r} and {table.run_ids[b]!r} overlap in time and "
+                    f"share device(s) {shared!r}"
                 )
-            if run.end > end:
-                latest[device_id] = (run.end, j)
+            if ends[j] > end:
+                latest[device_id] = (ends[j], j)
+
+
+def _run_energies(
+    traces: Sequence[PowerTrace], table: RunTable, max_gap: float
+) -> list[float]:
+    """Each run's IT energy: the ``math.fsum`` of its devices' integrals
+    over its window.  One kernel call per device covers all of that
+    device's run windows, in run order; the caller has checked that each
+    window lies inside one that every trace covers."""
+    counts = list(map(len, table.devices))
+    pair_devices = list(itertools.chain.from_iterable(table.devices))
+    device_ids = sorted(set(pair_devices))
+    codes = dict(zip(device_ids, itertools.count()))
+    # The (run, device) pairs in run order, and grouped by device.
+    pair_codes = np.fromiter(map(codes.__getitem__, pair_devices), np.intp, len(pair_devices))
+    order = pair_codes.argsort(kind="stable")
+    pair_runs = np.repeat(np.arange(len(table)), counts)[order]
+    cuts = pair_codes[order].searchsorted(np.arange(1, len(device_ids)))
+    starts = np.asarray(table.starts, dtype=np.float64)
+    ends = np.asarray(table.ends, dtype=np.float64)
+    trace_by_device = {t.device_id: t for t in traces}
+    energies = _integrate_windows(
+        (
+            (trace_by_device[device_id], starts[runs], ends[runs])
+            for device_id, runs in zip(device_ids, np.split(pair_runs, cuts))
+        ),
+        max_gap,
+    )
+    pair_joules = np.empty(len(pair_devices))
+    pair_joules[order] = list(itertools.chain.from_iterable(energies))
+    pair_joules = pair_joules.tolist()
+    bounds = list(itertools.accumulate(counts, initial=0))
+    return [math.fsum(pair_joules[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def analyze(
@@ -205,56 +306,44 @@ def analyze(
     summed integral over the run's attributed devices within the run's own
     window.  Overlapping runs must not share devices, and every run must lie
     inside the report window.  ``max_gap`` must be > 0; ``inf`` turns the
-    coverage check off.
+    coverage check off.  ``runs`` may be any sequence of runs; a
+    :class:`~axpue.model.RunTable`, as :func:`~axpue.io.parse_runs_jsonl`
+    returns, is used as it is, and no per-run object is built before the
+    report's rows.
     """
     _check_max_gap(max_gap)
-    _check_run_devices(runs, inventory)
-    devices = [sorted(run.attributed_devices) for run in runs]
-    _check_shared_devices(runs, devices)
+    table = runs if isinstance(runs, RunTable) else RunTable.from_runs(runs)
+    _check_run_devices(table, inventory)
+    _check_shared_devices(table)
     if window is None:
-        if not runs:
+        if not table:
             raise InvalidWindowError("no runs given; an explicit window is required")
-        window = (min(r.start for r in runs), max(r.end for r in runs))
+        window = (min(table.starts), max(table.ends))
     start, end = window
     _check_window(start, end)
-    for run in runs:
-        if run.start < start or run.end > end:
-            raise InvalidWindowError(
-                f"run {run.run_id!r} [{run.start}, {run.end}] lies outside "
-                f"the report window [{start}, {end}]"
-            )
+    starts = np.asarray(table.starts, dtype=np.float64)
+    ends = np.asarray(table.ends, dtype=np.float64)
+    outside = np.flatnonzero((starts < start) | (ends > end))
+    if outside.size:
+        j = int(outside[0])
+        raise InvalidWindowError(
+            f"run {table.run_ids[j]!r} [{table.starts[j]}, {table.ends[j]}] lies outside "
+            f"the report window [{start}, {end}]"
+        )
     energy_window = category_energy(traces, inventory, start, end, max_gap)
     # category_energy has checked that every inventory device has a trace,
-    # and each run lies inside the window it integrated: one kernel call per
-    # device covers all of that device's run windows.
-    trace_by_device = {t.device_id: t for t in traces}
-    runs_by_device: dict[str, list[ApplicationRun]] = {}
-    for run in runs:
-        for device_id in run.attributed_devices:
-            runs_by_device.setdefault(device_id, []).append(run)
-    device_ids = sorted(runs_by_device)
-    energies = _integrate_windows(
-        (
-            (
-                trace_by_device[device_id],
-                [run.start for run in runs_by_device[device_id]],
-                [run.end for run in runs_by_device[device_id]],
-            )
-            for device_id in device_ids
-        ),
-        max_gap,
-    )
-    # Each device's energies come back in run order, and are taken so.
-    joules_by_device = dict(zip(device_ids, map(iter, energies)))
-    run_inputs = [
-        RunInput(
-            run=run,
-            it_energy_joules=math.fsum([next(joules_by_device[d]) for d in run_devices]),
-            rate=compute_performance(run),
+    # and each run lies inside the window it integrated.
+    joules = _run_energies(traces, table, max_gap)
+    categories = map(_CATEGORY_OF_CODE.__getitem__, table.categories)
+    rates = list(
+        map(
+            PerformanceRate,
+            map(_rate_value, map(_KIND_OF_CODE.__getitem__, table.kinds), table.amounts,
+                table.starts, table.ends),
+            map(RATE_UNIT_FOR_CATEGORY.__getitem__, categories),
         )
-        for run, run_devices in zip(runs, devices)
-    ]
-    inputs = MetricInputs(window=energy_window, runs=tuple(run_inputs))
+    )
+    inputs = MetricInputs(window=energy_window, runs=_RunInputs(table, joules, rates))
     return build_report(
         inputs,
         provenance={

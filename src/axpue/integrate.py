@@ -178,11 +178,11 @@ def _window_terms(
     """
     times, watts = trace.times, trace.watts
     limit = float(max_gap)
-    # Subtraction rounds monotonically, so the earliest start and the latest
-    # end are the ones that can reach too far past the trace.
-    reach = times[0] - min(starts) > limit or max(ends) - times[-1] > limit
     starts = np.asarray(starts, dtype=np.float64)
     ends = np.asarray(ends, dtype=np.float64)
+    # Subtraction rounds monotonically, so the earliest start and the latest
+    # end are the ones that can reach too far past the trace.
+    reach = times[0] - starts.min() > limit or ends.max() - times[-1] > limit
     # times[i0[j]:i1[j]] lies strictly inside window j, which needs the
     # stretches from times[k] to times[k + 1] with i0[j] - 1 <= k < i1[j].
     # The span holds them all.

@@ -32,6 +32,7 @@ import pickle
 import signal
 import stat
 import threading
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
@@ -51,6 +52,8 @@ from .errors import (
 )
 from .integrate import PowerTrace
 from .model import (
+    _CATEGORY_CODES,
+    _KIND_CODES,
     ApplicationCategory,
     ApplicationRun,
     DeviceCategory,
@@ -61,8 +64,11 @@ from .model import (
     PerformanceRate,
     RateUnit,
     RunMetrics,
+    RunTable,
     WorkKind,
     WorkMeasure,
+    _check_run,
+    _check_work_amount,
 )
 
 POWER_CSV_HEADER = ("device_id", "timestamp", "watts")
@@ -802,7 +808,10 @@ _RUN_KEYS = ("run_id", "category", "start", "end", "work", "devices")
 _run_fields = operator.itemgetter(*_RUN_KEYS)
 
 
-def _run_from_obj(obj: dict, line: int) -> ApplicationRun:
+def _run_fields_from_obj(obj: dict, line: int) -> tuple:
+    """The fields of one run object, checked as the parse and then
+    :class:`WorkMeasure` and :class:`ApplicationRun` check them: ``(run_id,
+    category, start, end, kind, amount, devices)``."""
     try:
         run_id, category, start, end, work, devices = _run_fields(obj)
     except (KeyError, TypeError):
@@ -841,16 +850,16 @@ def _run_from_obj(obj: dict, line: int) -> ApplicationRun:
             f"run {run_id!r}: end ({end}) must be > start ({start})", line=line
         )
     try:
-        return ApplicationRun(
-            run_id=run_id,
-            category=category,
-            start=start,
-            end=end,
-            work=WorkMeasure(kind=kind, amount=value),
-            attributed_devices=frozenset(devices),
-        )
+        _check_work_amount(value)
+        _check_run(run_id, category, start, end, kind, devices)
     except ValidationError as exc:
         raise SchemaError(str(exc), line=line) from exc
+    return run_id, category, start, end, kind, value, devices
+
+
+def _run_from_obj(obj: dict, line: int) -> ApplicationRun:
+    run_id, category, start, end, kind, amount, devices = _run_fields_from_obj(obj, line)
+    return ApplicationRun(run_id, category, start, end, WorkMeasure(kind, amount), frozenset(devices))
 
 
 #: The C scanner that ``json.loads`` runs, called without its Python wrapper.
@@ -859,14 +868,25 @@ _scan_json = json.JSONDecoder().scan_once
 _JSON_SPACE = " \t\n\r"
 
 
-def parse_runs_jsonl(stream: IO[str] | Iterable[str]) -> list[ApplicationRun]:
-    """Parse one JSON object per line into validated runs (blank lines skipped).
+def parse_runs_jsonl(stream: IO[str] | Iterable[str]) -> RunTable:
+    """Parse one JSON object per line into a table of validated runs (blank
+    lines skipped).
 
-    Run ids are unique: a repeated one is a :class:`SchemaError` on its
-    second line.
+    The :class:`~axpue.model.RunTable` holds the runs as columns: a run
+    costs its id string, its bounds as float64, two one-byte codes, its
+    work counter and one reference to its devices, whose sorted tuple and
+    id strings are shared by every run that names the same ones.  Run ids
+    are unique: a repeated one is a :class:`SchemaError` on its second line.
     """
-    runs = []
-    run_ids = set()
+    run_ids: list[str] = []
+    categories, kinds = bytearray(), bytearray()
+    starts, ends = array("d"), array("d")
+    amounts: list[int] = []
+    devices: list[tuple[str, ...]] = []
+    seen = set()
+    names: dict[str, str] = {}
+    # A run's devices as its line lists them -> their shared sorted tuple.
+    device_sets: dict[tuple[str, ...], tuple[str, ...]] = {}
     for line_no, raw in enumerate(stream, start=1):
         if not raw.strip():
             continue
@@ -884,12 +904,29 @@ def parse_runs_jsonl(stream: IO[str] | Iterable[str]) -> list[ApplicationRun]:
             obj = _load_json(raw, "invalid JSON", line=line_no)
         if not isinstance(obj, dict):
             raise SchemaError("each line must be a JSON object", line=line_no)
-        run = _run_from_obj(obj, line_no)
-        if run.run_id in run_ids:
-            raise SchemaError(f"duplicate run_id {run.run_id!r}", line=line_no)
-        run_ids.add(run.run_id)
-        runs.append(run)
-    return runs
+        run_id, category, start, end, kind, amount, listed = _run_fields_from_obj(obj, line_no)
+        if run_id in seen:
+            raise SchemaError(f"duplicate run_id {run_id!r}", line=line_no)
+        seen.add(run_id)
+        key = tuple(listed)
+        if (ids := device_sets.get(key)) is None:
+            ids = device_sets[key] = tuple(sorted({names.setdefault(d, d) for d in key}))
+        run_ids.append(run_id)
+        categories.append(_CATEGORY_CODES[category])
+        starts.append(start)
+        ends.append(end)
+        kinds.append(_KIND_CODES[kind])
+        amounts.append(amount)
+        devices.append(ids)
+    return RunTable(
+        tuple(run_ids),
+        bytes(categories),
+        memoryview(starts).toreadonly(),
+        memoryview(ends).toreadonly(),
+        bytes(kinds),
+        tuple(amounts),
+        tuple(devices),
+    )
 
 
 def write_runs_jsonl(runs: Iterable[ApplicationRun]) -> bytes:
@@ -918,7 +955,10 @@ def parse_inventory_json(stream: IO[str] | str) -> list[DeviceRecord]:
         label = obj.get("label", "")
         if not isinstance(label, str):
             raise SchemaError(f"inventory entry {i}: label must be a string, got {label!r}")
-        devices.append(DeviceRecord(device_id=obj["device_id"], category=category, label=label))
+        try:
+            devices.append(DeviceRecord(device_id=obj["device_id"], category=category, label=label))
+        except ValidationError as exc:
+            raise SchemaError(f"inventory entry {i}: {exc}") from exc
     return devices
 
 
@@ -1167,7 +1207,7 @@ class ScenarioBundle:
 
     inventory: Inventory
     traces: tuple[PowerTrace, ...]
-    runs: tuple[ApplicationRun, ...]
+    runs: RunTable
 
 
 def load_bundle(
@@ -1185,7 +1225,7 @@ def load_bundle(
     inventory = _parse_file(lambda f: Inventory(parse_inventory_json(f)), inventory_path)
     traces = _parse_file(parse_power_csv, power_path, "rb")
     runs = _parse_file(parse_runs_jsonl, runs_path)
-    return ScenarioBundle(inventory=inventory, traces=tuple(traces), runs=tuple(runs))
+    return ScenarioBundle(inventory=inventory, traces=tuple(traces), runs=runs)
 
 
 def _parse_file(parse, path: str | Path, mode: str = "r"):

@@ -6,11 +6,14 @@ construction time and are safe to share across threads without coordination.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .errors import (
     CategoryMismatchError,
@@ -108,9 +111,49 @@ class DeviceRecord:
 
     def __post_init__(self):
         if not isinstance(self.device_id, str) or not self.device_id:
-            raise InvalidDeviceError("device_id must be a non-empty string")
+            raise InvalidDeviceError(
+                f"device_id must be a non-empty string, got {self.device_id!r}"
+            )
         if not isinstance(self.category, DeviceCategory):
             raise InvalidDeviceError(f"unknown device category: {self.category!r}")
+
+
+def _check_work_amount(amount: int) -> None:
+    """A work counter is an integer, >= 0 and within float range."""
+    if isinstance(amount, bool) or not isinstance(amount, int):
+        raise ValidationError(f"work amount must be an integer, got {amount!r}")
+    if amount < 0:
+        raise ValidationError(f"work amount must be >= 0, got {amount}")
+    try:
+        float(amount)
+    except OverflowError:
+        raise ValidationError("work amount is beyond float range") from None
+
+
+def _check_run(
+    run_id: str,
+    category: ApplicationCategory,
+    start: float,
+    end: float,
+    kind: WorkKind,
+    devices: Collection[str],
+) -> None:
+    """A run has an id, at least one device, a finite window with ``end >
+    start`` and the work kind of its category."""
+    if not run_id:
+        raise ValidationError("run_id must be non-empty")
+    if not devices:
+        raise ValidationError(f"run {run_id!r}: attributed_devices is empty")
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ValidationError(f"run {run_id!r}: window bounds must be finite")
+    if end <= start:
+        raise InvalidWindowError(f"run {run_id!r}: end ({end}) must be > start ({start})")
+    expected = WORK_KIND_FOR_CATEGORY[category]
+    if kind is not expected:
+        raise CategoryMismatchError(
+            f"run {run_id!r}: category {category.value} requires "
+            f"{expected.value} work, got {kind.value}"
+        )
 
 
 @dataclass(frozen=True)
@@ -121,14 +164,7 @@ class WorkMeasure:
     amount: int
 
     def __post_init__(self):
-        if isinstance(self.amount, bool) or not isinstance(self.amount, int):
-            raise ValidationError(f"work amount must be an integer, got {self.amount!r}")
-        if self.amount < 0:
-            raise ValidationError(f"work amount must be >= 0, got {self.amount}")
-        try:
-            float(self.amount)
-        except OverflowError:
-            raise ValidationError("work amount is beyond float range") from None
+        _check_work_amount(self.amount)
 
 
 @dataclass(frozen=True)
@@ -147,27 +183,107 @@ class ApplicationRun:
     attributed_devices: frozenset[str]
 
     def __post_init__(self):
-        if not self.run_id:
-            raise ValidationError("run_id must be non-empty")
         object.__setattr__(self, "attributed_devices", frozenset(self.attributed_devices))
-        if not self.attributed_devices:
-            raise ValidationError(f"run {self.run_id!r}: attributed_devices is empty")
-        if not (math.isfinite(self.start) and math.isfinite(self.end)):
-            raise ValidationError(f"run {self.run_id!r}: window bounds must be finite")
-        if self.end <= self.start:
-            raise InvalidWindowError(
-                f"run {self.run_id!r}: end ({self.end}) must be > start ({self.start})"
-            )
-        expected = WORK_KIND_FOR_CATEGORY[self.category]
-        if self.work.kind is not expected:
-            raise CategoryMismatchError(
-                f"run {self.run_id!r}: category {self.category.value} requires "
-                f"{expected.value} work, got {self.work.kind.value}"
-            )
+        _check_run(
+            self.run_id, self.category, self.start, self.end, self.work.kind,
+            self.attributed_devices,
+        )
 
     @property
     def duration(self) -> float:
         return self.end - self.start
+
+
+#: The members that a :class:`RunTable`'s one-byte codes stand for.
+_CATEGORY_OF_CODE = tuple(ApplicationCategory)
+_KIND_OF_CODE = tuple(WorkKind)
+_CATEGORY_CODES = {category: code for code, category in enumerate(_CATEGORY_OF_CODE)}
+_KIND_CODES = {kind: code for code, kind in enumerate(_KIND_OF_CODE)}
+
+
+class RunTable(Sequence):
+    """Application runs held as columns, one item per run, in input order.
+
+    The columns are ``run_ids``; ``categories`` and ``kinds``, the one-byte
+    codes of each run's :class:`ApplicationCategory` and :class:`WorkKind`
+    (their members' positions); ``starts`` and ``ends``; ``amounts``, the
+    work counters; and ``devices``, each run's sorted device ids as a tuple.
+    A parsed table holds its bounds as read-only float64 buffers, and runs
+    with the same devices share one tuple.
+
+    It is an immutable sequence of :class:`ApplicationRun`: indexing or
+    iterating builds one run per access and keeps none.  It equals a list,
+    tuple or table of equal runs.  The constructor takes columns that hold
+    valid runs and checks nothing; :meth:`from_runs` builds a table from
+    runs.
+    """
+
+    __slots__ = ("run_ids", "categories", "starts", "ends", "kinds", "amounts", "devices")
+
+    def __init__(
+        self,
+        run_ids: Sequence[str],
+        categories: bytes,
+        starts: Sequence[float],
+        ends: Sequence[float],
+        kinds: bytes,
+        amounts: Sequence[int],
+        devices: Sequence[tuple[str, ...]],
+    ):
+        columns = (run_ids, categories, starts, ends, kinds, amounts, devices)
+        for name, column in zip(self.__slots__, columns):
+            object.__setattr__(self, name, column)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable RunTable")
+
+    @classmethod
+    def from_runs(cls, runs: Iterable[ApplicationRun]) -> RunTable:
+        """The table of ``runs``; their bounds keep their own types."""
+        runs = tuple(runs)
+        return cls(
+            tuple(run.run_id for run in runs),
+            bytes(_CATEGORY_CODES[run.category] for run in runs),
+            tuple(run.start for run in runs),
+            tuple(run.end for run in runs),
+            bytes(_KIND_CODES[run.work.kind] for run in runs),
+            tuple(run.work.amount for run in runs),
+            tuple(tuple(sorted(run.attributed_devices)) for run in runs),
+        )
+
+    def __len__(self) -> int:
+        return len(self.run_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RunTable(*(getattr(self, name)[index] for name in self.__slots__))
+        return ApplicationRun(
+            self.run_ids[index],
+            _CATEGORY_OF_CODE[self.categories[index]],
+            self.starts[index],
+            self.ends[index],
+            WorkMeasure(_KIND_OF_CODE[self.kinds[index]], self.amounts[index]),
+            frozenset(self.devices[index]),
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (RunTable, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"RunTable({list(self)!r})"
+
+
+def _check_rate(value: float) -> None:
+    """A performance rate is finite and >= 0."""
+    if not math.isfinite(value) or value < 0:
+        raise ValidationError(f"rate must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -184,8 +300,7 @@ class PerformanceRate:
     unit: RateUnit
 
     def __post_init__(self):
-        if not math.isfinite(self.value) or self.value < 0:
-            raise ValidationError(f"rate must be finite and >= 0, got {self.value!r}")
+        _check_rate(self.value)
 
     def reported(self) -> tuple[float, str]:
         """Magnitude and label in reporting units."""
@@ -369,6 +484,10 @@ _ROW_RULES = (
 )
 
 
+#: A row's derived fields, as a tuple.
+_row_derived = operator.attrgetter(*(name for name, _ in _ROW_RULES))
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """PUE plus per-run ApPUE/AoPUE rows, weights, and aggregates.
@@ -382,7 +501,9 @@ class MetricsReport:
     ``IDENTITY_REL_TOL``.  A violation raises a :class:`ValidationError`
     that names the field, and the run for a row's field.  Rows of mixed
     performance units raise :class:`UnitMismatchError`, and a window
-    without IT energy :class:`ZeroITEnergyError`.
+    without IT energy :class:`ZeroITEnergyError`.  A report that
+    :func:`~axpue.engine.build_report` builds from the rule's own values is
+    not derived again (see :meth:`_derived`).
     """
 
     window: EnergyWindow
@@ -394,8 +515,7 @@ class MetricsReport:
 
     def __post_init__(self):
         object.__setattr__(self, "per_run", tuple(self.per_run))
-        if not (math.isfinite(self.pue) and self.pue >= 1):
-            raise ValidationError(f"pue must be finite and >= 1, got {self.pue!r}")
+        _check_pue(self.pue)
         rows = self.per_run
         pue, columns, weighted_appue, aggregated_aopue = _derive_report(
             self.window,
@@ -406,15 +526,10 @@ class MetricsReport:
         )
         if not math.isclose(self.pue, pue, rel_tol=IDENTITY_REL_TOL):
             raise ValidationError(f"pue {self.pue!r} != total facility energy / IT energy {pue!r}")
-        if rows:
-            total = math.fsum(row.weight for row in rows)
-            if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # NaN compares false, so it fails
-                raise ValidationError(f"weights sum to {total!r}, expected 1")
+        _check_weight_sum(rows)
         for row, *derived in zip(rows, *columns):
             for (name, rule), expected in zip(_ROW_RULES, derived):
-                # isclose(inf, inf) holds, so an overflow needs its own check.
-                if not math.isfinite(value := getattr(row, name)):
-                    raise ValidationError(f"run {row.run_id!r}: {name} must be finite, got {value!r}")
+                value = _finite_field(row, name)
                 if not math.isclose(value, expected, rel_tol=IDENTITY_REL_TOL):
                     raise ValidationError(
                         f"run {row.run_id!r}: {name} {value!r} != {rule} {expected!r}"
@@ -429,3 +544,55 @@ class MetricsReport:
                 agrees = math.isclose(value, derived, rel_tol=IDENTITY_REL_TOL)
             if not agrees:
                 raise ValidationError(f"{name} {value!r} != {rule} {derived!r}")
+
+    @classmethod
+    def _derived(
+        cls,
+        window: EnergyWindow,
+        pue: float,
+        per_run: tuple[RunMetrics, ...],
+        weighted_appue: float | None,
+        aggregated_aopue: float | None,
+        provenance: Mapping[str, object],
+    ) -> MetricsReport:
+        """A report whose derived fields are the values :func:`_derive_report`
+        gave for its primary fields, held without deriving them again: only
+        the checks that the rule does not make are run (PUE finite and >=
+        1, the weights' sum, and every row's derived field finite)."""
+        _check_pue(pue)
+        _check_weight_sum(per_run)
+        if not all(map(math.isfinite, itertools.chain.from_iterable(map(_row_derived, per_run)))):
+            for row in per_run:
+                for name, _ in _ROW_RULES:
+                    _finite_field(row, name)
+        report = object.__new__(cls)
+        for name, value in (
+            ("window", window),
+            ("pue", pue),
+            ("per_run", per_run),
+            ("weighted_appue", weighted_appue),
+            ("aggregated_aopue", aggregated_aopue),
+            ("provenance", provenance),
+        ):
+            object.__setattr__(report, name, value)
+        return report
+
+
+def _check_pue(pue: float) -> None:
+    if not (math.isfinite(pue) and pue >= 1):
+        raise ValidationError(f"pue must be finite and >= 1, got {pue!r}")
+
+
+def _check_weight_sum(rows: tuple[RunMetrics, ...]) -> None:
+    if rows:
+        total = math.fsum(row.weight for row in rows)
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # NaN compares false, so it fails
+            raise ValidationError(f"weights sum to {total!r}, expected 1")
+
+
+def _finite_field(row: RunMetrics, name: str) -> float:
+    """The row's field ``name``, which must be finite."""
+    # isclose(inf, inf) holds, so an overflow needs its own check.
+    if not math.isfinite(value := getattr(row, name)):
+        raise ValidationError(f"run {row.run_id!r}: {name} must be finite, got {value!r}")
+    return value

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import math
+import operator
 
 import numpy as np
 import pytest
@@ -29,7 +31,14 @@ from axpue import (
     parse_runs_jsonl,
     simulate,
 )
-from axpue.model import WORK_KIND_FOR_CATEGORY
+from axpue.errors import (
+    CategoryMismatchError,
+    InvalidWindowError,
+    SchemaError,
+    ValidationError,
+)
+from axpue.io import _load_json, _parse_timestamp
+from axpue.model import WORK_KIND_FOR_CATEGORY, WorkKind
 
 # Published reference measurements: IT power (kW), total facility power (kW),
 # performance (reporting units), PUE, ApPUE, AoPUE.
@@ -40,6 +49,112 @@ PUBLISHED_TABLE = {
     "Grep": (92.331, 138.636, 24916.998, 1.502, 269.866, 179.730),
     "Linpack": (122.679, 170.685, 50.46, 1.391, 0.411, 0.295),
 }
+
+
+_REFERENCE_CATEGORIES = {category.value: category for category in ApplicationCategory}
+_REFERENCE_WORK_KINDS = {kind.value: kind for kind in WorkKind}
+_REFERENCE_RUN_KEYS = ("run_id", "category", "start", "end", "work", "devices")
+_reference_run_fields = operator.itemgetter(*_REFERENCE_RUN_KEYS)
+
+
+def _reference_work_measure(kind, amount) -> WorkMeasure:
+    """``WorkMeasure(kind, amount)``, with the checks its constructor made
+    when every parsed run was one."""
+    if isinstance(amount, bool) or not isinstance(amount, int):
+        raise ValidationError(f"work amount must be an integer, got {amount!r}")
+    if amount < 0:
+        raise ValidationError(f"work amount must be >= 0, got {amount}")
+    try:
+        float(amount)
+    except OverflowError:
+        raise ValidationError("work amount is beyond float range") from None
+    return WorkMeasure(kind, amount)
+
+
+def _reference_application_run(run_id, category, start, end, work, devices) -> ApplicationRun:
+    """``ApplicationRun(...)``, with the checks its constructor made when
+    every parsed run was one."""
+    devices = frozenset(devices)
+    if not run_id:
+        raise ValidationError("run_id must be non-empty")
+    if not devices:
+        raise ValidationError(f"run {run_id!r}: attributed_devices is empty")
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ValidationError(f"run {run_id!r}: window bounds must be finite")
+    if end <= start:
+        raise InvalidWindowError(f"run {run_id!r}: end ({end}) must be > start ({start})")
+    expected = WORK_KIND_FOR_CATEGORY[category]
+    if work.kind is not expected:
+        raise CategoryMismatchError(
+            f"run {run_id!r}: category {category.value} requires "
+            f"{expected.value} work, got {work.kind.value}"
+        )
+    return ApplicationRun(run_id, category, start, end, work, devices)
+
+
+def _reference_run_from_obj(obj: dict, line: int) -> ApplicationRun:
+    try:
+        run_id, category, start, end, work, devices = _reference_run_fields(obj)
+    except (KeyError, TypeError):
+        for key in _REFERENCE_RUN_KEYS:
+            if key not in obj:
+                raise SchemaError(f"missing key {key!r}", line=line) from None
+        raise
+    if type(run_id) is not str:
+        raise SchemaError(f"run_id must be a string, got {run_id!r}", line=line)
+    if type(category) is not str or category not in _REFERENCE_CATEGORIES:
+        raise SchemaError(f"unknown category {category!r}", line=line)
+    category = _REFERENCE_CATEGORIES[category]
+    if type(work) is not dict or "type" not in work or "value" not in work:
+        raise SchemaError("work must be an object with 'type' and 'value'", line=line)
+    kind, value = work["type"], work["value"]
+    if type(kind) is not str or kind not in _REFERENCE_WORK_KINDS:
+        raise SchemaError(f"unknown work type {kind!r}", line=line)
+    kind = _REFERENCE_WORK_KINDS[kind]
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    elif type(value) is not int:
+        raise SchemaError(f"work value must be an integer, got {value!r}", line=line)
+    if type(devices) is not list or not {str}.issuperset(map(type, devices)):
+        raise SchemaError("devices must be a list of device ids", line=line)
+    if type(start) is bool or type(end) is bool:
+        raise SchemaError("bad start/end timestamp", line=line)
+    try:
+        start = float(start) if type(start) in (int, float) else _parse_timestamp(start)
+        end = float(end) if type(end) in (int, float) else _parse_timestamp(end)
+    except (ValueError, OverflowError, TypeError):
+        raise SchemaError("bad start/end timestamp", line=line) from None
+    if end <= start:
+        raise InvalidWindowError(
+            f"run {run_id!r}: end ({end}) must be > start ({start})", line=line
+        )
+    try:
+        work = _reference_work_measure(kind, value)
+        return _reference_application_run(run_id, category, start, end, work, devices)
+    except ValidationError as exc:
+        raise SchemaError(str(exc), line=line) from exc
+
+
+def reference_parse_runs_jsonl(lines) -> list[ApplicationRun]:
+    """The runs parse that built one :class:`ApplicationRun` per line, each
+    checked by its own constructor, kept only as the reference that
+    ``parse_runs_jsonl`` is compared against: on every input both must
+    give equal runs, or raise the same error type with the same message
+    and line."""
+    runs = []
+    run_ids = set()
+    for line_no, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        obj = _load_json(raw, "invalid JSON", line=line_no)
+        if not isinstance(obj, dict):
+            raise SchemaError("each line must be a JSON object", line=line_no)
+        run = _reference_run_from_obj(obj, line_no)
+        if run.run_id in run_ids:
+            raise SchemaError(f"duplicate run_id {run.run_id!r}", line=line_no)
+        run_ids.add(run.run_id)
+        runs.append(run)
+    return runs
 
 
 def riemann_energy(trace: PowerTrace, start: float, end: float, steps: int = 10**6) -> float:

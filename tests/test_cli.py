@@ -99,6 +99,18 @@ class TestComputeCommand:
             f"error: {tmp_path / 'inventory.json'}: duplicate device_id 's1'\n"
         )
 
+    @pytest.mark.parametrize("device_id", [7, "", None])
+    def test_bad_inventory_device_id_names_the_entry(self, tmp_path, capsys, device_id):
+        inventory = json.dumps(
+            [*json.loads(INVENTORY), {"device_id": device_id, "category": "cooling"}]
+        )
+        args = write_inputs(tmp_path, VALID_POWER, run_line(), inventory)
+        assert main(["compute", *args]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'inventory.json'}: inventory entry 1: "
+            f"device_id must be a non-empty string, got {device_id!r}\n"
+        )
+
     def test_unmetered_device_exits_3(self, tmp_path, capsys):
         inventory = json.dumps(
             [*json.loads(INVENTORY), {"device_id": "c1", "category": "cooling", "label": ""}]
