@@ -266,30 +266,26 @@ def _run_energies(
     over its window.  One kernel call per device covers all of that
     device's run windows, in run order; the caller has checked that each
     window lies inside one that every trace covers."""
-    counts = list(map(len, table.devices))
-    pair_devices = list(itertools.chain.from_iterable(table.devices))
-    device_ids = sorted(set(pair_devices))
-    codes = dict(zip(device_ids, itertools.count()))
-    # The (run, device) pairs in run order, and grouped by device.
-    pair_codes = np.fromiter(map(codes.__getitem__, pair_devices), np.intp, len(pair_devices))
-    order = pair_codes.argsort(kind="stable")
-    pair_runs = np.repeat(np.arange(len(table)), counts)[order]
-    cuts = pair_codes[order].searchsorted(np.arange(1, len(device_ids)))
+    runs_by_device: dict[str, list[int]] = {}
+    for j, devices in enumerate(table.devices):
+        for device_id in devices:
+            runs_by_device.setdefault(device_id, []).append(j)
+    device_ids = sorted(runs_by_device)
     starts = np.asarray(table.starts, dtype=np.float64)
     ends = np.asarray(table.ends, dtype=np.float64)
     trace_by_device = {t.device_id: t for t in traces}
     energies = _integrate_windows(
         (
             (trace_by_device[device_id], starts[runs], ends[runs])
-            for device_id, runs in zip(device_ids, np.split(pair_runs, cuts))
+            for device_id, runs in zip(device_ids, map(runs_by_device.get, device_ids))
         ),
         max_gap,
     )
-    pair_joules = np.empty(len(pair_devices))
-    pair_joules[order] = list(itertools.chain.from_iterable(energies))
-    pair_joules = pair_joules.tolist()
-    bounds = list(itertools.accumulate(counts, initial=0))
-    return [math.fsum(pair_joules[a:b]) for a, b in zip(bounds, bounds[1:])]
+    # Each device's energies come back in run order, and are taken so.
+    joules_by_device = dict(zip(device_ids, map(iter, energies)))
+    return [
+        math.fsum([next(joules_by_device[d]) for d in devices]) for devices in table.devices
+    ]
 
 
 def analyze(

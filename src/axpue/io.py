@@ -31,8 +31,8 @@ import os
 import pickle
 import signal
 import stat
+import struct
 import threading
-from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
@@ -866,6 +866,7 @@ def _run_from_obj(obj: dict, line: int) -> ApplicationRun:
 _scan_json = json.JSONDecoder().scan_once
 #: JSON's whitespace; ``str.strip`` removes more, ``\x0c`` for one.
 _JSON_SPACE = " \t\n\r"
+_pack_double = struct.Struct("d").pack
 
 
 def parse_runs_jsonl(stream: IO[str] | Iterable[str]) -> RunTable:
@@ -880,7 +881,9 @@ def parse_runs_jsonl(stream: IO[str] | Iterable[str]) -> RunTable:
     """
     run_ids: list[str] = []
     categories, kinds = bytearray(), bytearray()
-    starts, ends = array("d"), array("d")
+    # Bounds go in as native doubles, float64's bits, and no float object
+    # outlives its line.
+    starts, ends = bytearray(), bytearray()
     amounts: list[int] = []
     devices: list[tuple[str, ...]] = []
     seen = set()
@@ -896,8 +899,8 @@ def parse_runs_jsonl(stream: IO[str] | Iterable[str]) -> RunTable:
         # result or message.
         try:
             text = raw.strip(_JSON_SPACE)
-            obj, end = _scan_json(text, 0)
-            decoded = end == len(text)
+            obj, stop = _scan_json(text, 0)
+            decoded = stop == len(text)
         except (TypeError, StopIteration, ValueError, RecursionError):
             decoded = False
         if not decoded:
@@ -913,16 +916,16 @@ def parse_runs_jsonl(stream: IO[str] | Iterable[str]) -> RunTable:
             ids = device_sets[key] = tuple(sorted({names.setdefault(d, d) for d in key}))
         run_ids.append(run_id)
         categories.append(_CATEGORY_CODES[category])
-        starts.append(start)
-        ends.append(end)
+        starts += _pack_double(start)
+        ends += _pack_double(end)
         kinds.append(_KIND_CODES[kind])
         amounts.append(amount)
         devices.append(ids)
     return RunTable(
         tuple(run_ids),
         bytes(categories),
-        memoryview(starts).toreadonly(),
-        memoryview(ends).toreadonly(),
+        memoryview(bytes(starts)).cast("d"),
+        memoryview(bytes(ends)).cast("d"),
         bytes(kinds),
         tuple(amounts),
         tuple(devices),

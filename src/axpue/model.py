@@ -280,12 +280,6 @@ class RunTable(Sequence):
         return f"RunTable({list(self)!r})"
 
 
-def _check_rate(value: float) -> None:
-    """A performance rate is finite and >= 0."""
-    if not math.isfinite(value) or value < 0:
-        raise ValidationError(f"rate must be finite and >= 0, got {value!r}")
-
-
 @dataclass(frozen=True)
 class PerformanceRate:
     """A work rate plus its unit tag.
@@ -300,7 +294,8 @@ class PerformanceRate:
     unit: RateUnit
 
     def __post_init__(self):
-        _check_rate(self.value)
+        if not math.isfinite(self.value) or self.value < 0:
+            raise ValidationError(f"rate must be finite and >= 0, got {self.value!r}")
 
     def reported(self) -> tuple[float, str]:
         """Magnitude and label in reporting units."""
