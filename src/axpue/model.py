@@ -279,6 +279,10 @@ class RunTable(Sequence):
     def __repr__(self) -> str:
         return f"RunTable({list(self)!r})"
 
+    def __reduce__(self):
+        # A parsed table's bounds are memoryviews, which do not pickle.
+        return RunTable.from_runs, (tuple(self),)
+
 
 @dataclass(frozen=True)
 class PerformanceRate:

@@ -4,9 +4,11 @@ run (``reference_parse_runs_jsonl`` in ``conftest.py``)."""
 
 from __future__ import annotations
 
+import copy
 import gc
 import io
 import json
+import pickle
 import tracemalloc
 
 import pytest
@@ -194,6 +196,7 @@ class TestRunTable:
         assert isinstance(table.starts[0], float)
         with pytest.raises(TypeError):
             table.starts[0] = 1.0
+        assert pickle.loads(pickle.dumps(table)) == table == copy.deepcopy(table)
 
     def test_analyze_gives_the_same_report_bytes_for_a_table_and_its_runs(self, rng):
         for i in range(5):
