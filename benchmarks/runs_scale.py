@@ -2,10 +2,10 @@
 
 Usage, from the root of a checkout::
 
-    python3 benchmarks/runs_scale.py [--checkout DIR] [--baseline DIR] [--repeats N]
+    python3 benchmarks/runs_scale.py [--baseline DIR]
 
-For each checkout (``--baseline`` first, when given; ``--checkout``
-defaults to this one), a fresh interpreter with that checkout's ``src`` on
+For this checkout, and first for the ``--baseline`` checkout when given,
+a fresh interpreter with that checkout's ``src`` on
 ``PYTHONPATH`` builds inputs shaped like perfbench's ``many_runs`` in
 memory: N service runs on 16 pairs of 32 servers, one after another within
 a pair, and power traces at 10 s that cover them, three samples a run, plus
@@ -15,12 +15,12 @@ one cooling device.  At each N it measures three stages:
 * ``analyze`` of the traces, the inventory and the parsed runs;
 * ``write_report`` of the JSON report.
 
-Each stage gets its time, the best of ``--repeats`` calls, in microseconds
+Each stage gets its time, the best of ``REPEATS`` calls, in microseconds
 a run (``us_per_run``), and, in one more call under ``tracemalloc``, the
 heap its result holds (``held_bytes_per_run``: the parsed runs, the report
 or its bytes) and its peak above where it started (``peak_bytes_per_run``).
-One record per checkout is appended to ``--out`` (default
-``BENCH_runs_scale.json`` beside this directory), with the commit, date,
+One record per checkout is appended to ``BENCH_runs_scale.json`` at the
+root of this checkout, with the commit, date,
 Python and numpy versions, and per stage ``time_ratio``: the per-run time
 at the largest N over that at the smallest.  A flat per-run cost gives 1.
 """
@@ -37,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (4_000, 16_000, 64_000)
+REPEATS = 3
 PAIRS = 16
 PERIOD_S = 10.0
 SLOT_S = 30.0  # a run lasts 20 s, then its pair idles for 10 s
@@ -89,7 +90,7 @@ def _traced(call) -> tuple[object, int, int]:
     return result, held - before, peak - before
 
 
-def measure(sizes: tuple[int, ...], repeats: int) -> dict:
+def measure(sizes: tuple[int, ...]) -> dict:
     """Per-run time and heap of each stage at each size, keyed by size."""
     import io
     import time
@@ -107,7 +108,7 @@ def measure(sizes: tuple[int, ...], repeats: int) -> dict:
         row = {}
         for stage, call in stages.items():
             best = float("inf")
-            for _ in range(repeats):
+            for _ in range(REPEATS):
                 tic = time.perf_counter()
                 call()
                 best = min(best, time.perf_counter() - tic)
@@ -137,25 +138,25 @@ def _commit(checkout: Path) -> str:
     return _git(checkout, "rev-parse", "HEAD") + ("+dirty" if dirty else "")
 
 
-def _record(checkout: Path, sizes: tuple[int, ...], repeats: int) -> dict:
+def _record(checkout: Path) -> dict:
     """One record of ``checkout``'s program, measured in a fresh interpreter."""
     code = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); import runs_scale, numpy, platform; "
-        "print(json.dumps({'runs': runs_scale.measure(tuple(map(int, sys.argv[3:])), int(sys.argv[2])), "
+        "print(json.dumps({'runs': runs_scale.measure(runs_scale.SIZES), "
         "'python': platform.python_version(), 'numpy': numpy.__version__}))"
     )
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     child = subprocess.run(
-        [sys.executable, "-c", code, str(Path(__file__).resolve().parent), str(repeats), *map(str, sizes)],
+        [sys.executable, "-c", code, str(Path(__file__).resolve().parent)],
         check=True, capture_output=True, text=True, env=env,
     )
     measured = json.loads(child.stdout.strip().splitlines()[-1])
-    small, large = str(min(sizes)), str(max(sizes))
+    small, large = str(min(SIZES)), str(max(SIZES))
     return {
         "commit": _commit(checkout),
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-        "sizes": list(sizes),
-        "repeats": repeats,
+        "sizes": list(SIZES),
+        "repeats": REPEATS,
         "runs": measured["runs"],
         "time_ratio": {
             stage: measured["runs"][large][stage]["us_per_run"] / cost["us_per_run"]
@@ -168,16 +169,14 @@ def _record(checkout: Path, sizes: tuple[int, ...], repeats: int) -> dict:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description="per-run cost of the runs path at several run counts")
-    ap.add_argument("--checkout", type=Path, default=ROOT, help="checkout whose program to measure")
     ap.add_argument("--baseline", type=Path, help="a second checkout, measured first")
-    ap.add_argument("--repeats", type=int, default=3, help="timed calls per stage and size")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_runs_scale.json")
     args = ap.parse_args()
-    sides = [args.checkout.resolve()] if args.baseline is None else [args.baseline.resolve(), args.checkout.resolve()]
-    records = json.loads(args.out.read_text()) if args.out.exists() else []
+    sides = [ROOT] if args.baseline is None else [args.baseline.resolve(), ROOT]
+    out = ROOT / "BENCH_runs_scale.json"
+    records = json.loads(out.read_text()) if out.exists() else []
     for side in sides:
-        records.append(_record(side, SIZES, args.repeats))
-        args.out.write_text(json.dumps(records, indent=1) + "\n")
+        records.append(_record(side))
+        out.write_text(json.dumps(records, indent=1) + "\n")
         print(json.dumps(records[-1]))
     return 0
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -103,13 +103,13 @@ class RunInput:
 class _RunInputs(Sequence):
     """The :class:`RunInput` of each run of a :class:`~axpue.model.RunTable`,
     held as the table plus a column of IT energies and one of rates; indexing
-    builds one input per access and keeps none."""
+    builds one input per access and keeps none.  The constructor checks
+    nothing: :meth:`of` takes inputs that have checked themselves, and
+    :func:`analyze` checks each energy as it goes."""
 
     __slots__ = ("table", "joules", "rates")
 
     def __init__(self, table: RunTable, joules: list[float], rates: list[PerformanceRate]):
-        for run_id, run_joules in zip(table.run_ids, joules):
-            _check_it_energy(run_id, run_joules)
         self.table = table
         self.joules = joules
         self.rates = rates
@@ -137,20 +137,17 @@ class _RunInputs(Sequence):
 class MetricInputs:
     """Everything needed to build one report: a window plus per-run inputs.
 
-    ``runs`` is a tuple of :class:`RunInput`, or, as :func:`analyze` builds
-    it, a sequence that builds them from columns.
+    ``runs`` may be any iterable of :class:`RunInput`; it is held as a
+    sequence that builds them from columns.
     """
 
     window: EnergyWindow
     runs: Sequence[RunInput]
 
     def __post_init__(self):
-        if isinstance(self.runs, _RunInputs):
-            joules = self.runs.joules
-        else:
-            object.__setattr__(self, "runs", tuple(self.runs))
-            joules = [r.it_energy_joules for r in self.runs]
-        attributed = math.fsum(joules)
+        if not isinstance(self.runs, _RunInputs):
+            object.__setattr__(self, "runs", _RunInputs.of(self.runs))
+        attributed = math.fsum(self.runs.joules)
         budget = self.window.it_energy * (1.0 + ATTRIBUTION_SLACK)
         if attributed > budget:
             raise ValidationError(
@@ -186,7 +183,7 @@ def build_report(
     every derived field from :func:`~axpue.model._derive_report`, which
     runs once: the report is built from its values without deriving them
     again."""
-    runs = inputs.runs if isinstance(inputs.runs, _RunInputs) else _RunInputs.of(inputs.runs)
+    runs = inputs.runs
     run_ids = runs.table.run_ids
     categories = list(map(_CATEGORY_OF_CODE.__getitem__, runs.table.categories))
     it_kws = runs.it_power_kws()
@@ -261,9 +258,9 @@ def _check_shared_devices(table: RunTable) -> None:
 
 def _run_energies(
     traces: Sequence[PowerTrace], table: RunTable, max_gap: float
-) -> list[float]:
-    """Each run's IT energy: the ``math.fsum`` of its devices' integrals
-    over its window.  One kernel call per device covers all of that
+) -> Iterator[list[float]]:
+    """Each run's IT energies: its devices' integrals over its window, in
+    its device order.  One kernel call per device covers all of that
     device's run windows, in run order; the caller has checked that each
     window lies inside one that every trace covers."""
     runs_by_device: dict[str, list[int]] = {}
@@ -283,9 +280,7 @@ def _run_energies(
     )
     # Each device's energies come back in run order, and are taken so.
     joules_by_device = dict(zip(device_ids, map(iter, energies)))
-    return [
-        math.fsum([next(joules_by_device[d]) for d in devices]) for devices in table.devices
-    ]
+    return ([next(joules_by_device[d]) for d in devices] for devices in table.devices)
 
 
 def analyze(
@@ -317,28 +312,32 @@ def analyze(
         window = (min(table.starts), max(table.ends))
     start, end = window
     _check_window(start, end)
-    starts = np.asarray(table.starts, dtype=np.float64)
-    ends = np.asarray(table.ends, dtype=np.float64)
-    outside = np.flatnonzero((starts < start) | (ends > end))
-    if outside.size:
-        j = int(outside[0])
-        raise InvalidWindowError(
-            f"run {table.run_ids[j]!r} [{table.starts[j]}, {table.ends[j]}] lies outside "
-            f"the report window [{start}, {end}]"
-        )
+    if table and (min(table.starts) < start or max(table.ends) > end):
+        for run_id, run_start, run_end in zip(table.run_ids, table.starts, table.ends):
+            if run_start < start or run_end > end:
+                raise InvalidWindowError(
+                    f"run {run_id!r} [{run_start}, {run_end}] lies outside "
+                    f"the report window [{start}, {end}]"
+                )
     energy_window = category_energy(traces, inventory, start, end, max_gap)
     # category_energy has checked that every inventory device has a trace,
-    # and each run lies inside the window it integrated.
-    joules = _run_energies(traces, table, max_gap)
-    categories = map(_CATEGORY_OF_CODE.__getitem__, table.categories)
-    rates = list(
-        map(
-            PerformanceRate,
-            map(_rate_value, map(_KIND_OF_CODE.__getitem__, table.kinds), table.amounts,
-                table.starts, table.ends),
-            map(RATE_UNIT_FOR_CATEGORY.__getitem__, categories),
+    # and each run lies inside the window it integrated.  Each run's energy
+    # is summed, its rate built and its energy checked before the next run's.
+    joules: list[float] = []
+    rates: list[PerformanceRate] = []
+    for run_id, category, kind, amount, run_start, run_end, energies in zip(
+        table.run_ids, table.categories, table.kinds, table.amounts, table.starts, table.ends,
+        _run_energies(traces, table, max_gap),
+    ):
+        run_joules = math.fsum(energies)
+        rates.append(
+            PerformanceRate(
+                _rate_value(_KIND_OF_CODE[kind], amount, run_start, run_end),
+                RATE_UNIT_FOR_CATEGORY[_CATEGORY_OF_CODE[category]],
+            )
         )
-    )
+        _check_it_energy(run_id, run_joules)
+        joules.append(run_joules)
     inputs = MetricInputs(window=energy_window, runs=_RunInputs(table, joules, rates))
     return build_report(
         inputs,

@@ -474,6 +474,15 @@ class TestAnalyze:
         assert report.weighted_appue is None
         assert report.pue == pytest.approx(1.5, rel=1e-12)
 
+    def test_run_bounds_compared_exactly_with_the_window(self):
+        # 2**53 + 1 has no float64; rounded, it would lie inside the window.
+        runs = [data_run("r", 0, 2**53 + 1, 1e5)]
+        with pytest.raises(
+            InvalidWindowError,
+            match=rf"^run 'r' \[0, {2**53 + 1}\] lies outside the report window",
+        ):
+            analyze(self.traces(), self.inventory(), runs, window=(0.0, 2.0**53))
+
     @staticmethod
     def count_kernel_calls(monkeypatch):
         """Record (device, window count) for every call of the integration kernel."""

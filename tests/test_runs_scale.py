@@ -27,7 +27,7 @@ def check_runs(runs: dict, sizes: list[int]) -> None:
 
 
 def test_measure_gives_every_stage_at_every_size():
-    check_runs(runs_scale.measure((32, 64), repeats=1), [32, 64])
+    check_runs(runs_scale.measure((32, 64)), [32, 64])
 
 
 def test_every_committed_record_has_the_same_keys():
