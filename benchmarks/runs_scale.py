@@ -9,16 +9,17 @@ a fresh interpreter with that checkout's ``src`` on
 ``PYTHONPATH`` builds inputs shaped like perfbench's ``many_runs`` in
 memory: N service runs on 16 pairs of 32 servers, one after another within
 a pair, and power traces at 10 s that cover them, three samples a run, plus
-one cooling device.  At each N it measures three stages:
+one cooling device.  At each N it measures four stages:
 
 * ``parse_runs_jsonl`` of the runs JSONL text;
 * ``analyze`` of the traces, the inventory and the parsed runs;
-* ``write_report`` of the JSON report.
+* ``write_report`` of the JSON report;
+* ``read_report`` of the report's JSON bytes.
 
 Each stage gets its time, the best of ``REPEATS`` calls, in microseconds
 a run (``us_per_run``), and, in one more call under ``tracemalloc``, the
-heap its result holds (``held_bytes_per_run``: the parsed runs, the report
-or its bytes) and its peak above where it started (``peak_bytes_per_run``).
+heap its result holds (``held_bytes_per_run``: the parsed runs, the report,
+its bytes or the report read back) and its peak above where it started (``peak_bytes_per_run``).
 One record per checkout is appended to ``BENCH_runs_scale.json`` at the
 root of this checkout, with the commit, date,
 Python and numpy versions, and per stage ``time_ratio``: the per-run time
@@ -95,7 +96,7 @@ def measure(sizes: tuple[int, ...]) -> dict:
     import io
     import time
 
-    from axpue import analyze, parse_runs_jsonl, write_report
+    from axpue import analyze, parse_runs_jsonl, read_report, write_report
 
     results = {}
     for n_runs in sizes:
@@ -104,6 +105,7 @@ def measure(sizes: tuple[int, ...]) -> dict:
             "parse_runs_jsonl": lambda: parse_runs_jsonl(io.StringIO(text)),
             "analyze": lambda: analyze(traces, inventory, runs),
             "write_report": lambda: write_report(report),
+            "read_report": lambda: read_report(data),
         }
         row = {}
         for stage, call in stages.items():
@@ -117,6 +119,8 @@ def measure(sizes: tuple[int, ...]) -> dict:
                 runs = result
             elif stage == "analyze":
                 report = result
+            elif stage == "write_report":
+                data = result
             row[stage] = {
                 "us_per_run": best / n_runs * 1e6,
                 "held_bytes_per_run": held / n_runs,

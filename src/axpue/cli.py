@@ -11,6 +11,7 @@ import argparse
 import csv
 import gc
 import io as _stdio
+import itertools
 import sys
 from pathlib import Path
 
@@ -24,14 +25,14 @@ from .errors import (
 from .integrate import DEFAULT_MAX_GAP
 from .io import (
     REPORT_CSV_HEADER,
+    _table_rows,
     format_appue,
     format_quantity,
     load_bundle,
     read_report,
-    report_csv_row,
     write_report,
 )
-from .model import MetricsReport, _fsum, _power_weighted
+from .model import _REPORTED_LABELS, _UNIT_OF_CODE, MetricsReport, _fsum, _power_weighted
 from .simulate import builtin_scenario, scenario_from_manifest, simulate
 
 EXIT_OK = 0
@@ -100,11 +101,12 @@ def _merged_rows(reports: list[MetricsReport]) -> tuple[list[list[str]], list[li
     table: list[list[str]] = []
     series: list[list[str]] = []
     for report in reports:
-        for row in report.per_run:
-            table.append(report_csv_row(row, report.pue))
-            series.append([row.run_id, "pue", repr(report.pue)])
-            series.append([row.run_id, "appue", repr(row.appue)])
-            series.append([row.run_id, "aopue", repr(row.aopue)])
+        rows = report.per_run
+        table.extend(_table_rows(rows, report.pue))
+        for run_id, appue, aopue in zip(rows.run_ids, rows.appues, rows.aopues):
+            series.append([run_id, "pue", repr(report.pue)])
+            series.append([run_id, "appue", repr(appue)])
+            series.append([run_id, "aopue", repr(aopue)])
     return table, series
 
 
@@ -114,11 +116,16 @@ def _aggregate_row(reports: list[MetricsReport]) -> list[str] | None:
     The weights and the weighted values follow the rule for a report's own
     aggregate; with mixed performance units the two cells are left blank.
     """
-    rows = [row for report in reports for row in report.per_run]
-    if len(rows) < 2:
+    rows = [report.per_run for report in reports]
+    if sum(map(len, rows)) < 2:
         return None
-    it_total = _fsum((r.it_power_kw for r in rows), "IT powers")
-    facility_total = _fsum((r.facility_power_kw for r in rows), "facility powers")
+
+    def column(name: str) -> list:
+        return list(itertools.chain.from_iterable(getattr(r, name) for r in rows))
+
+    it_kws = column("it_power_kws")
+    it_total = _fsum(it_kws, "IT powers")
+    facility_total = _fsum(column("facility_power_kws"), "facility powers")
     out = [
         "(aggregate)",
         format_quantity(it_total),
@@ -128,7 +135,7 @@ def _aggregate_row(reports: list[MetricsReport]) -> list[str] | None:
         "",
         "",
     ]
-    units = {r.performance.reported()[1] for r in rows}
+    units = {_REPORTED_LABELS[_UNIT_OF_CODE[code]] for r in rows for code in set(r.categories)}
     if len(units) > 1:
         print(
             "warning: performance units differ across runs "
@@ -136,11 +143,10 @@ def _aggregate_row(reports: list[MetricsReport]) -> list[str] | None:
             file=sys.stderr,
         )
         return out
-    it_kws = [r.it_power_kw for r in rows]
-    _, appue = _power_weighted(it_kws, [r.appue for r in rows])
+    _, appue = _power_weighted(it_kws, column("appues"))
     # The reports' PUEs differ, so no one PUE divides the weighted ApPUE:
     # the rows' AoPUEs are averaged instead.
-    _, aopue = _power_weighted(it_kws, [r.aopue for r in rows])
+    _, aopue = _power_weighted(it_kws, column("aopues"))
     out[5] = format_appue(appue)
     out[6] = format_quantity(aopue)
     return out

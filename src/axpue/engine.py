@@ -24,16 +24,17 @@ without deriving them again, and every other
 :class:`~axpue.model.MetricsReport` is checked against it when constructed,
 so :func:`~axpue.io.read_report` rejects a report whose fields disagree.
 
-Runs stay columns (a :class:`~axpue.model.RunTable`) from the parse to the
-report's rows: :func:`analyze` checks them and computes each run's energy
-and performance a column at a time, and builds the public per-run objects
-only for the report.
+Runs stay columns from the parse to the report's rows (a
+:class:`~axpue.model.RunTable`, then a :class:`~axpue.model.ReportRows`):
+:func:`analyze` checks them and computes each run's energy and performance
+a column at a time, and builds no per-run object.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -49,13 +50,12 @@ from .integrate import (
     DEFAULT_MAX_GAP,
     PowerTrace,
     _check_max_gap,
-    _check_window,
     _integrate_windows,
     category_energy,
 )
 from .model import (
-    _CATEGORY_OF_CODE,
     _KIND_OF_CODE,
+    _UNIT_OF_CODE,
     RATE_UNIT_FOR_CATEGORY,
     ApplicationRun,
     DeviceCategory,
@@ -63,10 +63,15 @@ from .model import (
     Inventory,
     MetricsReport,
     PerformanceRate,
-    RunMetrics,
+    RateUnit,
+    ReportRows,
     RunTable,
     WorkKind,
+    _check_rate,
+    _check_window,
+    _column,
     _derive_report,
+    _float_column,
 )
 
 #: Allowed relative overshoot of summed per-run IT energy vs. the window's.
@@ -102,17 +107,27 @@ class RunInput:
 
 class _RunInputs(Sequence):
     """The :class:`RunInput` of each run of a :class:`~axpue.model.RunTable`,
-    held as the table plus a column of IT energies and one of rates; indexing
-    builds one input per access and keeps none.  The constructor checks
-    nothing: :meth:`of` takes inputs that have checked themselves, and
-    :func:`analyze` checks each energy as it goes."""
+    held as the table plus a column of IT energies and one of rate values;
+    indexing builds one input per access and keeps none.  A rate's unit is
+    its run's category's, unless ``units`` gives each rate's own, as
+    :meth:`of` does for inputs that may state another, which
+    :func:`build_report` rejects.  The constructor checks nothing:
+    :meth:`of` takes inputs that have checked themselves, and
+    :func:`analyze` checks each energy and rate as it goes."""
 
-    __slots__ = ("table", "joules", "rates")
+    __slots__ = ("table", "joules", "rates", "units")
 
-    def __init__(self, table: RunTable, joules: list[float], rates: list[PerformanceRate]):
+    def __init__(
+        self,
+        table: RunTable,
+        joules: Sequence[float],
+        rates: Sequence[float],
+        units: Sequence[RateUnit] | None = None,
+    ):
         self.table = table
         self.joules = joules
         self.rates = rates
+        self.units = units
 
     @classmethod
     def of(cls, runs: Iterable[RunInput]) -> _RunInputs:
@@ -120,14 +135,21 @@ class _RunInputs(Sequence):
         return cls(
             RunTable.from_runs(r.run for r in runs),
             [r.it_energy_joules for r in runs],
-            [r.rate for r in runs],
+            _column([r.rate.value for r in runs]),
+            [r.rate.unit for r in runs],
         )
 
     def __len__(self) -> int:
         return len(self.joules)
 
     def __getitem__(self, index: int) -> RunInput:
-        return RunInput(self.table[index], self.joules[index], self.rates[index])
+        unit = (
+            _UNIT_OF_CODE[self.table.categories[index]] if self.units is None
+            else self.units[index]
+        )
+        return RunInput(
+            self.table[index], self.joules[index], PerformanceRate(self.rates[index], unit)
+        )
 
     def it_power_kws(self) -> list[float]:
         return list(map(_it_power_kw, self.joules, self.table.starts, self.table.ends))
@@ -182,13 +204,14 @@ def build_report(
     """Assemble a full report from one window plus per-run inputs, with
     every derived field from :func:`~axpue.model._derive_report`, which
     runs once: the report is built from its values without deriving them
-    again."""
+    again.  Its rows are columns that share the run table's ids and
+    category codes; no per-run object is built."""
     runs = inputs.runs
-    run_ids = runs.table.run_ids
-    categories = list(map(_CATEGORY_OF_CODE.__getitem__, runs.table.categories))
-    it_kws = runs.it_power_kws()
-    pue, (facility_kws, appues, aopues, weights), weighted_appue, aggregated_aopue = (
-        _derive_report(inputs.window, run_ids, categories, it_kws, runs.rates)
+    table = runs.table
+    it_kws = _float_column(runs.it_power_kws())
+    performances = _column(runs.rates)
+    pue, (facility_kws, *derived), weighted_appue, aggregated_aopue = _derive_report(
+        inputs.window, table.run_ids, table.categories, it_kws, performances, runs.units
     )
     base_provenance: dict[str, object] = {
         "integration_method": "trapezoidal",
@@ -200,11 +223,9 @@ def build_report(
     return MetricsReport._derived(
         window=inputs.window,
         pue=pue,
-        per_run=tuple(
-            map(
-                RunMetrics, run_ids, categories, it_kws, facility_kws, runs.rates, appues,
-                aopues, weights,
-            )
+        per_run=ReportRows(
+            table.run_ids, table.categories, it_kws, _float_column(facility_kws), performances,
+            *map(_float_column, derived),
         ),
         weighted_appue=weighted_appue,
         aggregated_aopue=aggregated_aopue,
@@ -322,22 +343,18 @@ def analyze(
     energy_window = category_energy(traces, inventory, start, end, max_gap)
     # category_energy has checked that every inventory device has a trace,
     # and each run lies inside the window it integrated.  Each run's energy
-    # is summed, its rate built and its energy checked before the next run's.
-    joules: list[float] = []
-    rates: list[PerformanceRate] = []
-    for run_id, category, kind, amount, run_start, run_end, energies in zip(
-        table.run_ids, table.categories, table.kinds, table.amounts, table.starts, table.ends,
+    # is summed, its rate computed and both checked before the next run's.
+    joules, rates = array("d"), array("d")
+    for run_id, kind, amount, run_start, run_end, energies in zip(
+        table.run_ids, table.kinds, table.amounts, table.starts, table.ends,
         _run_energies(traces, table, max_gap),
     ):
         run_joules = math.fsum(energies)
-        rates.append(
-            PerformanceRate(
-                _rate_value(_KIND_OF_CODE[kind], amount, run_start, run_end),
-                RATE_UNIT_FOR_CATEGORY[_CATEGORY_OF_CODE[category]],
-            )
-        )
+        rate = _rate_value(_KIND_OF_CODE[kind], amount, run_start, run_end)
+        _check_rate(rate)
         _check_it_energy(run_id, run_joules)
         joules.append(run_joules)
+        rates.append(rate)
     inputs = MetricInputs(window=energy_window, runs=_RunInputs(table, joules, rates))
     return build_report(
         inputs,

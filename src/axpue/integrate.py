@@ -9,7 +9,6 @@ larger uncovered stretch is a data-quality error, never silently bridged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -19,12 +18,11 @@ from .errors import (
     CoverageGapError,
     DuplicateDeviceError,
     InvalidPowerError,
-    InvalidWindowError,
     NoSamplesError,
     UnknownDeviceError,
     ValidationError,
 )
-from .model import DeviceCategory, EnergyWindow, Inventory, _fsum
+from .model import DeviceCategory, EnergyWindow, Inventory, _check_window, _fsum
 
 #: Default largest tolerated spacing between samples, in seconds.
 DEFAULT_MAX_GAP = 60.0
@@ -92,11 +90,6 @@ def _check_max_gap(max_gap: float) -> None:
     """``max_gap`` must be > 0; ``inf`` means no stretch is too wide."""
     if not max_gap > 0:  # NaN compares false, so it is rejected too
         raise ValidationError(f"max_gap must be > 0 seconds, got {max_gap!r}")
-
-
-def _check_window(start: float, end: float) -> None:
-    if not (math.isfinite(start) and math.isfinite(end)) or end <= start:
-        raise InvalidWindowError(f"window end ({end}) must be > start ({start})")
 
 
 def _coverage_gap(

@@ -53,7 +53,9 @@ from .errors import (
 from .integrate import PowerTrace
 from .model import (
     _CATEGORY_CODES,
+    _CATEGORY_OF_CODE,
     _KIND_CODES,
+    _UNIT_OF_CODE,
     ApplicationCategory,
     ApplicationRun,
     DeviceCategory,
@@ -61,14 +63,16 @@ from .model import (
     EnergyWindow,
     Inventory,
     MetricsReport,
-    PerformanceRate,
     RateUnit,
-    RunMetrics,
+    ReportRows,
     RunTable,
     WorkKind,
     WorkMeasure,
+    _check_rate,
     _check_run,
     _check_work_amount,
+    _column,
+    _reported,
 )
 
 POWER_CSV_HEADER = ("device_id", "timestamp", "watts")
@@ -1035,18 +1039,12 @@ _REPORT_ROW = """    {{
     }}"""
 
 
-#: A ``per_run`` row's fields, in ``_REPORT_ROW``'s order.
-_REPORT_ROW_FIELDS = (
-    "aopue",
-    "appue",
-    "category.value",
-    "facility_power_kw",
-    "it_power_kw",
-    "performance.unit.value",
-    "performance.value",
-    "run_id",
-    "weight",
-)
+#: The JSON spelling of each category code's member, and of its rate unit.
+_JSON_CATEGORIES = tuple(encode_basestring_ascii(c.value) for c in _CATEGORY_OF_CODE)
+_JSON_UNITS = tuple(encode_basestring_ascii(unit.value) for unit in _UNIT_OF_CODE)
+#: Report rows spelled at a time: the writer holds the text and bytes of one
+#: slice of rows beside the report bytes written so far.
+_SLICE_ROWS = 128
 
 
 def _json_column(values: list) -> Iterable[str]:
@@ -1065,27 +1063,55 @@ def _json_column(values: list) -> Iterable[str]:
     return map(_json_scalar, values)
 
 
-def report_csv_row(row: RunMetrics, pue: float) -> list[str]:
-    magnitude, unit = row.performance.reported()
-    return [
-        row.run_id,
-        format_quantity(row.it_power_kw),
-        format_quantity(row.facility_power_kw),
-        f"{format_quantity(magnitude)} {unit}",
-        format_quantity(pue),
-        format_appue(row.appue),
-        format_quantity(row.aopue),
-    ]
+def _json_rows(rows: ReportRows) -> str:
+    """The ``per_run`` elements of ``rows``, without the separator after the
+    last one: each is ``_REPORT_ROW`` filled a column at a time."""
+    return ",\n".join(
+        map(
+            _REPORT_ROW.format,
+            _json_column(list(rows.aopues)),
+            _json_column(list(rows.appues)),
+            map(_JSON_CATEGORIES.__getitem__, rows.categories),
+            _json_column(list(rows.facility_power_kws)),
+            _json_column(list(rows.it_power_kws)),
+            map(_JSON_UNITS.__getitem__, rows.categories),
+            _json_column(list(rows.performances)),
+            _json_column(list(rows.run_ids)),
+            _json_column(list(rows.weights)),
+        )
+    )
 
 
-def _report_to_csv(report: MetricsReport) -> str:
+def _slices(rows: ReportRows) -> Iterator[ReportRows]:
+    """``rows`` in consecutive slices of at most ``_SLICE_ROWS`` rows."""
+    return (rows[start:start + _SLICE_ROWS] for start in range(0, len(rows), _SLICE_ROWS))
+
+
+def _table_rows(rows: ReportRows, pue: float) -> Iterator[list[str]]:
+    """The results-table rows of ``rows``, the rows of a report at ``pue``."""
+    pue_text = format_quantity(pue)
+    for run_id, code, it_kw, facility_kw, value, appue, aopue in zip(
+        rows.run_ids, rows.categories, rows.it_power_kws, rows.facility_power_kws,
+        rows.performances, rows.appues, rows.aopues,
+    ):
+        magnitude, unit = _reported(_UNIT_OF_CODE[code], value)
+        yield [
+            run_id,
+            format_quantity(it_kw),
+            format_quantity(facility_kw),
+            f"{format_quantity(magnitude)} {unit}",
+            pue_text,
+            format_appue(appue),
+            format_quantity(aopue),
+        ]
+
+
+def _report_csv(report: MetricsReport) -> Iterator[str]:
+    """The results-table CSV text, in parts of at most ``_SLICE_ROWS`` rows."""
     out = _stdio.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(REPORT_CSV_HEADER)
-    if report.per_run:
-        for row in report.per_run:
-            writer.writerow(report_csv_row(row, report.pue))
-    else:
+    if not report.per_run:
         duration = report.window.duration
         writer.writerow(
             [
@@ -1098,16 +1124,20 @@ def _report_to_csv(report: MetricsReport) -> str:
                 "",
             ]
         )
-    return out.getvalue()
+    for rows in _slices(report.per_run):
+        writer.writerows(_table_rows(rows, report.pue))
+        yield out.getvalue()
+        out.seek(0)
+        out.truncate()
+    yield out.getvalue()
 
 
-def _report_to_json(report: MetricsReport) -> str:
-    """The JSON report text.  Only the document around ``per_run`` goes
-    through ``json``; each row is written from one fixed template whose
-    every leaf, strings included, is spelled by :func:`_json_column` as
-    ``json`` spells it, so the rows need no per-row dict and no pure-Python
-    encoder pass.  Its rows and columns die with the call, so that only the
-    text and its bytes are alive when ``write_report`` encodes it.
+def _report_json(report: MetricsReport) -> Iterator[str]:
+    """The JSON report text, in parts of at most ``_SLICE_ROWS`` rows.  Only
+    the document around ``per_run`` goes through ``json``; each row is
+    written from one fixed template whose every leaf, strings included, is
+    spelled by :func:`_json_column` as ``json`` spells it, so the rows need
+    no per-row dict and no pure-Python encoder pass.
     """
     # The rows go in at the first '"per_run": []': every key sorted before
     # it is a number or null, so it is the top-level key.
@@ -1115,28 +1145,34 @@ def _report_to_json(report: MetricsReport) -> str:
         '"per_run": []'
     )
     if not report.per_run:
-        return "".join((head, '"per_run": []', tail, "\n"))
-    columns = [
-        _json_column(list(map(operator.attrgetter(field), report.per_run)))
-        for field in _REPORT_ROW_FIELDS
-    ]
-    rows = ",\n".join(map(_REPORT_ROW.format, *columns))
-    return "".join((head, '"per_run": [\n', rows, "\n  ]", tail, "\n"))
+        yield "".join((head, '"per_run": []', tail, "\n"))
+        return
+    yield head + '"per_run": [\n'
+    for i, rows in enumerate(_slices(report.per_run)):
+        if i:
+            yield ",\n"
+        yield _json_rows(rows)
+    yield "".join(("\n  ]", tail, "\n"))
 
 
 def write_report(report: MetricsReport, fmt: str = "json") -> bytes:
     """Serialize a report deterministically as JSON or a results-table CSV.
 
     The JSON bytes are those of ``json.dump(..., sort_keys=True, indent=2)``
-    plus a final newline.
+    plus a final newline.  The text is spelled and encoded a slice of rows
+    at a time into one growing buffer, so the whole text never exists
+    beside its bytes.
     """
     if fmt == "json":
-        text = _report_to_json(report)
+        parts = _report_json(report)
     elif fmt == "csv":
-        text = _report_to_csv(report)
+        parts = _report_csv(report)
     else:
         raise ValidationError(f"unknown report format {fmt!r}")
-    return text.encode("utf-8")
+    out = _stdio.BytesIO()
+    for part in parts:
+        out.write(part.encode("utf-8"))
+    return out.getvalue()
 
 
 def _json(value: object, *types: type) -> object:
@@ -1171,35 +1207,39 @@ def read_report(data: bytes | str) -> MetricsReport:
                 for cat, joules in energies.items()
             },
         )
-        per_run = tuple(
-            RunMetrics(
-                run_id=_json(row["run_id"], str),
-                category=ApplicationCategory(row["category"]),
-                it_power_kw=_json(row["it_power_kw"], *number),
-                facility_power_kw=_json(row["facility_power_kw"], *number),
-                performance=PerformanceRate(
-                    value=_json(row["performance"]["value"], *number),
-                    unit=RateUnit(row["performance"]["unit"]),
-                ),
-                appue=_json(row["appue"], *number),
-                aopue=_json(row["aopue"], *number),
-                weight=_json(row["weight"], *number),
-            )
-            for row in obj["per_run"]
+        # The rows go straight into columns, each field read and checked in
+        # the order a RunMetrics and its PerformanceRate would be.
+        run_ids, categories, units = [], bytearray(), []
+        it_kws, facility_kws, performances, appues, aopues, weights = columns = (
+            [], [], [], [], [], []
         )
-        run_ids = set()
-        for row in per_run:
-            if row.run_id in run_ids:
-                raise SchemaError(f"duplicate run_id {row.run_id!r}")
-            run_ids.add(row.run_id)
-        return MetricsReport(
+        for row in obj["per_run"]:
+            run_ids.append(_json(row["run_id"], str))
+            categories.append(_CATEGORY_CODES[ApplicationCategory(row["category"])])
+            it_kws.append(_json(row["it_power_kw"], *number))
+            facility_kws.append(_json(row["facility_power_kw"], *number))
+            value = _json(row["performance"]["value"], *number)
+            units.append(RateUnit(row["performance"]["unit"]))
+            _check_rate(value)
+            performances.append(value)
+            appues.append(_json(row["appue"], *number))
+            aopues.append(_json(row["aopue"], *number))
+            weights.append(_json(row["weight"], *number))
+        seen = set()
+        for run_id in run_ids:
+            if run_id in seen:
+                raise SchemaError(f"duplicate run_id {run_id!r}")
+            seen.add(run_id)
+        report = MetricsReport._held(
             window=window,
             pue=_json(obj["pue"], *number),
-            per_run=per_run,
+            per_run=ReportRows(tuple(run_ids), bytes(categories), *map(_column, columns)),
             weighted_appue=_json(obj["weighted_appue"], *optional),
             aggregated_aopue=_json(obj["aggregated_aopue"], *optional),
             provenance=_json(obj.get("provenance", {}), dict),
         )
+        report._check(units)
+        return report
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed report document: {exc}") from exc
 

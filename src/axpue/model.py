@@ -6,7 +6,6 @@ construction time and are safe to share across threads without coordination.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -14,6 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
+
+import numpy as np
 
 from .errors import (
     CategoryMismatchError,
@@ -91,14 +92,37 @@ RATE_UNIT_FOR_CATEGORY: Mapping[ApplicationCategory, RateUnit] = MappingProxyTyp
     }
 )
 
-#: Report labels of the units that :meth:`PerformanceRate.reported` keeps as is.
+#: The label of each unit in reports, which quote flop rates in GFLOPS.
 _REPORTED_LABELS: Mapping[RateUnit, str] = MappingProxyType(
     {
         RateUnit.KB_PER_SECOND: "KB/s",
         RateUnit.REQUESTS_PER_SECOND: "requests/s",
         RateUnit.TRANSACTIONS_PER_SECOND: "transactions/s",
+        RateUnit.FLOPS_PER_SECOND: "GFLOPS",
     }
 )
+
+
+def _reported(unit: RateUnit, value):
+    """The magnitude of a rate of ``value`` (a float or an array of them) in
+    ``unit``, in reporting units, and its label."""
+    if unit is RateUnit.FLOPS_PER_SECOND:
+        value = value / 1e9
+    return value, _REPORTED_LABELS[unit]
+
+
+def _check_rate(value: float) -> None:
+    """A rate is finite and >= 0."""
+    if not math.isfinite(value) or value < 0:
+        raise ValidationError(f"rate must be finite and >= 0, got {value!r}")
+
+
+def _check_window(start: float, end: float) -> None:
+    """A window's bounds are finite, and ``end > start``."""
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise InvalidWindowError(f"window start ({start}) and end ({end}) must be finite")
+    if end <= start:
+        raise InvalidWindowError(f"window end ({end}) must be > start ({start})")
 
 
 @dataclass(frozen=True)
@@ -194,14 +218,77 @@ class ApplicationRun:
         return self.end - self.start
 
 
-#: The members that a :class:`RunTable`'s one-byte codes stand for.
+#: The members that the one-byte codes of a :class:`RunTable` or
+#: :class:`ReportRows` stand for, and the rate unit of each category code.
 _CATEGORY_OF_CODE = tuple(ApplicationCategory)
 _KIND_OF_CODE = tuple(WorkKind)
 _CATEGORY_CODES = {category: code for code, category in enumerate(_CATEGORY_OF_CODE)}
 _KIND_CODES = {kind: code for code, kind in enumerate(_KIND_OF_CODE)}
+_UNIT_OF_CODE = tuple(RATE_UNIT_FOR_CATEGORY[category] for category in _CATEGORY_OF_CODE)
 
 
-class RunTable(Sequence):
+def _float_column(values) -> memoryview:
+    """``values``, floats, as a read-only float64 buffer, whose items are
+    ``float``."""
+    return memoryview(np.asarray(values, dtype=np.float64)).toreadonly()
+
+
+def _column(values: Sequence) -> Sequence:
+    """``values`` as a column: a read-only float64 buffer when every one is
+    a ``float`` (no subclass), else a tuple, so that each keeps its type."""
+    if all(type(value) is float for value in values):
+        return _float_column(values)
+    return tuple(values)
+
+
+class _Columns(Sequence):
+    """An immutable sequence held as columns, one per slot, in item order.
+
+    Indexing or iterating builds one item per access (:meth:`_item`) and
+    keeps none.  It equals a list, tuple or table of its own class that
+    holds equal items, and it pickles and copies as its items (:attr:`_of`
+    builds a table from them).  The constructor takes the columns, in slot
+    order, and checks nothing.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *columns):
+        for name, column in zip(self.__slots__, columns, strict=True):
+            object.__setattr__(self, name, column)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"cannot assign to field {name!r} of an immutable {type(self).__name__}"
+        )
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.__slots__[0]))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return type(self)(*(getattr(self, name)[index] for name in self.__slots__))
+        return self._item(index)
+
+    def __iter__(self):
+        return map(self._item, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (type(self), list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+    def __reduce__(self):
+        # A buffer column does not pickle.
+        return self._of, (tuple(self),)
+
+
+class RunTable(_Columns):
     """Application runs held as columns, one item per run, in input order.
 
     The columns are ``run_ids``; ``categories`` and ``kinds``, the one-byte
@@ -211,31 +298,12 @@ class RunTable(Sequence):
     A parsed table holds its bounds as read-only float64 buffers, and runs
     with the same devices share one tuple.
 
-    It is an immutable sequence of :class:`ApplicationRun`: indexing or
-    iterating builds one run per access and keeps none.  It equals a list,
-    tuple or table of equal runs.  The constructor takes columns that hold
-    valid runs and checks nothing; :meth:`from_runs` builds a table from
-    runs.
+    It is an immutable sequence of :class:`ApplicationRun` (see
+    :class:`_Columns`), equal to a list or tuple of equal runs;
+    :meth:`from_runs` builds a table from runs.
     """
 
     __slots__ = ("run_ids", "categories", "starts", "ends", "kinds", "amounts", "devices")
-
-    def __init__(
-        self,
-        run_ids: Sequence[str],
-        categories: bytes,
-        starts: Sequence[float],
-        ends: Sequence[float],
-        kinds: bytes,
-        amounts: Sequence[int],
-        devices: Sequence[tuple[str, ...]],
-    ):
-        columns = (run_ids, categories, starts, ends, kinds, amounts, devices)
-        for name, column in zip(self.__slots__, columns):
-            object.__setattr__(self, name, column)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable RunTable")
 
     @classmethod
     def from_runs(cls, runs: Iterable[ApplicationRun]) -> RunTable:
@@ -251,12 +319,9 @@ class RunTable(Sequence):
             tuple(tuple(sorted(run.attributed_devices)) for run in runs),
         )
 
-    def __len__(self) -> int:
-        return len(self.run_ids)
+    _of = from_runs
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return RunTable(*(getattr(self, name)[index] for name in self.__slots__))
+    def _item(self, index: int) -> ApplicationRun:
         return ApplicationRun(
             self.run_ids[index],
             _CATEGORY_OF_CODE[self.categories[index]],
@@ -265,23 +330,6 @@ class RunTable(Sequence):
             WorkMeasure(_KIND_OF_CODE[self.kinds[index]], self.amounts[index]),
             frozenset(self.devices[index]),
         )
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other):
-        if not isinstance(other, (RunTable, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"RunTable({list(self)!r})"
-
-    def __reduce__(self):
-        # A parsed table's bounds are memoryviews, which do not pickle.
-        return RunTable.from_runs, (tuple(self),)
 
 
 @dataclass(frozen=True)
@@ -298,14 +346,11 @@ class PerformanceRate:
     unit: RateUnit
 
     def __post_init__(self):
-        if not math.isfinite(self.value) or self.value < 0:
-            raise ValidationError(f"rate must be finite and >= 0, got {self.value!r}")
+        _check_rate(self.value)
 
     def reported(self) -> tuple[float, str]:
         """Magnitude and label in reporting units."""
-        if self.unit is RateUnit.FLOPS_PER_SECOND:
-            return self.value / 1e9, "GFLOPS"
-        return self.value, _REPORTED_LABELS[self.unit]
+        return _reported(self.unit, self.value)
 
 
 @dataclass(frozen=True)
@@ -322,14 +367,7 @@ class EnergyWindow:
     energy_by_category: Mapping[DeviceCategory, float]
 
     def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.end)):
-            raise InvalidWindowError(
-                f"window start ({self.start}) and end ({self.end}) must be finite"
-            )
-        if self.end <= self.start:
-            raise InvalidWindowError(
-                f"window end ({self.end}) must be > start ({self.start})"
-            )
+        _check_window(self.start, self.end)
         energies = {}
         for cat in DeviceCategory:
             joules = float(self.energy_by_category.get(cat, 0.0))
@@ -342,6 +380,10 @@ class EnergyWindow:
         if unknown:
             raise ValidationError(f"unknown energy categories: {sorted(unknown)!r}")
         object.__setattr__(self, "energy_by_category", MappingProxyType(energies))
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle.
+        return EnergyWindow, (self.start, self.end, dict(self.energy_by_category))
 
     @property
     def duration(self) -> float:
@@ -400,6 +442,61 @@ class RunMetrics:
     weight: float
 
 
+class ReportRows(_Columns):
+    """A report's rows held as columns, one item per run, in report order.
+
+    The columns are ``run_ids``; ``categories``, the one-byte codes of each
+    run's :class:`ApplicationCategory`; and ``it_power_kws``,
+    ``facility_power_kws``, ``performances`` (each rate's value, in its
+    category's unit), ``appues``, ``aopues`` and ``weights``.  A column of
+    floats is a read-only float64 buffer, and any other a tuple, so that
+    each value keeps its type.  The rows that
+    :func:`~axpue.engine.build_report` builds share the run table's ids
+    and category codes.
+
+    It is an immutable sequence of :class:`RunMetrics` (see
+    :class:`_Columns`), equal to a list or tuple of equal rows;
+    :meth:`from_rows` builds one from rows.
+    """
+
+    __slots__ = (
+        "run_ids", "categories", "it_power_kws", "facility_power_kws", "performances", "appues",
+        "aopues", "weights",
+    )
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[RunMetrics]) -> ReportRows:
+        """The columns of ``rows``; a rate's unit is not kept, as its
+        category gives it."""
+        rows = tuple(rows)
+        return cls(
+            tuple(row.run_id for row in rows),
+            bytes(_CATEGORY_CODES[row.category] for row in rows),
+            *(
+                _column(list(map(operator.attrgetter(name), rows)))
+                for name in (
+                    "it_power_kw", "facility_power_kw", "performance.value", "appue", "aopue",
+                    "weight",
+                )
+            ),
+        )
+
+    _of = from_rows
+
+    def _item(self, index: int) -> RunMetrics:
+        code = self.categories[index]
+        return RunMetrics(
+            self.run_ids[index],
+            _CATEGORY_OF_CODE[code],
+            self.it_power_kws[index],
+            self.facility_power_kws[index],
+            PerformanceRate(self.performances[index], _UNIT_OF_CODE[code]),
+            self.appues[index],
+            self.aopues[index],
+            self.weights[index],
+        )
+
+
 def _fsum(values: Iterable[float], name: str) -> float:
     """``math.fsum(values)``; a sum past float range raises a
     :class:`ValidationError` that names the values as ``name``."""
@@ -409,7 +506,7 @@ def _fsum(values: Iterable[float], name: str) -> float:
         raise ValidationError(f"{name} sum past float range") from None
 
 
-def _power_weighted(it_kws: list[float], values: list[float]) -> tuple[list[float], float]:
+def _power_weighted(it_kws: Sequence[float], values: Sequence[float]) -> tuple[np.ndarray, float]:
     """Each IT power's share of their sum, and the mean of ``values`` under
     those weights.
 
@@ -417,79 +514,133 @@ def _power_weighted(it_kws: list[float], values: list[float]) -> tuple[list[floa
     clamped there, so the one-ulp rounding spill cannot break that for the
     float too.
     """
+    it_kws = np.asarray(it_kws, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     total = _fsum(it_kws, "IT powers")
-    weights = [p / total for p in it_kws]
-    mean = math.fsum(v * w for v, w in zip(values, weights))
-    return weights, min(max(mean, min(values)), max(values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = it_kws / total
+        mean = math.fsum(values * weights)
+    return weights, float(min(max(mean, values.min()), values.max()))
 
 
 def _derive_report(
     window: EnergyWindow,
-    run_ids: list[str],
-    categories: list[ApplicationCategory],
-    it_kws: list[float],
-    performances: list[PerformanceRate],
-) -> tuple[float, tuple[list[float], ...], float | None, float | None]:
+    run_ids: Sequence[str],
+    categories: bytes,
+    it_kws: Sequence[float],
+    performances: Sequence[float],
+    units: Sequence[RateUnit] | None = None,
+) -> tuple[float, tuple[np.ndarray, ...], float | None, float | None]:
     """Every derived field of a report, from its primary fields: the
-    window's energies and the rows' run ids, categories, IT powers (kW) and
-    performances, a list each.
+    window's energies and the rows' columns of run ids, category codes, IT
+    powers (kW) and performance values.
 
     Returns the PUE; the rows' facility powers, ApPUEs, AoPUEs and weights,
-    a list each; and the weighted ApPUE and aggregated AoPUE (None with no
-    rows).  A run's facility power is its IT power scaled by the window PUE
-    (facility overhead attributed in proportion to IT power), so AoPUE =
-    ApPUE / PUE holds row-wise, and the facility power equals the measured
-    one whenever a run spans the whole window.  A run's weight is its share
-    of the summed IT power.
+    a float64 array each; and the weighted ApPUE and aggregated AoPUE (None
+    with no rows).  A run's facility power is its IT power scaled by the
+    window PUE (facility overhead attributed in proportion to IT power), so
+    AoPUE = ApPUE / PUE holds row-wise, and the facility power equals the
+    measured one whenever a run spans the whole window.  A run's weight is
+    its share of the summed IT power.  Elementwise float64 ``*`` and ``/``
+    give the bits of the same expressions on Python floats.
 
-    Every row needs an IT power that is finite and > 0, and the performance
-    unit of its category; the rows must share one performance unit.
+    Every row needs an IT power that is finite and > 0, and, when ``units``
+    gives each row's stated performance unit, its category's unit; the first
+    row that breaks either raises.  The rows must share one performance unit.
     """
     if window.it_energy == 0:
         raise ZeroITEnergyError("window holds no IT equipment energy")
     pue = window.total_facility_energy / window.it_energy
     if not run_ids:
-        return pue, ([], [], [], []), None, None
-    magnitudes, labels = [], set()
-    for run_id, category, it_kw, performance in zip(run_ids, categories, it_kws, performances):
-        if not (math.isfinite(it_kw) and it_kw > 0):
+        empty = np.empty(0)
+        return pue, (empty, empty, empty, empty), None, None
+    powers = np.asarray(it_kws, dtype=np.float64)
+    bad = ~(np.isfinite(powers) & (powers > 0))
+    if units is not None:
+        bad |= [unit is not _UNIT_OF_CODE[code] for code, unit in zip(categories, units)]
+    if bad.any():
+        i = int(bad.argmax())  # the first bad row: its IT power, then its unit
+        if not (math.isfinite(it_kw := it_kws[i]) and it_kw > 0):
             raise ZeroITPowerError(
-                f"run {run_id!r}: it_power_kw must be finite and > 0, got {it_kw!r}"
+                f"run {run_ids[i]!r}: it_power_kw must be finite and > 0, got {it_kw!r}"
             )
-        if performance.unit is not (expected := RATE_UNIT_FOR_CATEGORY[category]):
-            raise CategoryMismatchError(
-                f"run {run_id!r}: category {category.value} requires "
-                f"{expected.value} performance, got {performance.unit.value}"
-            )
-        magnitude, label = performance.reported()
-        magnitudes.append(magnitude)
-        labels.add(label)
-    if len(labels) > 1:
-        raise UnitMismatchError(f"cannot aggregate across performance units {sorted(labels)!r}")
-    facility_kws = [it_kw * pue for it_kw in it_kws]
-    appues = [m / it_kw for m, it_kw in zip(magnitudes, it_kws)]
-    aopues = [m / facility_kw for m, facility_kw in zip(magnitudes, facility_kws)]
-    weights, weighted_appue = _power_weighted(it_kws, appues)
+        code = categories[i]
+        raise CategoryMismatchError(
+            f"run {run_ids[i]!r}: category {_CATEGORY_OF_CODE[code].value} requires "
+            f"{_UNIT_OF_CODE[code].value} performance, got {units[i].value}"
+        )
+    units_present = {_UNIT_OF_CODE[code] for code in set(categories)}
+    if len(units_present) > 1:
+        labels = sorted(_REPORTED_LABELS[unit] for unit in units_present)
+        raise UnitMismatchError(f"cannot aggregate across performance units {labels!r}")
+    magnitudes, _ = _reported(units_present.pop(), np.asarray(performances, dtype=np.float64))
+    with np.errstate(over="ignore"):
+        facility_kws = powers * pue
+        appues = magnitudes / powers
+        aopues = magnitudes / facility_kws
+    weights, weighted_appue = _power_weighted(powers, appues)
     return pue, (facility_kws, appues, aopues, weights), weighted_appue, weighted_appue / pue
 
 
 #: A row's derived fields, in the order :func:`_derive_report` returns
-#: them, and the rule that derives each.
+#: them: the column, the field and the rule that derives it.
 _ROW_RULES = (
-    ("facility_power_kw", "it_power_kw * pue"),
-    ("appue", "performance / it_power_kw"),
-    ("aopue", "performance / facility_power_kw"),
-    ("weight", "it_power_kw / summed it_power_kw"),
+    ("facility_power_kws", "facility_power_kw", "it_power_kw * pue"),
+    ("appues", "appue", "performance / it_power_kw"),
+    ("aopues", "aopue", "performance / facility_power_kw"),
+    ("weights", "weight", "it_power_kw / summed it_power_kw"),
 )
 
 
-#: A row's derived fields, as a tuple.
-_row_derived = operator.attrgetter(*(name for name, _ in _ROW_RULES))
+def _isclose(values: np.ndarray, expected: np.ndarray) -> np.ndarray:
+    """``math.isclose(value, expected, rel_tol=IDENTITY_REL_TOL)`` for each
+    finite value."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (values == expected) | (
+            np.isfinite(expected)
+            & (abs(values - expected) <= IDENTITY_REL_TOL * np.maximum(abs(values), abs(expected)))
+        )
+
+
+def _check_row_fields(rows: ReportRows, derived: tuple[np.ndarray, ...] | None = None) -> None:
+    """Every row's facility power, ApPUE, AoPUE and weight is finite and,
+    given the rule's values ``derived``, within ``IDENTITY_REL_TOL`` of it.
+
+    The columns are screened as arrays, and only the rows that fail are
+    checked value by value, so the first violation in row and field order
+    raises a :class:`ValidationError` that names the run and the field.
+    """
+    stored = [getattr(rows, column) for column, _, _ in _ROW_RULES]
+    suspects = np.zeros(len(rows), dtype=bool)
+    for k, column in enumerate(stored):
+        values = np.asarray(column, dtype=np.float64)
+        sound = np.isfinite(values)
+        if derived is not None:
+            sound &= _isclose(values, derived[k])
+        suspects |= ~sound
+    for i in np.flatnonzero(suspects).tolist():
+        for k, ((_, name, rule), column) in enumerate(zip(_ROW_RULES, stored)):
+            # isclose(inf, inf) holds, so an overflow needs its own check.
+            if not math.isfinite(value := column[i]):
+                raise ValidationError(
+                    f"run {rows.run_ids[i]!r}: {name} must be finite, got {value!r}"
+                )
+            if derived is None:
+                continue
+            expected = float(derived[k][i])
+            if not math.isclose(value, expected, rel_tol=IDENTITY_REL_TOL):
+                raise ValidationError(
+                    f"run {rows.run_ids[i]!r}: {name} {value!r} != {rule} {expected!r}"
+                )
 
 
 @dataclass(frozen=True)
 class MetricsReport:
     """PUE plus per-run ApPUE/AoPUE rows, weights, and aggregates.
+
+    ``per_run`` is a :class:`ReportRows`: the rows held as columns, a
+    read-only sequence of :class:`RunMetrics`.  Any iterable of rows given
+    to the constructor is turned into one.
 
     The primary fields are the window's energies and each row's run id,
     category, IT power and performance; every other field is derived from
@@ -507,49 +658,56 @@ class MetricsReport:
 
     window: EnergyWindow
     pue: float
-    per_run: tuple[RunMetrics, ...]
+    per_run: Sequence[RunMetrics]
     weighted_appue: float | None
     aggregated_aopue: float | None
     provenance: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "per_run", tuple(self.per_run))
+        units = None
+        if not isinstance(self.per_run, ReportRows):
+            rows = tuple(self.per_run)
+            units = [row.performance.unit for row in rows]
+            object.__setattr__(self, "per_run", ReportRows.from_rows(rows))
+        self._check(units)
+
+    def _check(self, units: Sequence[RateUnit] | None) -> None:
+        """The full check of the class docstring; ``units`` are the rows'
+        stated performance units, when the rows came with them."""
         _check_pue(self.pue)
         rows = self.per_run
-        pue, columns, weighted_appue, aggregated_aopue = _derive_report(
-            self.window,
-            [r.run_id for r in rows],
-            [r.category for r in rows],
-            [r.it_power_kw for r in rows],
-            [r.performance for r in rows],
+        pue, derived, weighted_appue, aggregated_aopue = _derive_report(
+            self.window, rows.run_ids, rows.categories, rows.it_power_kws, rows.performances, units
         )
         if not math.isclose(self.pue, pue, rel_tol=IDENTITY_REL_TOL):
             raise ValidationError(f"pue {self.pue!r} != total facility energy / IT energy {pue!r}")
-        _check_weight_sum(rows)
-        for row, *derived in zip(rows, *columns):
-            for (name, rule), expected in zip(_ROW_RULES, derived):
-                value = _finite_field(row, name)
-                if not math.isclose(value, expected, rel_tol=IDENTITY_REL_TOL):
-                    raise ValidationError(
-                        f"run {row.run_id!r}: {name} {value!r} != {rule} {expected!r}"
-                    )
-        for name, value, rule, derived in (
+        _check_weight_sum(rows.weights)
+        _check_row_fields(rows, derived)
+        for name, value, rule, derived_value in (
             ("weighted_appue", self.weighted_appue, "IT-power-weighted appue", weighted_appue),
             ("aggregated_aopue", self.aggregated_aopue, "weighted_appue / pue", aggregated_aopue),
         ):
-            if value is None or derived is None:
-                agrees = value is derived
+            if value is None or derived_value is None:
+                agrees = value is derived_value
             else:
-                agrees = math.isclose(value, derived, rel_tol=IDENTITY_REL_TOL)
+                agrees = math.isclose(value, derived_value, rel_tol=IDENTITY_REL_TOL)
             if not agrees:
-                raise ValidationError(f"{name} {value!r} != {rule} {derived!r}")
+                raise ValidationError(f"{name} {value!r} != {rule} {derived_value!r}")
+
+    @classmethod
+    def _held(cls, **fields) -> MetricsReport:
+        """A report that holds ``fields``, every one of them, unchecked."""
+        report = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(report, name, value)
+        return report
 
     @classmethod
     def _derived(
         cls,
         window: EnergyWindow,
         pue: float,
-        per_run: tuple[RunMetrics, ...],
+        per_run: ReportRows,
         weighted_appue: float | None,
         aggregated_aopue: float | None,
         provenance: Mapping[str, object],
@@ -559,22 +717,16 @@ class MetricsReport:
         the checks that the rule does not make are run (PUE finite and >=
         1, the weights' sum, and every row's derived field finite)."""
         _check_pue(pue)
-        _check_weight_sum(per_run)
-        if not all(map(math.isfinite, itertools.chain.from_iterable(map(_row_derived, per_run)))):
-            for row in per_run:
-                for name, _ in _ROW_RULES:
-                    _finite_field(row, name)
-        report = object.__new__(cls)
-        for name, value in (
-            ("window", window),
-            ("pue", pue),
-            ("per_run", per_run),
-            ("weighted_appue", weighted_appue),
-            ("aggregated_aopue", aggregated_aopue),
-            ("provenance", provenance),
-        ):
-            object.__setattr__(report, name, value)
-        return report
+        _check_weight_sum(per_run.weights)
+        _check_row_fields(per_run)
+        return cls._held(
+            window=window,
+            pue=pue,
+            per_run=per_run,
+            weighted_appue=weighted_appue,
+            aggregated_aopue=aggregated_aopue,
+            provenance=provenance,
+        )
 
 
 def _check_pue(pue: float) -> None:
@@ -582,16 +734,8 @@ def _check_pue(pue: float) -> None:
         raise ValidationError(f"pue must be finite and >= 1, got {pue!r}")
 
 
-def _check_weight_sum(rows: tuple[RunMetrics, ...]) -> None:
-    if rows:
-        total = math.fsum(row.weight for row in rows)
+def _check_weight_sum(weights: Sequence[float]) -> None:
+    if len(weights):
+        total = math.fsum(weights)
         if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # NaN compares false, so it fails
             raise ValidationError(f"weights sum to {total!r}, expected 1")
-
-
-def _finite_field(row: RunMetrics, name: str) -> float:
-    """The row's field ``name``, which must be finite."""
-    # isclose(inf, inf) holds, so an overflow needs its own check.
-    if not math.isfinite(value := getattr(row, name)):
-        raise ValidationError(f"run {row.run_id!r}: {name} must be finite, got {value!r}")
-    return value

@@ -241,6 +241,16 @@ class TestComputeCommand:
             "error: window end (100.0) must be > start (5000.0)\n"
         )
 
+    @pytest.mark.parametrize(
+        "window, bounds",
+        [("0,1e400", "start (0.0) and end (inf)"), ("nan,100", "start (nan) and end (100.0)")],
+    )
+    def test_non_finite_window_message(self, tmp_path, capsys, window, bounds):
+        # An infinite end is not "<= start": the window's rule says why it fails.
+        args = write_inputs(tmp_path, HEADER + "s1,0,100\ns1,100,100\n", run_line())
+        assert main(["compute", *args, "--window", window]) == 2
+        assert capsys.readouterr().err == f"error: window {bounds} must be finite\n"
+
     def test_work_value_beyond_float_range_exits_2(self, tmp_path, capsys):
         args = write_inputs(
             tmp_path,

@@ -40,7 +40,12 @@ from axpue import (
 )
 from axpue.errors import AxpueError
 from axpue.io import write_inventory_json, write_runs_jsonl
-from axpue.model import RATE_UNIT_FOR_CATEGORY, WORK_KIND_FOR_CATEGORY, _derive_report
+from axpue.model import (
+    _CATEGORY_CODES,
+    RATE_UNIT_FOR_CATEGORY,
+    WORK_KIND_FOR_CATEGORY,
+    _derive_report,
+)
 from conftest import random_metric_inputs
 
 SCALARS = st.one_of(
@@ -371,8 +376,10 @@ def metrics_reports(draw):
         for _ in range(n_rows)
     ]
     _, derived, weighted_appue, aggregated_aopue = _derive_report(
-        window, run_ids, [category] * n_rows, it_kws, rates
+        window, run_ids, bytes([_CATEGORY_CODES[category]] * n_rows), it_kws,
+        [rate.value for rate in rates],
     )
+    derived = [column.tolist() for column in derived]
     assume(all(map(math.isfinite, derived[1])))  # a tiny IT power overflows ApPUE
     return MetricsReport(
         window=window,
@@ -458,7 +465,10 @@ def report_of_rows(*rows):
     run_ids, it_kws, rates, appues, weights = zip(*rows)
     rates = [PerformanceRate(rate, RateUnit.REQUESTS_PER_SECOND) for rate in rates]
     categories = [ApplicationCategory.SERVICE] * len(rows)
-    _, _, weighted_appue, aggregated_aopue = _derive_report(window, run_ids, categories, it_kws, rates)
+    _, _, weighted_appue, aggregated_aopue = _derive_report(
+        window, run_ids, bytes([_CATEGORY_CODES[ApplicationCategory.SERVICE]] * len(rows)), it_kws,
+        [rate.value for rate in rates],
+    )
     return MetricsReport(
         window=window,
         pue=1.5,
