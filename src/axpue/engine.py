@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -107,7 +106,8 @@ class RunInput:
 
 class _RunInputs(Sequence):
     """The :class:`RunInput` of each run of a :class:`~axpue.model.RunTable`,
-    held as the table plus a column of IT energies and one of rate values;
+    held as the table plus a column of IT energies and a report column of
+    rate values (see :func:`~axpue.model._column`);
     indexing builds one input per access and keeps none.  A rate's unit is
     its run's category's, unless ``units`` gives each rate's own, as
     :meth:`of` does for inputs that may state another, which
@@ -209,9 +209,8 @@ def build_report(
     runs = inputs.runs
     table = runs.table
     it_kws = _float_column(runs.it_power_kws())
-    performances = _column(runs.rates)
     pue, (facility_kws, *derived), weighted_appue, aggregated_aopue = _derive_report(
-        inputs.window, table.run_ids, table.categories, it_kws, performances, runs.units
+        inputs.window, table.run_ids, table.categories, it_kws, runs.rates, runs.units
     )
     base_provenance: dict[str, object] = {
         "integration_method": "trapezoidal",
@@ -224,7 +223,7 @@ def build_report(
         window=inputs.window,
         pue=pue,
         per_run=ReportRows(
-            table.run_ids, table.categories, it_kws, _float_column(facility_kws), performances,
+            table.run_ids, table.categories, it_kws, _float_column(facility_kws), runs.rates,
             *map(_float_column, derived),
         ),
         weighted_appue=weighted_appue,
@@ -344,18 +343,21 @@ def analyze(
     # category_energy has checked that every inventory device has a trace,
     # and each run lies inside the window it integrated.  Each run's energy
     # is summed, its rate computed and both checked before the next run's.
-    joules, rates = array("d"), array("d")
-    for run_id, kind, amount, run_start, run_end, energies in zip(
-        table.run_ids, table.kinds, table.amounts, table.starts, table.ends,
-        _run_energies(traces, table, max_gap),
+    joules, rates = np.empty(len(table)), np.empty(len(table))
+    for i, (run_id, kind, amount, run_start, run_end, energies) in enumerate(
+        zip(
+            table.run_ids, table.kinds, table.amounts, table.starts, table.ends,
+            _run_energies(traces, table, max_gap),
+        )
     ):
-        run_joules = math.fsum(energies)
-        rate = _rate_value(_KIND_OF_CODE[kind], amount, run_start, run_end)
+        joules[i] = run_joules = math.fsum(energies)
+        rates[i] = rate = _rate_value(_KIND_OF_CODE[kind], amount, run_start, run_end)
         _check_rate(rate)
         _check_it_energy(run_id, run_joules)
-        joules.append(run_joules)
-        rates.append(rate)
-    inputs = MetricInputs(window=energy_window, runs=_RunInputs(table, joules, rates))
+    inputs = MetricInputs(
+        window=energy_window,
+        runs=_RunInputs(table, _float_column(joules), _float_column(rates)),
+    )
     return build_report(
         inputs,
         provenance={
