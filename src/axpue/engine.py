@@ -19,10 +19,12 @@ results table.
 This module turns telemetry and runs into a report's primary fields: the
 window's energies and each run's IT power and performance.  Every other
 field comes from one rule, ``axpue.model._derive_report``:
-:func:`build_report` takes a report's fields from it and builds the report
-without deriving them again, and every other
-:class:`~axpue.model.MetricsReport` is checked against it when constructed,
-so :func:`~axpue.io.read_report` rejects a report whose fields disagree.
+:func:`build_report` takes a report's fields from it, and every
+:class:`~axpue.model.MetricsReport`, built or read, is checked against it
+when constructed, so :func:`~axpue.io.read_report` rejects a report whose
+fields disagree.  A stated performance unit must be its run's category's;
+it is checked where a :class:`RunInput` or a
+:class:`~axpue.model.RunMetrics` is constructed.
 
 Runs stay columns from the parse to the report's rows (a
 :class:`~axpue.model.RunTable`, then a :class:`~axpue.model.ReportRows`):
@@ -62,13 +64,14 @@ from .model import (
     Inventory,
     MetricsReport,
     PerformanceRate,
-    RateUnit,
     ReportRows,
     RunTable,
     WorkKind,
     _check_rate,
+    _check_unit,
     _check_window,
     _column,
+    _Columns,
     _derive_report,
     _float_column,
 )
@@ -90,13 +93,15 @@ def _it_power_kw(joules: float, start: float, end: float) -> float:
 
 @dataclass(frozen=True)
 class RunInput:
-    """One run plus its attributed IT energy and measured performance."""
+    """One run plus its attributed IT energy and measured performance, in
+    its category's unit."""
 
     run: ApplicationRun
     it_energy_joules: float
     rate: PerformanceRate
 
     def __post_init__(self):
+        _check_unit(self.run.run_id, self.run.category, self.rate.unit)
         _check_it_energy(self.run.run_id, self.it_energy_joules)
 
     @property
@@ -104,51 +109,29 @@ class RunInput:
         return _it_power_kw(self.it_energy_joules, self.run.start, self.run.end)
 
 
-class _RunInputs(Sequence):
+class _RunInputs(_Columns):
     """The :class:`RunInput` of each run of a :class:`~axpue.model.RunTable`,
-    held as the table plus a column of IT energies and a report column of
-    rate values (see :func:`~axpue.model._column`);
-    indexing builds one input per access and keeps none.  A rate's unit is
-    its run's category's, unless ``units`` gives each rate's own, as
-    :meth:`of` does for inputs that may state another, which
-    :func:`build_report` rejects.  The constructor checks nothing:
-    :meth:`of` takes inputs that have checked themselves, and
+    held as the table plus a column of IT energies and one of rate values
+    (see :class:`~axpue.model._Columns`); a rate's unit is its run's
+    category's.  :meth:`_of` takes inputs that have checked themselves, and
     :func:`analyze` checks each energy and rate as it goes."""
 
-    __slots__ = ("table", "joules", "rates", "units")
-
-    def __init__(
-        self,
-        table: RunTable,
-        joules: Sequence[float],
-        rates: Sequence[float],
-        units: Sequence[RateUnit] | None = None,
-    ):
-        self.table = table
-        self.joules = joules
-        self.rates = rates
-        self.units = units
+    __slots__ = ("table", "joules", "rates")
 
     @classmethod
-    def of(cls, runs: Iterable[RunInput]) -> _RunInputs:
+    def _of(cls, runs: Iterable[RunInput]) -> _RunInputs:
         runs = tuple(runs)
         return cls(
             RunTable.from_runs(r.run for r in runs),
-            [r.it_energy_joules for r in runs],
+            _column([r.it_energy_joules for r in runs]),
             _column([r.rate.value for r in runs]),
-            [r.rate.unit for r in runs],
         )
 
-    def __len__(self) -> int:
-        return len(self.joules)
-
-    def __getitem__(self, index: int) -> RunInput:
-        unit = (
-            _UNIT_OF_CODE[self.table.categories[index]] if self.units is None
-            else self.units[index]
-        )
+    def _item(self, index: int) -> RunInput:
         return RunInput(
-            self.table[index], self.joules[index], PerformanceRate(self.rates[index], unit)
+            self.table[index],
+            self.joules[index],
+            PerformanceRate(self.rates[index], _UNIT_OF_CODE[self.table.categories[index]]),
         )
 
     def it_power_kws(self) -> list[float]:
@@ -168,7 +151,7 @@ class MetricInputs:
 
     def __post_init__(self):
         if not isinstance(self.runs, _RunInputs):
-            object.__setattr__(self, "runs", _RunInputs.of(self.runs))
+            object.__setattr__(self, "runs", _RunInputs._of(self.runs))
         attributed = math.fsum(self.runs.joules)
         budget = self.window.it_energy * (1.0 + ATTRIBUTION_SLACK)
         if attributed > budget:
@@ -202,15 +185,15 @@ def build_report(
     inputs: MetricInputs, provenance: dict[str, object] | None = None
 ) -> MetricsReport:
     """Assemble a full report from one window plus per-run inputs, with
-    every derived field from :func:`~axpue.model._derive_report`, which
-    runs once: the report is built from its values without deriving them
-    again.  Its rows are columns that share the run table's ids and
-    category codes; no per-run object is built."""
+    every derived field from :func:`~axpue.model._derive_report`; the
+    report checks them against the rule, as every report does.  Its rows
+    are columns that share the run table's ids and category codes; no
+    per-run object is built."""
     runs = inputs.runs
     table = runs.table
     it_kws = _float_column(runs.it_power_kws())
     pue, (facility_kws, *derived), weighted_appue, aggregated_aopue = _derive_report(
-        inputs.window, table.run_ids, table.categories, it_kws, runs.rates, runs.units
+        inputs.window, table.run_ids, table.categories, it_kws, runs.rates
     )
     base_provenance: dict[str, object] = {
         "integration_method": "trapezoidal",
@@ -219,7 +202,7 @@ def build_report(
     }
     if provenance:
         base_provenance.update(provenance)
-    return MetricsReport._derived(
+    return MetricsReport(
         window=inputs.window,
         pue=pue,
         per_run=ReportRows(

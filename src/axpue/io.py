@@ -70,6 +70,7 @@ from .model import (
     WorkMeasure,
     _check_rate,
     _check_run,
+    _check_unit,
     _check_work_amount,
     _column,
     _reported,
@@ -1209,18 +1210,19 @@ def read_report(data: bytes | str) -> MetricsReport:
         )
         # The rows go straight into columns, each field read and checked in
         # the order a RunMetrics and its PerformanceRate would be.
-        run_ids, categories, units = [], bytearray(), []
+        run_ids, categories = [], bytearray()
         it_kws, facility_kws, performances, appues, aopues, weights = columns = (
             [], [], [], [], [], []
         )
         for row in obj["per_run"]:
-            run_ids.append(_json(row["run_id"], str))
-            categories.append(_CATEGORY_CODES[ApplicationCategory(row["category"])])
+            run_ids.append(run_id := _json(row["run_id"], str))
+            categories.append(_CATEGORY_CODES[category := ApplicationCategory(row["category"])])
             it_kws.append(_json(row["it_power_kw"], *number))
             facility_kws.append(_json(row["facility_power_kw"], *number))
             value = _json(row["performance"]["value"], *number)
-            units.append(RateUnit(row["performance"]["unit"]))
+            unit = RateUnit(row["performance"]["unit"])
             _check_rate(value)
+            _check_unit(run_id, category, unit)
             performances.append(value)
             appues.append(_json(row["appue"], *number))
             aopues.append(_json(row["aopue"], *number))
@@ -1230,7 +1232,7 @@ def read_report(data: bytes | str) -> MetricsReport:
             if run_id in seen:
                 raise SchemaError(f"duplicate run_id {run_id!r}")
             seen.add(run_id)
-        report = MetricsReport._held(
+        return MetricsReport(
             window=window,
             pue=_json(obj["pue"], *number),
             per_run=ReportRows(tuple(run_ids), bytes(categories), *map(_column, columns)),
@@ -1238,8 +1240,6 @@ def read_report(data: bytes | str) -> MetricsReport:
             aggregated_aopue=_json(obj["aggregated_aopue"], *optional),
             provenance=_json(obj.get("provenance", {}), dict),
         )
-        report._check(units)
-        return report
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed report document: {exc}") from exc
 

@@ -117,6 +117,16 @@ def _check_rate(value: float) -> None:
         raise ValidationError(f"rate must be finite and >= 0, got {value!r}")
 
 
+def _check_unit(run_id: str, category: ApplicationCategory, unit: RateUnit) -> None:
+    """A run's stated performance unit is its category's."""
+    expected = RATE_UNIT_FOR_CATEGORY[category]
+    if unit is not expected:
+        raise CategoryMismatchError(
+            f"run {run_id!r}: category {category.value} requires "
+            f"{expected.value} performance, got {unit.value}"
+        )
+
+
 def _check_window(start: float, end: float) -> None:
     """A window's bounds are finite, and ``end > start``."""
     if not (math.isfinite(start) and math.isfinite(end)):
@@ -430,7 +440,8 @@ class Inventory:
 
 @dataclass(frozen=True)
 class RunMetrics:
-    """Per-run row of a metrics report."""
+    """Per-run row of a metrics report; its performance is in its
+    category's unit."""
 
     run_id: str
     category: ApplicationCategory
@@ -440,6 +451,9 @@ class RunMetrics:
     appue: float
     aopue: float
     weight: float
+
+    def __post_init__(self):
+        _check_unit(self.run_id, self.category, self.performance.unit)
 
 
 class ReportRows(_Columns):
@@ -529,7 +543,6 @@ def _derive_report(
     categories: bytes,
     it_kws: Sequence[float],
     performances: Sequence[float],
-    units: Sequence[RateUnit] | None = None,
 ) -> tuple[float, tuple[np.ndarray, ...], float | None, float | None]:
     """Every derived field of a report, from its primary fields: the
     window's energies and the rows' columns of run ids, category codes, IT
@@ -544,9 +557,8 @@ def _derive_report(
     its share of the summed IT power.  Elementwise float64 ``*`` and ``/``
     give the bits of the same expressions on Python floats.
 
-    Every row needs an IT power that is finite and > 0, and, when ``units``
-    gives each row's stated performance unit, its category's unit; the first
-    row that breaks either raises.  The rows must share one performance unit.
+    Every row needs an IT power that is finite and > 0; the first row that
+    breaks it raises.  The rows must share one performance unit.
     """
     if window.it_energy == 0:
         raise ZeroITEnergyError("window holds no IT equipment energy")
@@ -556,18 +568,10 @@ def _derive_report(
         return pue, (empty, empty, empty, empty), None, None
     powers = np.asarray(it_kws, dtype=np.float64)
     bad = ~(np.isfinite(powers) & (powers > 0))
-    if units is not None:
-        bad |= [unit is not _UNIT_OF_CODE[code] for code, unit in zip(categories, units)]
     if bad.any():
-        i = int(bad.argmax())  # the first bad row: its IT power, then its unit
-        if not (math.isfinite(it_kw := it_kws[i]) and it_kw > 0):
-            raise ZeroITPowerError(
-                f"run {run_ids[i]!r}: it_power_kw must be finite and > 0, got {it_kw!r}"
-            )
-        code = categories[i]
-        raise CategoryMismatchError(
-            f"run {run_ids[i]!r}: category {_CATEGORY_OF_CODE[code].value} requires "
-            f"{_UNIT_OF_CODE[code].value} performance, got {units[i].value}"
+        i = int(bad.argmax())
+        raise ZeroITPowerError(
+            f"run {run_ids[i]!r}: it_power_kw must be finite and > 0, got {it_kws[i]!r}"
         )
     units_present = {_UNIT_OF_CODE[code] for code in set(categories)}
     if len(units_present) > 1:
@@ -602,9 +606,9 @@ def _isclose(values: np.ndarray, expected: np.ndarray) -> np.ndarray:
         )
 
 
-def _check_row_fields(rows: ReportRows, derived: tuple[np.ndarray, ...] | None = None) -> None:
-    """Every row's facility power, ApPUE, AoPUE and weight is finite and,
-    given the rule's values ``derived``, within ``IDENTITY_REL_TOL`` of it.
+def _check_row_fields(rows: ReportRows, derived: tuple[np.ndarray, ...]) -> None:
+    """Every row's facility power, ApPUE, AoPUE and weight is finite and
+    within ``IDENTITY_REL_TOL`` of the rule's value in ``derived``.
 
     The columns are screened as arrays, and only the rows that fail are
     checked value by value, so the first violation in row and field order
@@ -614,10 +618,7 @@ def _check_row_fields(rows: ReportRows, derived: tuple[np.ndarray, ...] | None =
     suspects = np.zeros(len(rows), dtype=bool)
     for k, column in enumerate(stored):
         values = np.asarray(column, dtype=np.float64)
-        sound = np.isfinite(values)
-        if derived is not None:
-            sound &= _isclose(values, derived[k])
-        suspects |= ~sound
+        suspects |= ~(np.isfinite(values) & _isclose(values, derived[k]))
     for i in np.flatnonzero(suspects).tolist():
         for k, ((_, name, rule), column) in enumerate(zip(_ROW_RULES, stored)):
             # isclose(inf, inf) holds, so an overflow needs its own check.
@@ -625,8 +626,6 @@ def _check_row_fields(rows: ReportRows, derived: tuple[np.ndarray, ...] | None =
                 raise ValidationError(
                     f"run {rows.run_ids[i]!r}: {name} must be finite, got {value!r}"
                 )
-            if derived is None:
-                continue
             expected = float(derived[k][i])
             if not math.isclose(value, expected, rel_tol=IDENTITY_REL_TOL):
                 raise ValidationError(
@@ -651,9 +650,10 @@ class MetricsReport:
     ``IDENTITY_REL_TOL``.  A violation raises a :class:`ValidationError`
     that names the field, and the run for a row's field.  Rows of mixed
     performance units raise :class:`UnitMismatchError`, and a window
-    without IT energy :class:`ZeroITEnergyError`.  A report that
-    :func:`~axpue.engine.build_report` builds from the rule's own values is
-    not derived again (see :meth:`_derived`).
+    without IT energy :class:`ZeroITEnergyError`.  Every report, built by
+    :func:`~axpue.engine.build_report`, read by :func:`~axpue.io.read_report`
+    or constructed directly, is checked so.  A row's performance unit is
+    checked where its :class:`RunMetrics` is constructed.
     """
 
     window: EnergyWindow
@@ -664,24 +664,20 @@ class MetricsReport:
     provenance: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        units = None
         if not isinstance(self.per_run, ReportRows):
-            rows = tuple(self.per_run)
-            units = [row.performance.unit for row in rows]
-            object.__setattr__(self, "per_run", ReportRows.from_rows(rows))
-        self._check(units)
-
-    def _check(self, units: Sequence[RateUnit] | None) -> None:
-        """The full check of the class docstring; ``units`` are the rows'
-        stated performance units, when the rows came with them."""
-        _check_pue(self.pue)
+            object.__setattr__(self, "per_run", ReportRows.from_rows(self.per_run))
+        if not (math.isfinite(self.pue) and self.pue >= 1):
+            raise ValidationError(f"pue must be finite and >= 1, got {self.pue!r}")
         rows = self.per_run
         pue, derived, weighted_appue, aggregated_aopue = _derive_report(
-            self.window, rows.run_ids, rows.categories, rows.it_power_kws, rows.performances, units
+            self.window, rows.run_ids, rows.categories, rows.it_power_kws, rows.performances
         )
         if not math.isclose(self.pue, pue, rel_tol=IDENTITY_REL_TOL):
             raise ValidationError(f"pue {self.pue!r} != total facility energy / IT energy {pue!r}")
-        _check_weight_sum(rows.weights)
+        if rows:
+            total = math.fsum(rows.weights)
+            if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # NaN compares false, so it fails
+                raise ValidationError(f"weights sum to {total!r}, expected 1")
         _check_row_fields(rows, derived)
         for name, value, rule, derived_value in (
             ("weighted_appue", self.weighted_appue, "IT-power-weighted appue", weighted_appue),
@@ -693,49 +689,3 @@ class MetricsReport:
                 agrees = math.isclose(value, derived_value, rel_tol=IDENTITY_REL_TOL)
             if not agrees:
                 raise ValidationError(f"{name} {value!r} != {rule} {derived_value!r}")
-
-    @classmethod
-    def _held(cls, **fields) -> MetricsReport:
-        """A report that holds ``fields``, every one of them, unchecked."""
-        report = object.__new__(cls)
-        for name, value in fields.items():
-            object.__setattr__(report, name, value)
-        return report
-
-    @classmethod
-    def _derived(
-        cls,
-        window: EnergyWindow,
-        pue: float,
-        per_run: ReportRows,
-        weighted_appue: float | None,
-        aggregated_aopue: float | None,
-        provenance: Mapping[str, object],
-    ) -> MetricsReport:
-        """A report whose derived fields are the values :func:`_derive_report`
-        gave for its primary fields, held without deriving them again: only
-        the checks that the rule does not make are run (PUE finite and >=
-        1, the weights' sum, and every row's derived field finite)."""
-        _check_pue(pue)
-        _check_weight_sum(per_run.weights)
-        _check_row_fields(per_run)
-        return cls._held(
-            window=window,
-            pue=pue,
-            per_run=per_run,
-            weighted_appue=weighted_appue,
-            aggregated_aopue=aggregated_aopue,
-            provenance=provenance,
-        )
-
-
-def _check_pue(pue: float) -> None:
-    if not (math.isfinite(pue) and pue >= 1):
-        raise ValidationError(f"pue must be finite and >= 1, got {pue!r}")
-
-
-def _check_weight_sum(weights: Sequence[float]) -> None:
-    if len(weights):
-        total = math.fsum(weights)
-        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # NaN compares false, so it fails
-            raise ValidationError(f"weights sum to {total!r}, expected 1")

@@ -382,11 +382,9 @@ class TestBuildReport:
             build_report(inputs)
 
     def test_rate_unit_must_match_category(self):
-        window = window_for_powers(100.0, 150.0)
         rate = PerformanceRate(5.0, RateUnit.REQUESTS_PER_SECOND)
-        inputs = MetricInputs(window, (RunInput(data_run("da", 0.0, 100.0, 1e5), 1e7, rate),))
         with pytest.raises(CategoryMismatchError) as info:
-            build_report(inputs)
+            RunInput(data_run("da", 0.0, 100.0, 1e5), 1e7, rate)
         assert str(info.value) == (
             "run 'da': category data_analysis requires kb_per_second performance, "
             "got requests_per_second"

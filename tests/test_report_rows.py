@@ -21,12 +21,16 @@ from hypothesis import strategies as st
 
 from axpue import (
     ApplicationCategory,
+    ApplicationRun,
     DeviceCategory,
     EnergyWindow,
     MetricsReport,
     PerformanceRate,
     RateUnit,
+    RunInput,
     RunMetrics,
+    WorkKind,
+    WorkMeasure,
     analyze,
     build_report,
     parse_runs_jsonl,
@@ -164,6 +168,35 @@ def service_row(run_id: str, it_kw: float, unit: RateUnit = RateUnit.REQUESTS_PE
     )
 
 
+def service_doc_row(run_id: str, it_kw: float, unit: str = "requests_per_second") -> dict:
+    """:func:`service_row` as a row of a report document, its unit as
+    ``unit``."""
+    return {
+        "run_id": run_id,
+        "category": "service",
+        "it_power_kw": it_kw,
+        "facility_power_kw": it_kw * 1.5,
+        "performance": {"value": 3.0, "unit": unit},
+        "appue": 3.0 / it_kw,
+        "aopue": 3.0 / (it_kw * 1.5),
+        "weight": 0.5,
+    }
+
+
+def report_doc(*rows: dict) -> str:
+    """A report document over :data:`WINDOW` at PUE 1.5 holding ``rows``."""
+    return json.dumps(
+        {
+            "schema": "axpue-report/1",
+            "window": {"start": 0, "end": 10, "energy_joules_by_category": {"it_equipment": 4.0, "cooling": 2.0}},
+            "pue": 1.5,
+            "per_run": list(rows),
+            "weighted_appue": 3.0,
+            "aggregated_aopue": 2.0,
+        }
+    )
+
+
 def test_report_rows_are_a_read_only_sequence_of_run_metrics():
     rows = (service_row("a", 1.0), service_row("b", 1.0))
     report = MetricsReport(WINDOW, 1.5, iter(rows), 3.0, 2.0)
@@ -180,46 +213,30 @@ def test_report_rows_are_a_read_only_sequence_of_run_metrics():
     assert write_report(empty) == write_report(read_report(write_report(empty)))
 
 
-@pytest.mark.parametrize(
-    "rows, error, message",
-    [
-        # A stated unit is checked in row order with the IT powers.
-        (
-            (service_row("a", 1.0, RateUnit.KB_PER_SECOND), service_row("b", -1.0)),
-            CategoryMismatchError,
-            "run 'a': category service requires requests_per_second performance, got kb_per_second",
-        ),
-        (
-            (service_row("a", -1.0), service_row("b", 1.0, RateUnit.KB_PER_SECOND)),
-            ZeroITPowerError,
-            "run 'a': it_power_kw must be finite and > 0, got -1.0",
-        ),
-    ],
-)
-def test_rows_and_read_reports_raise_the_first_bad_row(rows, error, message):
-    with pytest.raises(error) as constructed:
-        MetricsReport(WINDOW, 1.5, rows, 3.0, 2.0)
-    assert str(constructed.value) == message
-    doc = {
-        "schema": "axpue-report/1",
-        "window": {"start": 0, "end": 10, "energy_joules_by_category": {"it_equipment": 4.0, "cooling": 2.0}},
-        "pue": 1.5,
-        "per_run": [
-            {
-                "run_id": row.run_id,
-                "category": row.category.value,
-                "it_power_kw": row.it_power_kw,
-                "facility_power_kw": row.facility_power_kw,
-                "performance": {"value": row.performance.value, "unit": row.performance.unit.value},
-                "appue": row.appue,
-                "aopue": row.aopue,
-                "weight": row.weight,
-            }
-            for row in rows
-        ],
-        "weighted_appue": 3.0,
-        "aggregated_aopue": 2.0,
-    }
-    with pytest.raises(error) as read:
-        read_report(json.dumps(doc))
-    assert str(read.value) == message
+def test_a_wrong_unit_raises_where_it_enters():
+    message = "run 'a': category service requires requests_per_second performance, got kb_per_second"
+    rate = PerformanceRate(3.0, RateUnit.KB_PER_SECOND)
+    with pytest.raises(CategoryMismatchError) as row:
+        service_row("a", 1.0, RateUnit.KB_PER_SECOND)
+    run = ApplicationRun(
+        "a", ApplicationCategory.SERVICE, 0.0, 10.0,
+        WorkMeasure(WorkKind.REQUESTS_ANSWERED, 30), {"s1"},
+    )
+    with pytest.raises(CategoryMismatchError) as run_input:
+        RunInput(run, 10.0, rate)
+    with pytest.raises(CategoryMismatchError) as read:
+        read_report(report_doc(service_doc_row("a", 1.0, "kb_per_second"), service_doc_row("b", 1.0)))
+    assert str(row.value) == str(run_input.value) == str(read.value) == message
+    # Every row is read before the report's rule checks any IT power, so a
+    # wrong unit is named before an earlier row's bad IT power.
+    with pytest.raises(CategoryMismatchError, match="run 'b': category service"):
+        read_report(report_doc(service_doc_row("a", -1.0), service_doc_row("b", 1.0, "kb_per_second")))
+
+
+def test_a_bad_it_power_raises_where_the_report_is_built_or_read():
+    message = "run 'a': it_power_kw must be finite and > 0, got -1.0"
+    with pytest.raises(ZeroITPowerError) as constructed:
+        MetricsReport(WINDOW, 1.5, (service_row("a", -1.0), service_row("b", 1.0)), 3.0, 2.0)
+    with pytest.raises(ZeroITPowerError) as read:
+        read_report(report_doc(service_doc_row("a", -1.0), service_doc_row("b", 1.0)))
+    assert str(constructed.value) == str(read.value) == message

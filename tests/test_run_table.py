@@ -19,6 +19,7 @@ from axpue import (
     ApplicationCategory,
     ApplicationRun,
     Inventory,
+    MetricInputs,
     WorkKind,
     WorkMeasure,
     analyze,
@@ -28,8 +29,9 @@ from axpue import (
     simulate,
     write_report,
 )
+from axpue import engine
 from axpue.model import RunTable
-from conftest import random_scenario, reference_parse_runs_jsonl
+from conftest import random_metric_inputs, random_scenario, reference_parse_runs_jsonl
 
 
 def many_runs_text(n_runs: int) -> str:
@@ -197,6 +199,27 @@ class TestRunTable:
         with pytest.raises(TypeError):
             table.starts[0] = 1.0
         assert pickle.loads(pickle.dumps(table)) == table == copy.deepcopy(table)
+
+    @pytest.mark.parametrize("source", ["built", "analyzed"])
+    def test_metric_inputs_are_values(self, source, rng, monkeypatch):
+        if source == "built":
+            inputs = random_metric_inputs(rng)
+        else:
+            # What analyze hands build_report: runs over the parsed table.
+            seen = []
+            monkeypatch.setattr(engine, "build_report", lambda inputs, provenance: seen.append(inputs))
+            out = simulate(random_scenario(rng))
+            analyze(
+                parse_power_csv(io.BytesIO(out.power_csv)),
+                Inventory(parse_inventory_json(out.inventory_json.decode("utf-8"))),
+                parse_runs_jsonl(io.StringIO(out.runs_jsonl.decode("utf-8"))),
+            )
+            (inputs,) = seen
+        run_inputs = tuple(inputs.runs)
+        assert MetricInputs(inputs.window, run_inputs) == MetricInputs(inputs.window, run_inputs)
+        assert MetricInputs(inputs.window, list(run_inputs)) == inputs
+        assert inputs.runs == run_inputs and inputs.runs[0:1] == run_inputs[:1]
+        assert pickle.loads(pickle.dumps(inputs)) == inputs == copy.deepcopy(inputs)
 
     def test_analyze_gives_the_same_report_bytes_for_a_table_and_its_runs(self, rng):
         for i in range(5):
