@@ -42,7 +42,7 @@ def fleets(draw):
         st.lists(
             st.tuples(st.integers(0, n_it - 1), st.integers(0, 2), st.integers(1, 3)),
             min_size=1,
-            max_size=5,
+            max_size=8,
         )
     )
     ends = [0] * n_it
