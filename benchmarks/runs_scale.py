@@ -5,8 +5,8 @@ Usage, from the root of a checkout::
     python3 benchmarks/runs_scale.py [--baseline DIR]
 
 For this checkout, and first for the ``--baseline`` checkout when given,
-a fresh interpreter with that checkout's ``src`` on
-``PYTHONPATH`` builds inputs shaped like perfbench's ``many_runs`` in
+fresh interpreters with that checkout's ``src`` on
+``PYTHONPATH`` build inputs shaped like perfbench's ``many_runs`` in
 memory: N service runs on 16 pairs of 32 servers, one after another within
 a pair, and power traces at 10 s that cover them, three samples a run, plus
 one cooling device.  At each N it measures four stages:
@@ -16,10 +16,15 @@ one cooling device.  At each N it measures four stages:
 * ``write_report`` of the JSON report;
 * ``read_report`` of the report's JSON bytes.
 
-Each stage gets its time, the best of ``REPEATS`` calls, in microseconds
-a run (``us_per_run``), and, in one more call under ``tracemalloc``, the
-heap its result holds (``held_bytes_per_run``: the parsed runs, the report,
-its bytes or the report read back) and its peak above where it started (``peak_bytes_per_run``).
+Each stage is first called once under ``tracemalloc``, for the heap its
+result holds (``held_bytes_per_run``: the parsed runs, the report, its
+bytes or the report read back) and its peak above where it started
+(``peak_bytes_per_run``).  Then each stage gets its time in microseconds
+a run (``us_per_run``), the best of ``REPEATS`` calls in each of
+``PROCESSES`` fresh interpreters: the calls go in rounds in which the four
+stages take turns, so that a slow spell of a shared host falls on one call
+of each stage, not on all calls of one, and a process that runs slow from
+start to end is outvoted.
 One record per checkout is appended to ``BENCH_runs_scale.json`` at the
 root of this checkout, with the commit, date,
 Python and numpy versions, and per stage ``time_ratio``: the per-run time
@@ -38,7 +43,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (4_000, 16_000, 64_000)
-REPEATS = 3
+REPEATS = 5
+PROCESSES = 3
 PAIRS = 16
 PERIOD_S = 10.0
 SLOT_S = 30.0  # a run lasts 20 s, then its pair idles for 10 s
@@ -107,13 +113,8 @@ def measure(sizes: tuple[int, ...]) -> dict:
             "write_report": lambda: write_report(report),
             "read_report": lambda: read_report(data),
         }
-        row = {}
+        heap = {}
         for stage, call in stages.items():
-            best = float("inf")
-            for _ in range(REPEATS):
-                tic = time.perf_counter()
-                call()
-                best = min(best, time.perf_counter() - tic)
             result, held, peak = _traced(call)
             if stage == "parse_runs_jsonl":
                 runs = result
@@ -121,13 +122,24 @@ def measure(sizes: tuple[int, ...]) -> dict:
                 report = result
             elif stage == "write_report":
                 data = result
-            row[stage] = {
-                "us_per_run": best / n_runs * 1e6,
+            heap[stage] = held, peak
+            del result
+        # The stages take turns, so that a slow spell of a shared host falls
+        # on one call of each stage, not on every call of one.
+        best = dict.fromkeys(stages, float("inf"))
+        for _ in range(REPEATS):
+            for stage, call in stages.items():
+                tic = time.perf_counter()
+                call()
+                best[stage] = min(best[stage], time.perf_counter() - tic)
+        results[str(n_runs)] = {
+            stage: {
+                "us_per_run": best[stage] / n_runs * 1e6,
                 "held_bytes_per_run": held / n_runs,
                 "peak_bytes_per_run": peak / n_runs,
             }
-            del result
-        results[str(n_runs)] = row
+            for stage, (held, peak) in heap.items()
+        }
     return results
 
 
@@ -143,28 +155,36 @@ def _commit(checkout: Path) -> str:
 
 
 def _record(checkout: Path) -> dict:
-    """One record of ``checkout``'s program, measured in a fresh interpreter."""
+    """One record of ``checkout``'s program, measured in ``PROCESSES`` fresh
+    interpreters: each stage's time is the best of theirs, its heap the
+    first one's."""
     code = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); import runs_scale, numpy, platform; "
         "print(json.dumps({'runs': runs_scale.measure(runs_scale.SIZES), "
         "'python': platform.python_version(), 'numpy': numpy.__version__}))"
     )
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    child = subprocess.run(
-        [sys.executable, "-c", code, str(Path(__file__).resolve().parent)],
-        check=True, capture_output=True, text=True, env=env,
-    )
-    measured = json.loads(child.stdout.strip().splitlines()[-1])
+    runs = []
+    for _ in range(PROCESSES):
+        child = subprocess.run(
+            [sys.executable, "-c", code, str(Path(__file__).resolve().parent)],
+            check=True, capture_output=True, text=True, env=env,
+        )
+        measured = json.loads(child.stdout.strip().splitlines()[-1])
+        runs.append(measured["runs"])
+    for size, row in runs[0].items():
+        for stage, cost in row.items():
+            cost["us_per_run"] = min(other[size][stage]["us_per_run"] for other in runs)
     small, large = str(min(SIZES)), str(max(SIZES))
     return {
         "commit": _commit(checkout),
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "sizes": list(SIZES),
-        "repeats": REPEATS,
-        "runs": measured["runs"],
+        "repeats": REPEATS * PROCESSES,
+        "runs": runs[0],
         "time_ratio": {
-            stage: measured["runs"][large][stage]["us_per_run"] / cost["us_per_run"]
-            for stage, cost in measured["runs"][small].items()
+            stage: runs[0][large][stage]["us_per_run"] / cost["us_per_run"]
+            for stage, cost in runs[0][small].items()
         },
         "python": measured["python"],
         "numpy": measured["numpy"],

@@ -176,10 +176,15 @@ def _raise_first_bad_row(rows: Iterable, first_line: int) -> NoReturn:
 class _Samples:
     """Power samples, partitioned by device as their blocks arrive.
 
-    Blocks are collected into a batch until it holds ``_BATCH_ROWS`` rows.
-    The batch is then partitioned by device, stably, so that each device's
-    rows keep their file order; each device's slice is copied into its
-    pieces, and the batch's blocks are freed.  Of a batch, only its device
+    Blocks are collected into a batch until it holds ``_BATCH_ROWS`` rows,
+    and ``_DEVICE_ROWS`` rows for each device seen.  The batch is then
+    partitioned by device, stably, so that each device's rows keep their
+    file order; each device's watts are copied into its pieces, and the
+    batch's blocks are freed.  Devices whose times in the batch hold the
+    same float64 bits, as devices on one grid do, append one shared,
+    read-only time piece (see :func:`_alike_slices`), which
+    :attr:`shared_pieces` also shares with other batches; any other
+    device's times are copied on their own.  Of a batch, only its device
     codes in file order are kept besides, at 1 or 2 bytes a row, with its
     blocks' line numbers: a device's k-th row in its pieces is its k-th row
     in file order, which names a duplicate's line.
@@ -193,6 +198,7 @@ class _Samples:
         # Per code: its time and watt pieces.
         self.pieces: dict[int, tuple[list, list]] = collections.defaultdict(lambda: ([], []))
         self.codes: list[np.ndarray] = []  # each batch's device codes, in file order
+        self.shared_pieces: dict = {}  # time pieces that devices share, see _shared_grid
         # Each block's line numbers: a range when its rows are consecutive lines.
         self.lines: list[range | np.ndarray] = []
 
@@ -231,7 +237,7 @@ class _Samples:
             blocks.append(values)
         self.lines.append(lines)
         self.batch_rows += count
-        if self.batch_rows >= _BATCH_ROWS:
+        if self.batch_rows >= max(_BATCH_ROWS, _DEVICE_ROWS * len(self.ids)):
             self._partition()
         return True
 
@@ -254,9 +260,20 @@ class _Samples:
         self.codes.append(batch)
         ends = [*starts[1:].tolist(), len(order)]
         # Copies, so that the batch is freed, and later pieces reuse its heap.
-        for code, lo, hi in zip(grouped[starts].tolist(), starts.tolist(), ends):
+        firsts, alike = _alike_slices(batch_times, starts)
+        batch_pieces: list[np.ndarray] = []
+        for code, lo, hi, first, shared in zip(
+            grouped[starts].tolist(), starts.tolist(), ends, firsts, alike
+        ):
+            if first < len(batch_pieces):
+                piece = batch_pieces[first]
+            elif shared:
+                piece = _shared_grid(self.shared_pieces, batch_times[lo:hi].copy())
+            else:
+                piece = batch_times[lo:hi].copy()
+            batch_pieces.append(piece)
             time_pieces, watt_pieces = self.pieces[code]
-            time_pieces.append(batch_times[lo:hi].copy())
+            time_pieces.append(piece)
             watt_pieces.append(batch_watts[lo:hi].copy())
 
     def joined(self) -> tuple[list, list, list, list]:
@@ -269,7 +286,11 @@ class _Samples:
         self._partition()
         pieces = [self.pieces[code] for code in self.ids.values()]
         grids: dict = {}
-        times = [_shared_grid(grids, _join(time_pieces)) for time_pieces, _ in pieces]
+        joined: dict = {}
+        times = []
+        for time_pieces, _ in pieces:
+            device_times, rises = _join_times(joined, grids, time_pieces)
+            times.append(device_times if rises else _shared_grid(grids, device_times))
         watts = [_join(watt_pieces) for _, watt_pieces in pieces]
         return times, watts, self.codes, self.lines
 
@@ -305,22 +326,21 @@ class _Samples:
         uncopied.
         """
         self._partition()
-        traces, duplicates, grids = [], {}, {}
+        traces, duplicates, grids, joined = [], {}, {}, {}
         # Built in code order, the order each batch's pieces were cut in, so
         # that the pieces freed as each trace is built merge into holes that
         # the next traces fit in.
         for name, code in self.ids.items():
             time_pieces, watt_pieces = self.pieces[code]
-            times, watts = _join(time_pieces), _join(watt_pieces)
-            try:
-                # Compared, not subtracted: far-apart times must not overflow.
-                # Equal times fail, ``0.0`` after ``-0.0`` included.
-                if not (times[1:] > times[:-1]).all():
+            (times, rises), watts = _join_times(joined, grids, time_pieces), _join(watt_pieces)
+            if not rises:
+                try:
                     times, watts = self._sorted(name, code, times, watts)
-            except DuplicateSampleError as exc:
-                duplicates[name] = exc
-                continue
-            traces.append(PowerTrace._owning(name, _shared_grid(grids, times), watts))
+                except DuplicateSampleError as exc:
+                    duplicates[name] = exc
+                    continue
+                times = _shared_grid(grids, times)
+            traces.append(PowerTrace._owning(name, times, watts))
         if duplicates:
             raise duplicates[min(duplicates)]
         return sorted(traces, key=lambda trace: trace.device_id)
@@ -354,6 +374,39 @@ class _Samples:
 #: under a MB, small next to a large file's traces, while the dozen numpy
 #: calls a batch costs stay a small part of its time.
 _BATCH_ROWS = 1 << 14
+#: Rows a batch holds for each device seen, at the least.  With more than
+#: ``_BATCH_ROWS // _DEVICE_ROWS`` devices a batch grows with them, so that
+#: a time-major file's pieces hold several rows each, not about one.
+_DEVICE_ROWS = 8
+
+
+def _alike_slices(times: np.ndarray, starts: np.ndarray) -> tuple[list[int], list[bool]]:
+    """For each slice of ``times`` cut at ``starts``: the first slice that
+    holds its float64 bits, and whether another slice holds them too.
+
+    A slice is compared only with the first slice of its length and first
+    time, all rows of the batch at once, so that the cost is a few numpy
+    calls a batch whatever the number of slices.  A slice unlike that one
+    is its own first.
+    """
+    sizes = np.diff(starts, append=times.size)
+    bits = times.view(np.int64)
+    heads = bits[starts]
+    order = np.lexsort((heads, sizes))  # stable: each group's slices stay in order
+    new = np.empty(order.size, bool)
+    new[0] = True
+    new[1:] = (np.diff(sizes[order]) != 0) | (np.diff(heads[order]) != 0)
+    if new.all():
+        return list(range(starts.size)), [False] * starts.size
+    firsts = np.empty_like(order)
+    firsts[order] = order[new][np.cumsum(new) - 1]
+    # Row k of each slice against row k of its group's first slice.
+    rows = np.repeat(starts[firsts] - starts, sizes)
+    rows += np.arange(times.size)
+    same = np.logical_and.reduceat(bits == bits[rows], starts)
+    del rows
+    firsts = np.where(same, firsts, np.arange(starts.size))
+    return firsts.tolist(), (np.bincount(firsts, minlength=starts.size)[firsts] > 1).tolist()
 
 
 def _shared_grid(grids: dict, times: np.ndarray) -> np.ndarray:
@@ -370,6 +423,31 @@ def _shared_grid(grids: dict, times: np.ndarray) -> np.ndarray:
         return grid
     times.setflags(write=False)
     return times
+
+
+def _join_times(joined: dict, grids: dict, pieces: list[np.ndarray]) -> tuple[np.ndarray, bool]:
+    """A device's time ``pieces`` joined, and whether they rise strictly;
+    rising times are shared by bits (see :func:`_shared_grid`).
+
+    ``joined`` keeps the rising times of each list of shared, read-only,
+    pieces joined so far by the pieces' ids, so that the next device that
+    holds the very same pieces gets them with no join or compare.  Every
+    device's pieces are alive before the first is joined, so no two of
+    them have the same id.
+    """
+    key = tuple(map(id, pieces)) if not pieces[0].flags.writeable else None
+    if (hit := joined.get(key)) is not None:
+        pieces.clear()
+        return hit, True
+    times = _join(pieces)
+    # Compared, not subtracted: far-apart times must not overflow.  Equal
+    # times fail, ``0.0`` after ``-0.0`` included.
+    if not (times[1:] > times[:-1]).all():
+        return times, False
+    times = _shared_grid(grids, times)
+    if key is not None:
+        joined[key] = times
+    return times, True
 
 
 def _join(blocks: list[np.ndarray]) -> np.ndarray:
@@ -680,6 +758,7 @@ def _parse_ranges(lines: _Lines, fd: int | None, ranges: list[tuple[int, int]]) 
         samples = _Samples()
         _read_header(lines)
         line = _parse_rows(lines, samples, 2)
+        samples._partition()  # so that the batch is freed before a child's samples arrive
         for (start, end), result in zip(ranges, results):
             if result is None:
                 line = _parse_rows(_range_lines(fd, start, end), samples, line)
@@ -699,12 +778,17 @@ def parse_power_csv(stream: IO[bytes]) -> list[PowerTrace]:
     whose times do not rise strictly in file order is then sorted, on its
     own: device-major rows, and time-major ones as a poller that reads every
     meter once per interval writes them, need no sort (see
-    :class:`_Samples`).  On 585K rows, the parse peaks at about 19 bytes a
-    row, sorted devices or not, against the 16 of the devices' pieces: a
-    byte of device code a row, and one batch's and one block's temporaries.
-    Devices whose times hold the same bits share one read-only array (see
-    :func:`_shared_grid`), so traces on one grid keep 8 bytes a row and
-    the grid.
+    :class:`_Samples`).  A batch holds ``_BATCH_ROWS`` rows and
+    ``_DEVICE_ROWS`` rows for each device seen, so that many devices do not
+    cut it into pieces of about a row.  Devices whose times in a batch hold
+    the same float64 bits, as devices on one grid do, share one read-only
+    time piece, so their pieces keep the watts' 8 bytes a row and that
+    piece.  On the 585K rows of 203 devices on one grid, device-major or
+    time-major, the parse peaks at about 13 bytes a row in one process and
+    11 in the parent of a parse in two ranges; rows in random order peak at
+    about 22.  Devices whose joined times hold the same bits share one
+    read-only array (see :func:`_shared_grid`), so traces on one grid keep
+    8 bytes a row and the grid.
     Duplicate (device, timestamp) pairs, malformed rows, and negative watt
     readings are rejected with the offending 1-based line number (the row's
     record number when a quoted field spans lines).

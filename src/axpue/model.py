@@ -357,6 +357,8 @@ class PerformanceRate:
 
     def __post_init__(self):
         _check_rate(self.value)
+        if not isinstance(self.unit, RateUnit):
+            raise ValidationError(f"performance unit must be a RateUnit, got {self.unit!r}")
 
     def reported(self) -> tuple[float, str]:
         """Magnitude and label in reporting units."""

@@ -186,10 +186,13 @@ BLOCKS = st.integers(5, 20) | st.just(axpue.io._BLOCK_BYTES)
 @contextlib.contextmanager
 def parser_sizes(block=axpue.io._BLOCK_BYTES, field_limit=None, batch=axpue.io._BATCH_ROWS):
     """The parser with small blocks, which it also reads in, a csv field
-    limit, and batches of ``batch`` rows or more when traces are built."""
+    limit, and batches of ``batch`` rows or more when traces are built, and
+    of ``batch`` rows a device seen or more, where that is fewer rows a
+    device than the parser's own rule asks for."""
     old_limit = csv.field_size_limit(field_limit or csv.field_size_limit())
+    sizes = dict(_BLOCK_BYTES=block, _BATCH_ROWS=batch, _DEVICE_ROWS=min(batch, axpue.io._DEVICE_ROWS))
     try:
-        with mock.patch.multiple(axpue.io, _BLOCK_BYTES=block, _BATCH_ROWS=batch):
+        with mock.patch.multiple(axpue.io, **sizes):
             yield
     finally:
         csv.field_size_limit(old_limit)
@@ -794,6 +797,32 @@ def test_trace_building_matches_row_loop(tmp_path, text, block, batch, cpus, ran
     with sorted_devices() as sorted_names, checked_grids():
         assert exact(ranged_outcome(path, cpus, range_bytes, block=block, batch=batch)[0]) == expected
     assert set(sorted_names) == unsorted_devices(text)
+
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 30.0, 60.0]), min_size=1, max_size=4),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_alike_slices_match_a_loop(slices):
+    """Each slice of a batch's times shares the piece of the first slice of
+    its length and first time exactly when their float64 bits are equal."""
+    times = np.array([t for piece in slices for t in piece], dtype=np.float64)
+    starts = np.cumsum([0] + [len(piece) for piece in slices[:-1]])
+    bits = [np.array(piece).tobytes() for piece in slices]
+    expected = []
+    for i, piece in enumerate(slices):
+        first = next(
+            j for j, other in enumerate(slices) if len(other) == len(piece) and bits[j][:8] == bits[i][:8]
+        )
+        expected.append(first if bits[first] == bits[i] else i)
+    firsts, shared = axpue.io._alike_slices(times, starts)
+    assert firsts == expected
+    assert shared == [expected.count(first) > 1 for first in expected]
 
 
 DEVICE_IDS = st.text(

@@ -17,6 +17,7 @@ from axpue import (
     MetricsReport,
     PerformanceRate,
     RateUnit,
+    RunInput,
     RunMetrics,
     WorkKind,
     WorkMeasure,
@@ -165,6 +166,15 @@ class TestPerformanceRate:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValidationError):
             PerformanceRate(-1.0, RateUnit.KB_PER_SECOND)
+
+    @pytest.mark.parametrize("unit", ["kb_per_second", None, "GFLOPS"])
+    def test_unit_that_is_not_a_rate_unit_rejected(self, unit):
+        # A string that spells a member is still not one: the unit checks
+        # compare members by identity.
+        with pytest.raises(ValidationError, match=f"got {unit!r}"):
+            PerformanceRate(1.0, unit)
+        with pytest.raises(ValidationError, match=f"got {unit!r}"):
+            RunInput(_run(), 1e7, PerformanceRate(1.0, unit))
 
 
 def _row(appue: float, aopue: float, weight: float) -> RunMetrics:

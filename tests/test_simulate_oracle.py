@@ -6,7 +6,8 @@ sample grid, overlapping runs on disjoint devices, both work kinds) are
 simulated and computed through the CLI, with the writer's parts and the
 parse's ranges forked.  Every report field must match what
 ``perfbench/oracle.py`` derives from the manifest alone, without the
-program's integration or metrics code.
+program's integration or metrics code.  Rewrites of a simulated power CSV
+that keep its samples must give the plain file's report bytes.
 """
 
 from __future__ import annotations
@@ -113,3 +114,54 @@ def test_computed_reports_match_the_oracle(tmp_path_factory, manifest, cpus):
         ) == 0
     mismatches = oracle.check_report(json.loads(report.read_text()), oracle.expected_report(manifest))
     assert mismatches == []
+
+
+def _compute(power: Path, sim: Path, report: Path) -> bytes:
+    """The JSON report bytes of ``axpue compute`` on ``power`` and ``sim``'s other inputs."""
+    assert main(
+        [
+            "compute",
+            "--power", str(power),
+            "--runs", str(sim / "runs.jsonl"),
+            "--inventory", str(sim / "inventory.json"),
+            "--out", str(report),
+        ]
+    ) == 0
+    return report.read_bytes()
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    manifest=manifests(),
+    cpus=st.integers(2, 3),
+    batch=st.integers(1, 64),
+    device_rows=st.integers(0, 8),
+    shuffle=st.randoms(use_true_random=False),
+)
+def test_rewritten_power_csv_gives_the_plain_report(
+    tmp_path_factory, manifest, cpus, batch, device_rows, shuffle
+):
+    # Time-major rows, as a poller writes them, put devices with the same
+    # times into each batch, where they share time pieces; shuffled rows
+    # send every device through the sort.  Small batches and forked ranges
+    # put seams all over both.
+    work = tmp_path_factory.mktemp("rewrite")
+    fleets.write_manifest(manifest, work / "manifest.json")
+    sim = work / "sim"
+    assert main(["simulate", str(work / "manifest.json"), "--out", str(sim)]) == 0
+    plain = _compute(sim / "power.csv", sim, work / "plain.json")
+    header, *rows = (sim / "power.csv").read_bytes().splitlines(keepends=True)
+    rewrites = {
+        "plain": rows,
+        "time-major": sorted(rows, key=lambda row: float(row.split(b",")[1])),
+        "shuffled": shuffle.sample(rows, len(rows)),
+    }
+    with mock.patch.multiple(
+        axpue.io, _BATCH_ROWS=batch, _DEVICE_ROWS=device_rows, _RANGE_BYTES=1, _cpu_count=lambda: cpus
+    ):
+        for name, lines in rewrites.items():
+            power = work / f"{name}.csv"
+            power.write_bytes(header + b"".join(lines))
+            assert _compute(power, sim, work / f"{name}.json") == plain, name
