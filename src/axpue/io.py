@@ -429,11 +429,12 @@ def _join_times(joined: dict, grids: dict, pieces: list[np.ndarray]) -> tuple[np
     """A device's time ``pieces`` joined, and whether they rise strictly;
     rising times are shared by bits (see :func:`_shared_grid`).
 
-    ``joined`` keeps the rising times of each list of shared, read-only,
-    pieces joined so far by the pieces' ids, so that the next device that
-    holds the very same pieces gets them with no join or compare.  Every
-    device's pieces are alive before the first is joined, so no two of
-    them have the same id.
+    ``joined`` keeps the rising times joined so far from each list of
+    pieces that starts with a read-only one, such as a piece that devices
+    share, by the pieces' ids, so that the next device that holds the very
+    same pieces gets them with no join or compare.  Every device's pieces
+    are alive before the first is joined, so no two of them have the same
+    id.
     """
     key = tuple(map(id, pieces)) if not pieces[0].flags.writeable else None
     if (hit := joined.get(key)) is not None:

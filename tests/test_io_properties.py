@@ -799,7 +799,6 @@ def test_trace_building_matches_row_loop(tmp_path, text, block, batch, cpus, ran
     assert set(sorted_names) == unsorted_devices(text)
 
 
-
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(
