@@ -25,6 +25,7 @@ from .errors import (
 from .integrate import DEFAULT_MAX_GAP
 from .io import (
     REPORT_CSV_HEADER,
+    _parse_file,
     _table_rows,
     format_appue,
     format_quantity,
@@ -152,17 +153,8 @@ def _aggregate_row(reports: list[MetricsReport]) -> list[str] | None:
     return out
 
 
-def _read_report_file(path: str) -> MetricsReport:
-    """:func:`~axpue.io.read_report` of one file; its errors carry the ``path``."""
-    try:
-        return read_report(Path(path).read_bytes())
-    except AxpueError as exc:
-        exc.path = path
-        raise
-
-
 def cmd_report(args: argparse.Namespace) -> int:
-    reports = [_read_report_file(path) for path in args.files]
+    reports = [_parse_file(lambda f: read_report(f.read()), path, "rb") for path in args.files]
     table, series = _merged_rows(reports)
     aggregate = _aggregate_row(reports)
     out = _stdio.StringIO()

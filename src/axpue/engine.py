@@ -67,8 +67,8 @@ from .model import (
     ReportRows,
     RunTable,
     WorkKind,
+    _check_fixed,
     _check_rate,
-    _check_unit,
     _check_window,
     _column,
     _Columns,
@@ -101,7 +101,7 @@ class RunInput:
     rate: PerformanceRate
 
     def __post_init__(self):
-        _check_unit(self.run.run_id, self.run.category, self.rate.unit)
+        _check_fixed(self.run.run_id, self.run.category, RATE_UNIT_FOR_CATEGORY, self.rate.unit)
         _check_it_energy(self.run.run_id, self.it_energy_joules)
 
     @property
@@ -327,14 +327,14 @@ def analyze(
     # and each run lies inside the window it integrated.  Each run's energy
     # is summed, its rate computed and both checked before the next run's.
     joules, rates = np.empty(len(table)), np.empty(len(table))
-    for i, (run_id, kind, amount, run_start, run_end, energies) in enumerate(
+    for i, (run_id, code, amount, run_start, run_end, energies) in enumerate(
         zip(
-            table.run_ids, table.kinds, table.amounts, table.starts, table.ends,
+            table.run_ids, table.categories, table.amounts, table.starts, table.ends,
             _run_energies(traces, table, max_gap),
         )
     ):
         joules[i] = run_joules = math.fsum(energies)
-        rates[i] = rate = _rate_value(_KIND_OF_CODE[kind], amount, run_start, run_end)
+        rates[i] = rate = _rate_value(_KIND_OF_CODE[code], amount, run_start, run_end)
         _check_rate(rate)
         _check_it_energy(run_id, run_joules)
     inputs = MetricInputs(

@@ -54,8 +54,8 @@ from .integrate import PowerTrace
 from .model import (
     _CATEGORY_CODES,
     _CATEGORY_OF_CODE,
-    _KIND_CODES,
     _UNIT_OF_CODE,
+    RATE_UNIT_FOR_CATEGORY,
     ApplicationCategory,
     ApplicationRun,
     DeviceCategory,
@@ -68,9 +68,9 @@ from .model import (
     RunTable,
     WorkKind,
     WorkMeasure,
+    _check_fixed,
     _check_rate,
     _check_run,
-    _check_unit,
     _check_work_amount,
     _column,
     _reported,
@@ -182,9 +182,10 @@ class _Samples:
     file order; each device's watts are copied into its pieces, and the
     batch's blocks are freed.  Devices whose times in the batch hold the
     same float64 bits, as devices on one grid do, append one shared,
-    read-only time piece (see :func:`_alike_slices`), which
-    :attr:`shared_pieces` also shares with other batches; any other
-    device's times are copied on their own.  Of a batch, only its device
+    read-only time piece (see :func:`_alike_slices`), which :attr:`grids`
+    also shares with other batches; any other device's times are copied on
+    their own.  The same table later shares each device's joined times by
+    their bits (see :func:`_shared_grid`).  Of a batch, only its device
     codes in file order are kept besides, at 1 or 2 bytes a row, with its
     blocks' line numbers: a device's k-th row in its pieces is its k-th row
     in file order, which names a duplicate's line.
@@ -198,7 +199,7 @@ class _Samples:
         # Per code: its time and watt pieces.
         self.pieces: dict[int, tuple[list, list]] = collections.defaultdict(lambda: ([], []))
         self.codes: list[np.ndarray] = []  # each batch's device codes, in file order
-        self.shared_pieces: dict = {}  # time pieces that devices share, see _shared_grid
+        self.grids: dict = {}  # time arrays that devices share, see _shared_grid
         # Each block's line numbers: a range when its rows are consecutive lines.
         self.lines: list[range | np.ndarray] = []
 
@@ -268,13 +269,25 @@ class _Samples:
             if first < len(batch_pieces):
                 piece = batch_pieces[first]
             elif shared:
-                piece = _shared_grid(self.shared_pieces, batch_times[lo:hi].copy())
+                piece = _shared_grid(self.grids, batch_times[lo:hi].copy())
             else:
                 piece = batch_times[lo:hi].copy()
             batch_pieces.append(piece)
             time_pieces, watt_pieces = self.pieces[code]
             time_pieces.append(piece)
             watt_pieces.append(batch_watts[lo:hi].copy())
+
+    def _devices(self) -> Iterator[tuple[str, int, np.ndarray, bool, np.ndarray]]:
+        """Each device's id, code, joined times, whether they rise strictly
+        (see :func:`_join_times`) and joined watts, in code order, the order
+        each batch's pieces were cut in: the pieces freed as a device is
+        joined merge into holes that the next devices fit in."""
+        self._partition()
+        joined: dict = {}
+        for name, code in self.ids.items():
+            time_pieces, watt_pieces = self.pieces[code]
+            times, rises = _join_times(joined, self.grids, time_pieces)
+            yield name, code, times, rises, _join(watt_pieces)
 
     def joined(self) -> tuple[list, list, list, list]:
         """What :meth:`merge` takes: each device's times and watts joined,
@@ -283,15 +296,10 @@ class _Samples:
         Devices whose joined times hold the same bits share one array (see
         :func:`_shared_grid`), which ``pickle`` then sends once.
         """
-        self._partition()
-        pieces = [self.pieces[code] for code in self.ids.values()]
-        grids: dict = {}
-        joined: dict = {}
-        times = []
-        for time_pieces, _ in pieces:
-            device_times, rises = _join_times(joined, grids, time_pieces)
-            times.append(device_times if rises else _shared_grid(grids, device_times))
-        watts = [_join(watt_pieces) for _, watt_pieces in pieces]
+        times, watts = [], []
+        for _, _, device_times, rises, device_watts in self._devices():
+            times.append(device_times if rises else _shared_grid(self.grids, device_times))
+            watts.append(device_watts)
         return times, watts, self.codes, self.lines
 
     def merge(self, names: list[str], columns: tuple[list, ...], offset: int) -> None:
@@ -325,21 +333,15 @@ class _Samples:
         array (see :func:`_shared_grid`), and each trace holds its arrays
         uncopied.
         """
-        self._partition()
-        traces, duplicates, grids, joined = [], {}, {}, {}
-        # Built in code order, the order each batch's pieces were cut in, so
-        # that the pieces freed as each trace is built merge into holes that
-        # the next traces fit in.
-        for name, code in self.ids.items():
-            time_pieces, watt_pieces = self.pieces[code]
-            (times, rises), watts = _join_times(joined, grids, time_pieces), _join(watt_pieces)
+        traces, duplicates = [], {}
+        for name, code, times, rises, watts in self._devices():
             if not rises:
                 try:
                     times, watts = self._sorted(name, code, times, watts)
                 except DuplicateSampleError as exc:
                     duplicates[name] = exc
                     continue
-                times = _shared_grid(grids, times)
+                times = _shared_grid(self.grids, times)
             traces.append(PowerTrace._owning(name, times, watts))
         if duplicates:
             raise duplicates[min(duplicates)]
@@ -784,12 +786,9 @@ def parse_power_csv(stream: IO[bytes]) -> list[PowerTrace]:
     cut it into pieces of about a row.  Devices whose times in a batch hold
     the same float64 bits, as devices on one grid do, share one read-only
     time piece, so their pieces keep the watts' 8 bytes a row and that
-    piece.  On the 585K rows of 203 devices on one grid, device-major or
-    time-major, the parse peaks at about 13 bytes a row in one process and
-    11 in the parent of a parse in two ranges; rows in random order peak at
-    about 22.  Devices whose joined times hold the same bits share one
+    piece.  Devices whose joined times hold the same bits share one
     read-only array (see :func:`_shared_grid`), so traces on one grid keep
-    8 bytes a row and the grid.
+    8 bytes a row and the grid (the README gives measured peaks).
     Duplicate (device, timestamp) pairs, malformed rows, and negative watt
     readings are rejected with the offending 1-based line number (the row's
     record number when a quoted field spans lines).
@@ -935,7 +934,8 @@ def _run_fields_from_obj(obj: dict, line: int) -> tuple:
         end = float(end) if type(end) in (int, float) else _parse_timestamp(end)
     except (ValueError, OverflowError, TypeError):
         raise SchemaError("bad start/end timestamp", line=line) from None
-    if end <= start:
+    # _check_run reports a bound that is not finite as such.
+    if math.isfinite(start) and math.isfinite(end) and end <= start:
         raise InvalidWindowError(
             f"run {run_id!r}: end ({end}) must be > start ({start})", line=line
         )
@@ -964,13 +964,13 @@ def parse_runs_jsonl(stream: IO[str] | Iterable[str]) -> RunTable:
     lines skipped).
 
     The :class:`~axpue.model.RunTable` holds the runs as columns: a run
-    costs its id string, its bounds as float64, two one-byte codes, its
+    costs its id string, its bounds as float64, a one-byte category code, its
     work counter and one reference to its devices, whose sorted tuple and
     id strings are shared by every run that names the same ones.  Run ids
     are unique: a repeated one is a :class:`SchemaError` on its second line.
     """
     run_ids: list[str] = []
-    categories, kinds = bytearray(), bytearray()
+    categories = bytearray()
     # Bounds go in as native doubles, float64's bits, and no float object
     # outlives its line.
     starts, ends = bytearray(), bytearray()
@@ -997,7 +997,7 @@ def parse_runs_jsonl(stream: IO[str] | Iterable[str]) -> RunTable:
             obj = _load_json(raw, "invalid JSON", line=line_no)
         if not isinstance(obj, dict):
             raise SchemaError("each line must be a JSON object", line=line_no)
-        run_id, category, start, end, kind, amount, listed = _run_fields_from_obj(obj, line_no)
+        run_id, category, start, end, _, amount, listed = _run_fields_from_obj(obj, line_no)
         if run_id in seen:
             raise SchemaError(f"duplicate run_id {run_id!r}", line=line_no)
         seen.add(run_id)
@@ -1008,7 +1008,6 @@ def parse_runs_jsonl(stream: IO[str] | Iterable[str]) -> RunTable:
         categories.append(_CATEGORY_CODES[category])
         starts += _pack_double(start)
         ends += _pack_double(end)
-        kinds.append(_KIND_CODES[kind])
         amounts.append(amount)
         devices.append(ids)
     return RunTable(
@@ -1016,7 +1015,6 @@ def parse_runs_jsonl(stream: IO[str] | Iterable[str]) -> RunTable:
         bytes(categories),
         memoryview(bytes(starts)).cast("d"),
         memoryview(bytes(ends)).cast("d"),
-        bytes(kinds),
         tuple(amounts),
         tuple(devices),
     )
@@ -1093,21 +1091,6 @@ def _report_to_obj(report: MetricsReport) -> dict:
     }
 
 
-def _json_scalar(value: object) -> str:
-    """``value`` spelled as ``json.dump`` spells it inside a document.
-
-    A finite float (a subclass too) is its ``float.__repr__`` and a string
-    its ``encode_basestring_ascii``, which is what ``json`` writes for them.
-    Everything else, ``NaN``, the infinities, ``int``, ``bool`` and ``None``
-    included, goes through ``json.dumps``.
-    """
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    return json.dumps(value)
-
-
 #: One ``per_run`` element as ``json.dump(sort_keys=True, indent=2)`` lays it
 #: out at its depth in the report.
 _REPORT_ROW = """    {{
@@ -1134,19 +1117,19 @@ _SLICE_ROWS = 128
 
 
 def _json_column(values: list) -> Iterable[str]:
-    """``map(_json_scalar, values)``, a column at a time where it can be.
+    """``map(json.dumps, values)``, a column at a time where it can be.
 
     A column of exact floats whose sum is finite (so every one of them is)
     is spelled with ``float.__repr__``, and one of exact strings with
-    ``encode_basestring_ascii``, which is what ``_json_scalar`` does for
-    each of them.
+    ``encode_basestring_ascii``, which is what ``json.dumps`` does for each
+    of them.
     """
     kinds = set(map(type, values))
     if kinds == {float} and math.isfinite(sum(values)):
         return map(float.__repr__, values)
     if kinds == {str}:
         return map(encode_basestring_ascii, values)
-    return map(_json_scalar, values)
+    return map(json.dumps, values)
 
 
 def _json_rows(rows: ReportRows) -> str:
@@ -1307,7 +1290,7 @@ def read_report(data: bytes | str) -> MetricsReport:
             value = _json(row["performance"]["value"], *number)
             unit = RateUnit(row["performance"]["unit"])
             _check_rate(value)
-            _check_unit(run_id, category, unit)
+            _check_fixed(run_id, category, RATE_UNIT_FOR_CATEGORY, unit)
             performances.append(value)
             appues.append(_json(row["appue"], *number))
             aopues.append(_json(row["aopue"], *number))

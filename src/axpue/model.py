@@ -117,13 +117,16 @@ def _check_rate(value: float) -> None:
         raise ValidationError(f"rate must be finite and >= 0, got {value!r}")
 
 
-def _check_unit(run_id: str, category: ApplicationCategory, unit: RateUnit) -> None:
-    """A run's stated performance unit is its category's."""
-    expected = RATE_UNIT_FOR_CATEGORY[category]
-    if unit is not expected:
+def _check_fixed(run_id: str, category: ApplicationCategory, fixed: Mapping, stated) -> None:
+    """A run's ``stated`` work kind or performance unit is the one that
+    ``fixed`` (:data:`WORK_KIND_FOR_CATEGORY` or :data:`RATE_UNIT_FOR_CATEGORY`)
+    gives its category."""
+    expected = fixed[category]
+    if stated is not expected:
+        what = "work" if isinstance(expected, WorkKind) else "performance"
         raise CategoryMismatchError(
             f"run {run_id!r}: category {category.value} requires "
-            f"{expected.value} performance, got {unit.value}"
+            f"{expected.value} {what}, got {stated.value}"
         )
 
 
@@ -182,12 +185,7 @@ def _check_run(
         raise ValidationError(f"run {run_id!r}: window bounds must be finite")
     if end <= start:
         raise InvalidWindowError(f"run {run_id!r}: end ({end}) must be > start ({start})")
-    expected = WORK_KIND_FOR_CATEGORY[category]
-    if kind is not expected:
-        raise CategoryMismatchError(
-            f"run {run_id!r}: category {category.value} requires "
-            f"{expected.value} work, got {kind.value}"
-        )
+    _check_fixed(run_id, category, WORK_KIND_FOR_CATEGORY, kind)
 
 
 @dataclass(frozen=True)
@@ -228,12 +226,11 @@ class ApplicationRun:
         return self.end - self.start
 
 
-#: The members that the one-byte codes of a :class:`RunTable` or
-#: :class:`ReportRows` stand for, and the rate unit of each category code.
+#: The categories that the one-byte codes of a :class:`RunTable` or
+#: :class:`ReportRows` stand for, and the work kind and rate unit of each.
 _CATEGORY_OF_CODE = tuple(ApplicationCategory)
-_KIND_OF_CODE = tuple(WorkKind)
 _CATEGORY_CODES = {category: code for code, category in enumerate(_CATEGORY_OF_CODE)}
-_KIND_CODES = {kind: code for code, kind in enumerate(_KIND_OF_CODE)}
+_KIND_OF_CODE = tuple(WORK_KIND_FOR_CATEGORY[category] for category in _CATEGORY_OF_CODE)
 _UNIT_OF_CODE = tuple(RATE_UNIT_FOR_CATEGORY[category] for category in _CATEGORY_OF_CODE)
 
 
@@ -301,10 +298,10 @@ class _Columns(Sequence):
 class RunTable(_Columns):
     """Application runs held as columns, one item per run, in input order.
 
-    The columns are ``run_ids``; ``categories`` and ``kinds``, the one-byte
-    codes of each run's :class:`ApplicationCategory` and :class:`WorkKind`
-    (their members' positions); ``starts`` and ``ends``; ``amounts``, the
-    work counters; and ``devices``, each run's sorted device ids as a tuple.
+    The columns are ``run_ids``; ``categories``, the one-byte codes of each
+    run's :class:`ApplicationCategory` (its member's position), which fix
+    its :class:`WorkKind`; ``starts`` and ``ends``; ``amounts``, the work
+    counters; and ``devices``, each run's sorted device ids as a tuple.
     A parsed table holds its bounds as read-only float64 buffers, and runs
     with the same devices share one tuple.
 
@@ -313,7 +310,7 @@ class RunTable(_Columns):
     :meth:`from_runs` builds a table from runs.
     """
 
-    __slots__ = ("run_ids", "categories", "starts", "ends", "kinds", "amounts", "devices")
+    __slots__ = ("run_ids", "categories", "starts", "ends", "amounts", "devices")
 
     @classmethod
     def from_runs(cls, runs: Iterable[ApplicationRun]) -> RunTable:
@@ -324,7 +321,6 @@ class RunTable(_Columns):
             bytes(_CATEGORY_CODES[run.category] for run in runs),
             tuple(run.start for run in runs),
             tuple(run.end for run in runs),
-            bytes(_KIND_CODES[run.work.kind] for run in runs),
             tuple(run.work.amount for run in runs),
             tuple(tuple(sorted(run.attributed_devices)) for run in runs),
         )
@@ -332,12 +328,13 @@ class RunTable(_Columns):
     _of = from_runs
 
     def _item(self, index: int) -> ApplicationRun:
+        code = self.categories[index]
         return ApplicationRun(
             self.run_ids[index],
-            _CATEGORY_OF_CODE[self.categories[index]],
+            _CATEGORY_OF_CODE[code],
             self.starts[index],
             self.ends[index],
-            WorkMeasure(_KIND_OF_CODE[self.kinds[index]], self.amounts[index]),
+            WorkMeasure(_KIND_OF_CODE[code], self.amounts[index]),
             frozenset(self.devices[index]),
         )
 
@@ -455,7 +452,7 @@ class RunMetrics:
     weight: float
 
     def __post_init__(self):
-        _check_unit(self.run_id, self.category, self.performance.unit)
+        _check_fixed(self.run_id, self.category, RATE_UNIT_FOR_CATEGORY, self.performance.unit)
 
 
 class ReportRows(_Columns):
@@ -598,16 +595,6 @@ _ROW_RULES = (
 )
 
 
-def _isclose(values: np.ndarray, expected: np.ndarray) -> np.ndarray:
-    """``math.isclose(value, expected, rel_tol=IDENTITY_REL_TOL)`` for each
-    finite value."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (values == expected) | (
-            np.isfinite(expected)
-            & (abs(values - expected) <= IDENTITY_REL_TOL * np.maximum(abs(values), abs(expected)))
-        )
-
-
 def _check_row_fields(rows: ReportRows, derived: tuple[np.ndarray, ...]) -> None:
     """Every row's facility power, ApPUE, AoPUE and weight is finite and
     within ``IDENTITY_REL_TOL`` of the rule's value in ``derived``.
@@ -615,12 +602,17 @@ def _check_row_fields(rows: ReportRows, derived: tuple[np.ndarray, ...]) -> None
     The columns are screened as arrays, and only the rows that fail are
     checked value by value, so the first violation in row and field order
     raises a :class:`ValidationError` that names the run and the field.
+    ``np.isclose`` scales the tolerance by ``|expected|``, not by
+    ``math.isclose``'s larger ``max(|value|, |expected|)``, so it screens out
+    every value that the check by value rejects.
     """
     stored = [getattr(rows, column) for column, _, _ in _ROW_RULES]
     suspects = np.zeros(len(rows), dtype=bool)
     for k, column in enumerate(stored):
         values = np.asarray(column, dtype=np.float64)
-        suspects |= ~(np.isfinite(values) & _isclose(values, derived[k]))
+        with np.errstate(over="ignore"):
+            close = np.isclose(values, derived[k], rtol=IDENTITY_REL_TOL, atol=0.0)
+        suspects |= ~(np.isfinite(values) & close)
     for i in np.flatnonzero(suspects).tolist():
         for k, ((_, name, rule), column) in enumerate(zip(_ROW_RULES, stored)):
             # isclose(inf, inf) holds, so an overflow needs its own check.

@@ -124,7 +124,7 @@ def _reference_run_from_obj(obj: dict, line: int) -> ApplicationRun:
         end = float(end) if type(end) in (int, float) else _parse_timestamp(end)
     except (ValueError, OverflowError, TypeError):
         raise SchemaError("bad start/end timestamp", line=line) from None
-    if end <= start:
+    if math.isfinite(start) and math.isfinite(end) and end <= start:
         raise InvalidWindowError(
             f"run {run_id!r}: end ({end}) must be > start ({start})", line=line
         )

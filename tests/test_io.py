@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -346,6 +347,17 @@ class TestParseRunsJsonl:
         with pytest.raises(InvalidWindowError) as excinfo:
             parse_runs_jsonl(stream)
         assert excinfo.value.line == 2
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [(math.inf, 5.0), (0.0, -math.inf), (-math.inf, 5.0), (math.nan, 5.0), (0.0, math.inf)],
+    )
+    def test_non_finite_bound_is_named_as_one(self, start, end):
+        stream = io.StringIO(run_line() + run_line(run_id="r", start=start, end=end))
+        with pytest.raises(SchemaError) as excinfo:
+            parse_runs_jsonl(stream)
+        assert excinfo.value.line == 2
+        assert str(excinfo.value) == "run 'r': window bounds must be finite"
 
     def test_integral_float_work_accepted(self):
         runs = parse_runs_jsonl(io.StringIO(run_line(work={"type": "bytes_processed", "value": 1e9})))

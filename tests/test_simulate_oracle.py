@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+from datetime import datetime, timezone
 from pathlib import Path
 from unittest import mock
 
@@ -130,6 +131,13 @@ def _compute(power: Path, sim: Path, report: Path) -> bytes:
     return report.read_bytes()
 
 
+def _rfc3339(row: bytes) -> bytes:
+    """A power-CSV row with its epoch-seconds stamp spelled in RFC 3339."""
+    device, stamp, watts = row.split(b",")
+    moment = datetime.fromtimestamp(float(stamp), timezone.utc)
+    return b",".join((device, moment.strftime("%Y-%m-%dT%H:%M:%SZ").encode(), watts))
+
+
 @settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -145,23 +153,29 @@ def test_rewritten_power_csv_gives_the_plain_report(
 ):
     # Time-major rows, as a poller writes them, put devices with the same
     # times into each batch, where they share time pieces; shuffled rows
-    # send every device through the sort.  Small batches and forked ranges
-    # put seams all over both.
+    # send every device through the sort.  CRLF line ends send every block
+    # through csv.reader, and RFC 3339 stamps (of whole seconds, so exact)
+    # through the per-block stamp table.  Small batches and forked ranges
+    # put seams all over them.
     work = tmp_path_factory.mktemp("rewrite")
     fleets.write_manifest(manifest, work / "manifest.json")
     sim = work / "sim"
     assert main(["simulate", str(work / "manifest.json"), "--out", str(sim)]) == 0
     plain = _compute(sim / "power.csv", sim, work / "plain.json")
-    header, *rows = (sim / "power.csv").read_bytes().splitlines(keepends=True)
+    data = (sim / "power.csv").read_bytes()
+    header, *rows = data.splitlines(keepends=True)
     rewrites = {
         "plain": rows,
         "time-major": sorted(rows, key=lambda row: float(row.split(b",")[1])),
         "shuffled": shuffle.sample(rows, len(rows)),
+        "rfc3339": [_rfc3339(row) for row in rows],
     }
+    files = {name: header + b"".join(lines) for name, lines in rewrites.items()}
+    files["crlf"] = data.replace(b"\n", b"\r\n")
     with mock.patch.multiple(
         axpue.io, _BATCH_ROWS=batch, _DEVICE_ROWS=device_rows, _RANGE_BYTES=1, _cpu_count=lambda: cpus
     ):
-        for name, lines in rewrites.items():
+        for name, text in files.items():
             power = work / f"{name}.csv"
-            power.write_bytes(header + b"".join(lines))
+            power.write_bytes(text)
             assert _compute(power, sim, work / f"{name}.json") == plain, name
