@@ -68,7 +68,6 @@ from .model import (
     RunTable,
     WorkKind,
     _check_fixed,
-    _check_rate,
     _check_window,
     _column,
     _Columns,
@@ -113,8 +112,8 @@ class _RunInputs(_Columns):
     """The :class:`RunInput` of each run of a :class:`~axpue.model.RunTable`,
     held as the table plus a column of IT energies and one of rate values
     (see :class:`~axpue.model._Columns`); a rate's unit is its run's
-    category's.  :meth:`_of` takes inputs that have checked themselves, and
-    :func:`analyze` checks each energy and rate as it goes."""
+    category's.  :meth:`_of` takes inputs that have checked themselves;
+    :func:`analyze` checks each energy, and the report each rate."""
 
     __slots__ = ("table", "joules", "rates")
 
@@ -325,7 +324,7 @@ def analyze(
     energy_window = category_energy(traces, inventory, start, end, max_gap)
     # category_energy has checked that every inventory device has a trace,
     # and each run lies inside the window it integrated.  Each run's energy
-    # is summed, its rate computed and both checked before the next run's.
+    # is summed and checked before the next run's; the report checks rates.
     joules, rates = np.empty(len(table)), np.empty(len(table))
     for i, (run_id, code, amount, run_start, run_end, energies) in enumerate(
         zip(
@@ -334,8 +333,7 @@ def analyze(
         )
     ):
         joules[i] = run_joules = math.fsum(energies)
-        rates[i] = rate = _rate_value(_KIND_OF_CODE[code], amount, run_start, run_end)
-        _check_rate(rate)
+        rates[i] = _rate_value(_KIND_OF_CODE[code], amount, run_start, run_end)
         _check_it_energy(run_id, run_joules)
     inputs = MetricInputs(
         window=energy_window,

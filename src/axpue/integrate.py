@@ -92,27 +92,6 @@ def _check_max_gap(max_gap: float) -> None:
         raise ValidationError(f"max_gap must be > 0 seconds, got {max_gap!r}")
 
 
-def _coverage_gap(
-    times: np.ndarray, lo: int, hi: int, start: float, end: float, max_gap: float
-) -> tuple[float, float] | None:
-    """First stretch wider than ``max_gap`` that the window needs, if any.
-
-    ``times[lo:hi]`` holds the window's own samples plus the nearest one
-    beyond each edge, so its neighbouring pairs are exactly the stretches
-    that overlap the window.
-    """
-    if times[0] - start > max_gap:
-        return start, float(times[0])
-    if end - times[-1] > max_gap:
-        return float(times[-1]), end
-    window_times = times[lo:hi]
-    hits = ((window_times[1:] - window_times[:-1]) > max_gap).nonzero()[0]
-    if hits.size:
-        i = lo + int(hits[0])
-        return float(times[i]), float(times[i + 1])
-    return None
-
-
 def integrate_power(
     trace: PowerTrace, start: float, end: float, max_gap: float = DEFAULT_MAX_GAP
 ) -> float:
@@ -277,25 +256,37 @@ def _batch_energies(batch: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> l
 
 def _raise_first_gap(
     trace: PowerTrace,
-    starts: Sequence[float],
-    ends: Sequence[float],
+    starts: np.ndarray,
+    ends: np.ndarray,
     i0: np.ndarray,
     i1: np.ndarray,
     max_gap: float,
 ) -> None:
-    """Raise the first window's :class:`CoverageGapError`, if any window fails."""
+    """Raise the first window's :class:`CoverageGapError`, if any window fails.
+
+    A window is checked for its start's reach before the trace, its end's
+    past it, and then the stretches overlapping it: those of
+    ``times[lo:hi]``, its own samples and the nearest one beyond each edge.
+    """
     times = trace.times
-    for j, (start, end) in enumerate(zip(starts, ends)):
-        lo, hi = max(int(i0[j]) - 1, 0), min(int(i1[j]) + 1, times.size)
-        gap = _coverage_gap(times, lo, hi, float(start), float(end), float(max_gap))
-        if gap is not None:
-            gap_start, gap_end = gap
-            raise CoverageGapError(
-                f"device {trace.device_id!r}: no samples across [{gap_start}, {gap_end}] "
-                f"({gap_end - gap_start:.3f} s > max_gap {max_gap} s)",
-                gap=(gap_start, gap_end),
-                device_id=trace.device_id,
-            )
+    first, final = float(times[0]), float(times[-1])
+    for start, end, a, b in zip(starts.tolist(), ends.tolist(), i0.tolist(), i1.tolist()):
+        lo, hi = max(a - 1, 0), min(b + 1, times.size)
+        hits = (np.diff(times[lo:hi]) > max_gap).nonzero()[0]
+        if first - start > max_gap:
+            gap = start, first
+        elif end - final > max_gap:
+            gap = final, end
+        elif hits.size:
+            gap = float(times[lo + hits[0]]), float(times[lo + hits[0] + 1])
+        else:
+            continue
+        raise CoverageGapError(
+            f"device {trace.device_id!r}: no samples across [{gap[0]}, {gap[1]}] "
+            f"({gap[1] - gap[0]:.3f} s > max_gap {max_gap} s)",
+            gap=gap,
+            device_id=trace.device_id,
+        )
 
 
 def category_energy(

@@ -29,6 +29,7 @@ import math
 import operator
 import os
 import pickle
+import re
 import signal
 import stat
 import struct
@@ -69,7 +70,6 @@ from .model import (
     WorkKind,
     WorkMeasure,
     _check_fixed,
-    _check_rate,
     _check_run,
     _check_work_amount,
     _column,
@@ -89,13 +89,20 @@ REPORT_CSV_HEADER = (
 )
 
 
+#: Over six fractional digits, which ``fromisoformat`` would cut to microseconds.
+_SUB_MICROSECOND = re.compile(r"[.,][0-9]{7}")
+
+
 def _parse_timestamp(text: str) -> float:
-    """Epoch seconds from a numeric literal or an RFC 3339 string."""
+    """Epoch seconds from a numeric literal or an RFC 3339 string with at
+    most six fractional digits, so that distinct stamps stay distinct."""
     try:
         return float(text)
     except ValueError:
         pass
     iso = text.strip()
+    if _SUB_MICROSECOND.search(iso):
+        raise ValueError(f"more than six fractional digits in {text!r}")
     if iso.endswith(("Z", "z")):
         iso = iso[:-1] + "+00:00"
     moment = datetime.fromisoformat(iso)
@@ -142,14 +149,13 @@ def _split_block(text: str) -> tuple[list, list, list] | None:
     return fields[0::3], fields[1::3], fields[2::3]
 
 
-def _raise_first_bad_row(rows: Iterable, first_line: int) -> NoReturn:
-    """Raise the error of the first bad row, checking rows one at a time.
+def _raise_first_bad_row(rows: Iterable, lines: Iterable) -> NoReturn:
+    """Raise the error of the first bad row, checking rows one at a time,
+    each paired with its own line number in ``lines``.
 
-    Only called on a block whose column checks failed; it never returns.
+    Only called on rows that failed a check; it never returns.
     """
-    for line, row in enumerate(rows, start=first_line):
-        if not row:
-            continue
+    for line, row in zip(map(int, lines), rows):
         if len(row) != 3:
             raise ParseError(f"expected 3 fields, got {len(row)}", line=line)
         device_id = row[0].strip()
@@ -203,20 +209,18 @@ class _Samples:
         # Each block's line numbers: a range when its rows are consecutive lines.
         self.lines: list[range | np.ndarray] = []
 
-    def add(self, columns: tuple, lines: range | np.ndarray) -> bool:
-        """Convert and check one block's columns; False if any row is bad.
-
-        ``lines`` are the line numbers of the block's rows.
-        """
+    def add(self, columns: tuple, lines: range | np.ndarray) -> None:
+        """Convert and check one block's columns, or raise its first bad
+        row's error; ``lines`` are the line numbers of the block's rows."""
         if not columns:
-            return True
+            return
         devices, stamps, watts = columns
         count = len(devices)
         codes_by_field = self.codes_by_field
         for field in set(devices).difference(codes_by_field):
             device_id = field.strip()
             if not device_id:
-                return False
+                _raise_first_bad_row(zip(*columns), lines)
             codes_by_field[field] = self.ids.setdefault(device_id, len(self.ids))
         codes = np.fromiter(map(codes_by_field.__getitem__, devices), np.int32, count)
         try:
@@ -226,21 +230,20 @@ class _Samples:
             try:
                 epoch = {text: _parse_timestamp(text) for text in set(stamps)}
             except (ValueError, OverflowError):
-                return False
+                _raise_first_bad_row(zip(*columns), lines)
             times = np.fromiter(map(epoch.__getitem__, stamps), np.float64, count)
         try:
             power = np.fromiter(map(float, watts), np.float64, count)
         except ValueError:
-            return False
+            _raise_first_bad_row(zip(*columns), lines)
         if not (np.isfinite(power).all() and power.min() >= 0 and np.isfinite(times).all()):
-            return False
+            _raise_first_bad_row(zip(*columns), lines)
         for blocks, values in zip(self.batch, (codes, times, power)):
             blocks.append(values)
         self.lines.append(lines)
         self.batch_rows += count
         if self.batch_rows >= max(_BATCH_ROWS, _DEVICE_ROWS * len(self.ids)):
             self._partition()
-        return True
 
     def _partition(self) -> None:
         """Move the batch's rows into each device's pieces, and free its blocks."""
@@ -569,8 +572,7 @@ def _parse_rows(lines: _Lines, samples: _Samples, line: int) -> int:
         columns = _split_block(block) if len(block) <= csv.field_size_limit() else None
         if columns is not None:
             count = len(columns[0])
-            if not samples.add(columns, range(line, line + count)):
-                _raise_first_bad_row(zip(*columns), line)
+            samples.add(columns, range(line, line + count))
             line += count
             del columns  # before the next block is split
         else:
@@ -578,11 +580,9 @@ def _parse_rows(lines: _Lines, samples: _Samples, line: int) -> int:
             # Blank rows are skipped, but they count as lines.
             numbers = [number for number, row in enumerate(rows, start=line) if row]
             full = [row for row in rows if row]
-            if not (
-                all(len(row) == 3 for row in full)
-                and samples.add(tuple(zip(*full)), np.array(numbers, dtype=np.intp))
-            ):
-                _raise_first_bad_row(rows, line)
+            if not all(len(row) == 3 for row in full):
+                _raise_first_bad_row(full, numbers)
+            samples.add(tuple(zip(*full)), np.array(numbers, dtype=np.intp))
             if failure is not None:
                 raise failure
             line += len(rows)
@@ -1260,7 +1260,8 @@ def _json(value: object, *types: type) -> object:
 def read_report(data: bytes | str) -> MetricsReport:
     """Parse a JSON report back into a validated :class:`MetricsReport`.
 
-    Its ``per_run`` rows must have unique run ids.
+    Only JSON types, enum spellings and each row's stated unit are checked
+    here; :class:`MetricsReport` checks every rule of the report itself.
     """
     obj = _load_json(data, "invalid JSON report")
     if not isinstance(obj, dict) or obj.get("schema") != REPORT_SCHEMA:
@@ -1289,17 +1290,11 @@ def read_report(data: bytes | str) -> MetricsReport:
             facility_kws.append(_json(row["facility_power_kw"], *number))
             value = _json(row["performance"]["value"], *number)
             unit = RateUnit(row["performance"]["unit"])
-            _check_rate(value)
             _check_fixed(run_id, category, RATE_UNIT_FOR_CATEGORY, unit)
             performances.append(value)
             appues.append(_json(row["appue"], *number))
             aopues.append(_json(row["aopue"], *number))
             weights.append(_json(row["weight"], *number))
-        seen = set()
-        for run_id in run_ids:
-            if run_id in seen:
-                raise SchemaError(f"duplicate run_id {run_id!r}")
-            seen.add(run_id)
         return MetricsReport(
             window=window,
             pue=_json(obj["pue"], *number),

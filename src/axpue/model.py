@@ -175,8 +175,10 @@ def _check_run(
     kind: WorkKind,
     devices: Collection[str],
 ) -> None:
-    """A run has an id, at least one device, a finite window with ``end >
-    start`` and the work kind of its category."""
+    """A run has an id, a non-empty string, at least one device, a finite
+    window with ``end > start`` and the work kind of its category."""
+    if not isinstance(run_id, str):
+        raise ValidationError(f"run_id must be a string, got {run_id!r}")
     if not run_id:
         raise ValidationError("run_id must be non-empty")
     if not devices:
@@ -556,8 +558,9 @@ def _derive_report(
     its share of the summed IT power.  Elementwise float64 ``*`` and ``/``
     give the bits of the same expressions on Python floats.
 
-    Every row needs an IT power that is finite and > 0; the first row that
-    breaks it raises.  The rows must share one performance unit.
+    Every row needs an IT power that is finite and > 0, and a performance
+    that is finite and >= 0; the first row that breaks either raises.  The
+    rows must share one performance unit.
     """
     if window.it_energy == 0:
         raise ZeroITEnergyError("window holds no IT equipment energy")
@@ -572,11 +575,15 @@ def _derive_report(
         raise ZeroITPowerError(
             f"run {run_ids[i]!r}: it_power_kw must be finite and > 0, got {it_kws[i]!r}"
         )
+    rates = np.asarray(performances, dtype=np.float64)
+    bad = ~(np.isfinite(rates) & (rates >= 0))
+    if bad.any():
+        _check_rate(performances[int(bad.argmax())])
     units_present = {_UNIT_OF_CODE[code] for code in set(categories)}
     if len(units_present) > 1:
         labels = sorted(_REPORTED_LABELS[unit] for unit in units_present)
         raise UnitMismatchError(f"cannot aggregate across performance units {labels!r}")
-    magnitudes, _ = _reported(units_present.pop(), np.asarray(performances, dtype=np.float64))
+    magnitudes, _ = _reported(units_present.pop(), rates)
     with np.errstate(over="ignore"):
         facility_kws = powers * pue
         appues = magnitudes / powers
@@ -637,9 +644,10 @@ class MetricsReport:
 
     The primary fields are the window's energies and each row's run id,
     category, IT power and performance; every other field is derived from
-    them by one rule, :func:`_derive_report`.  Construction checks that PUE
-    is finite and >= 1, that the weights sum to one, that every row's IT
-    power is finite and > 0 and its facility power, ApPUE and AoPUE are
+    them by one rule, :func:`_derive_report`.  Construction checks that the
+    rows' run ids are distinct, that PUE is finite and >= 1, that the
+    weights sum to one, that every row's IT power is finite and > 0, its
+    performance finite and >= 0 and its facility power, ApPUE and AoPUE
     finite, and that every derived field equals the rule's value within
     ``IDENTITY_REL_TOL``.  A violation raises a :class:`ValidationError`
     that names the field, and the run for a row's field.  Rows of mixed
@@ -660,9 +668,14 @@ class MetricsReport:
     def __post_init__(self):
         if not isinstance(self.per_run, ReportRows):
             object.__setattr__(self, "per_run", ReportRows.from_rows(self.per_run))
+        rows = self.per_run
+        seen = set()
+        for run_id in rows.run_ids:
+            if run_id in seen:
+                raise ValidationError(f"duplicate run_id {run_id!r}")
+            seen.add(run_id)
         if not (math.isfinite(self.pue) and self.pue >= 1):
             raise ValidationError(f"pue must be finite and >= 1, got {self.pue!r}")
-        rows = self.per_run
         pue, derived, weighted_appue, aggregated_aopue = _derive_report(
             self.window, rows.run_ids, rows.categories, rows.it_power_kws, rows.performances
         )

@@ -191,6 +191,19 @@ class TestParsePowerCsv:
         )
         assert list(traces[0].times) == [0.0, 60.0]
 
+    def test_rfc3339_fraction_finer_than_a_microsecond_rejected(self):
+        # Cut to microseconds, the two stamps would be one: a false duplicate.
+        with pytest.raises(ParseError) as excinfo:
+            parse_csv(
+                HEADER
+                + "s1,2026-01-01T00:00:00.1234567Z,100\n"
+                + "s1,2026-01-01T00:00:00.1234569Z,100\n"
+            )
+        assert type(excinfo.value) is ParseError and excinfo.value.line == 2
+        assert str(excinfo.value) == "bad timestamp '2026-01-01T00:00:00.1234567Z'"
+        traces = parse_csv(HEADER + "s1,2026-01-01T00:00:00.123456Z,100\n")
+        assert list(traces[0].times) == [1767225600.123456]
+
     def test_wrong_field_count_rejected(self):
         with pytest.raises(ParseError) as excinfo:
             parse_csv(HEADER + "s1,0\n")
@@ -374,6 +387,12 @@ class TestParseRunsJsonl:
         with pytest.raises(SchemaError) as excinfo:
             parse_runs_jsonl(stream)
         assert excinfo.value.line == 2
+
+    def test_rfc3339_bound_finer_than_a_microsecond_rejected(self):
+        fine = run_line(start="2026-01-01T00:00:00.1234567Z", end="2026-01-01T00:01:00Z")
+        with pytest.raises(SchemaError) as excinfo:
+            parse_runs_jsonl(io.StringIO(run_line() + fine))
+        assert (str(excinfo.value), excinfo.value.line) == ("bad start/end timestamp", 2)
 
     @pytest.mark.parametrize("key", ["start", "end"])
     def test_boolean_timestamp_rejected(self, key):

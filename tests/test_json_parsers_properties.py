@@ -364,7 +364,8 @@ def metrics_reports(draw):
         pue = 1
     category = draw(st.sampled_from(list(ApplicationCategory)))
     n_rows = draw(st.integers(0, 5))
-    run_ids = [draw(ESCAPED_TEXT) for _ in range(n_rows)]
+    # A report's run ids are distinct.
+    run_ids = draw(st.lists(ESCAPED_TEXT, min_size=n_rows, max_size=n_rows, unique=True))
     # Facility power is IT power times PUE, and neither it nor the summed
     # IT power may overflow.
     it_kws = [

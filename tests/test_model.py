@@ -106,6 +106,12 @@ class TestApplicationRun:
         with pytest.raises(InvalidWindowError):
             _run(start=100.0, end=100.0)
 
+    def test_run_id_must_be_a_string(self):
+        # As the runs parse says it, so a report never holds an id it cannot read back.
+        with pytest.raises(ValidationError) as excinfo:
+            _run(run_id=5)
+        assert str(excinfo.value) == "run_id must be a string, got 5"
+
     def test_empty_devices_rejected(self):
         with pytest.raises(ValidationError):
             _run(attributed_devices=frozenset())

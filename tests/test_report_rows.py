@@ -23,9 +23,13 @@ from axpue import (
     ApplicationCategory,
     ApplicationRun,
     DeviceCategory,
+    DeviceRecord,
     EnergyWindow,
+    Inventory,
+    MetricInputs,
     MetricsReport,
     PerformanceRate,
+    PowerTrace,
     RateUnit,
     RunInput,
     RunMetrics,
@@ -37,8 +41,8 @@ from axpue import (
     read_report,
     write_report,
 )
-from axpue.errors import CategoryMismatchError, ZeroITPowerError
-from axpue.model import ReportRows
+from axpue.errors import CategoryMismatchError, ValidationError, ZeroITPowerError
+from axpue.model import _CATEGORY_CODES, ReportRows
 from conftest import random_metric_inputs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -240,3 +244,46 @@ def test_a_bad_it_power_raises_where_the_report_is_built_or_read():
     with pytest.raises(ZeroITPowerError) as read:
         read_report(report_doc(service_doc_row("a", -1.0), service_doc_row("b", 1.0)))
     assert str(constructed.value) == str(read.value) == message
+
+
+def test_every_report_keeps_the_rules_a_report_read_back_keeps():
+    """Distinct run ids and rates >= 0 are checked wherever a report is
+    made, with the message :func:`read_report` gives."""
+
+    def rejected(make, message):
+        with pytest.raises(ValidationError) as excinfo:
+            make()
+        assert str(excinfo.value) == message
+
+    runs = [
+        ApplicationRun(
+            "r", ApplicationCategory.SERVICE, 0.0, 10.0,
+            WorkMeasure(WorkKind.REQUESTS_ANSWERED, 30), {device},
+        )
+        for device in ("s1", "s2")
+    ]
+    inventory = Inventory(
+        [
+            DeviceRecord("s1", DeviceCategory.IT_EQUIPMENT),
+            DeviceRecord("s2", DeviceCategory.IT_EQUIPMENT),
+            DeviceRecord("c1", DeviceCategory.COOLING),
+        ]
+    )
+    traces = [PowerTrace(d, np.array([0.0, 10.0]), np.full(2, 100.0)) for d in ("s1", "s2", "c1")]
+    rate = PerformanceRate(3.0, RateUnit.REQUESTS_PER_SECOND)
+    twice = "duplicate run_id 'r'"
+    rejected(lambda: read_report(report_doc(*[service_doc_row("r", 1.0)] * 2)), twice)
+    rejected(lambda: analyze(traces, inventory, runs), twice)
+    rejected(
+        lambda: build_report(MetricInputs(WINDOW, [RunInput(run, 1.0, rate) for run in runs])), twice
+    )
+    rejected(lambda: MetricsReport(WINDOW, 1.5, [service_row("r", 1.0)] * 2, 3.0, 2.0), twice)
+
+    negative = "rate must be finite and >= 0, got -1.0"
+    doc_row = service_doc_row("a", 1.0)
+    doc_row["performance"]["value"] = -1.0
+    rejected(lambda: read_report(report_doc(doc_row)), negative)
+    # A rate of -1 gives the derived fields below; only the rate is wrong.
+    columns = [[value] for value in (1.0, 1.5, -1.0, -1.0, -1.0 / 1.5, 1.0)]
+    rows = ReportRows(("a",), bytes([_CATEGORY_CODES[ApplicationCategory.SERVICE]]), *columns)
+    rejected(lambda: MetricsReport(WINDOW, 1.5, rows, -1.0, -1.0 / 1.5), negative)

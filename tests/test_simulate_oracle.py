@@ -1,8 +1,9 @@
 """Whole computations against the benchmark's closed-form oracle.
 
 Small scenario manifests in the family of ``perfbench/fleets.py`` (servers
-with piecewise-linear utilization, breakpoints and run windows on the
-sample grid, overlapping runs on disjoint devices, both work kinds) are
+with piecewise-linear utilization, breakpoints on the sample grid, run
+bounds a drawn fraction of a period past a grid point, so that window edges
+are interpolated, overlapping runs on disjoint devices, both work kinds) are
 simulated and computed through the CLI, with the writer's parts and the
 parse's ranges forked.  Every report field must match what
 ``perfbench/oracle.py`` derives from the manifest alone, without the
@@ -47,7 +48,8 @@ WORK = {
 def manifests(draw):
     """A manifest whose grid has ``steps`` samples after 0, one group of
     servers per run sequence; runs of one group follow one another, and
-    runs of different groups may overlap.  A report aggregates one
+    runs of different groups may overlap.  Each run bound is a grid point
+    plus a drawn fraction of a period, none past the scenario's end.  A report aggregates one
     performance unit, so all runs of a manifest have one work kind."""
     category = draw(st.sampled_from(sorted(WORK)))
     period = draw(st.sampled_from([10, 30, 60]))
@@ -74,12 +76,19 @@ def manifests(draw):
         cuts = sorted(draw(st.sets(st.integers(0, steps), min_size=2, max_size=6)))
         bounds = list(zip(cuts, cuts[1:]))[::2]
         for k, (lo, hi) in enumerate(bounds):
+            # A fraction below 1 keeps each bound before the next grid point,
+            # so the runs of one group still follow one another.
+            start, end = (
+                (cut + (draw(st.floats(0.0, 1.0, exclude_max=True)) if cut < steps else 0.0))
+                * period
+                for cut in (lo, hi)
+            )
             runs.append(
                 {
                     "run_id": f"job-{g}-{k}",
                     "category": category,
-                    "start": float(lo * period),
-                    "end": float(hi * period),
+                    "start": start,
+                    "end": end,
                     "work": {"type": WORK[category], "value": draw(st.integers(10**3, 10**12))},
                     "devices": ids,
                 }
