@@ -153,14 +153,15 @@ def _raise_first_bad_row(rows: Iterable, lines: Iterable) -> NoReturn:
     """Raise the error of the first bad row, checking rows one at a time,
     each paired with its own line number in ``lines``.
 
-    Only called on rows that failed a check; it never returns.
+    Only called on rows that failed a check; it never returns.  Its errors
+    are raised ``from None``: it may run while the check's own error is handled.
     """
     for line, row in zip(map(int, lines), rows):
         if len(row) != 3:
-            raise ParseError(f"expected 3 fields, got {len(row)}", line=line)
+            raise ParseError(f"expected 3 fields, got {len(row)}", line=line) from None
         device_id = row[0].strip()
         if not device_id:
-            raise ParseError("empty device_id", line=line)
+            raise ParseError("empty device_id", line=line) from None
         try:
             timestamp = _parse_timestamp(row[1])
         except (ValueError, OverflowError):
@@ -173,9 +174,9 @@ def _raise_first_bad_row(rows: Iterable, lines: Iterable) -> NoReturn:
             raise InvalidPowerError(
                 f"device {device_id!r}: watts must be finite and >= 0, got {watts!r}",
                 line=line,
-            )
+            ) from None
         if not math.isfinite(timestamp):
-            raise ParseError(f"non-finite timestamp {row[1]!r}", line=line)
+            raise ParseError(f"non-finite timestamp {row[1]!r}", line=line) from None
     raise AssertionError("a block failed its column checks but no row is bad")
 
 
